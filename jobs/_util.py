@@ -1,20 +1,7 @@
-"""Shared job plumbing: one SparkSession per job, markdown output to stdout."""
+"""Shared job plumbing: markdown output to stdout."""
 from __future__ import annotations
 
 import sys
-
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.driver.host", "127.0.0.1")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
 
 
 def emit(title: str, md: str) -> None:

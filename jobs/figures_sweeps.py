@@ -1,11 +1,11 @@
-"""spark-submit entrypoint: Figure 5/6/7 sweeps as row data.
+"""Entrypoint: Figure 5/6/7 sweeps as row data.
 
-Usage: spark-submit jobs/figures_sweeps.py [fig] [scale]
+Usage: python jobs/figures_sweeps.py [fig] [scale]
   fig ∈ {5, 6, 7, all}
 """
 import sys
 
-from _util import emit, get_spark
+from _util import emit
 from repro.experiments import figures
 from repro.experiments.common import markdown_table
 
@@ -13,7 +13,6 @@ from repro.experiments.common import markdown_table
 def main() -> None:
     which = sys.argv[1] if len(sys.argv) > 1 else "all"
     scale = sys.argv[2] if len(sys.argv) > 2 else "bench"
-    spark = get_spark("figures-sweeps")
     if which in ("5", "all"):
         for ds in ("sift", "mnist"):
             for bins in (16, 256):
@@ -25,7 +24,6 @@ def main() -> None:
         emit("Fig. 6 — tree baselines (sift)", markdown_table(figures.fig6("sift", scale=scale)))
     if which in ("7", "all"):
         emit("Fig. 7 — ScaNN pipelines (sift)", markdown_table(figures.fig7("sift", scale=scale)))
-    spark.stop()
 
 
 if __name__ == "__main__":

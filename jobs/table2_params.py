@@ -1,19 +1,15 @@
-"""spark-submit entrypoint: Table 2 (parameter counts, 256 bins).
+"""Entrypoint: Table 2 (parameter counts, 256 bins).
 
-Usage: spark-submit jobs/table2_params.py
-(Parameter counting is driver-side; the SparkSession is created for harness
-uniformity with the other jobs.)
+Usage: python jobs/table2_params.py
 """
-from _util import emit, get_spark
+from _util import emit
 from repro.experiments import table2
 from repro.experiments.common import markdown_table
 
 
 def main() -> None:
-    spark = get_spark("table2-params")
     df = table2.run()
     emit("Table 2 — learnable parameters (SIFT, 256 bins)", markdown_table(df))
-    spark.stop()
 
 
 if __name__ == "__main__":

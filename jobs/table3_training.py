@@ -1,20 +1,18 @@
-"""spark-submit entrypoint: Table 3 (offline training times + η).
+"""Entrypoint: Table 3 (offline training times + η).
 
-Usage: spark-submit jobs/table3_training.py [scale]   (scale: test|bench)
+Usage: python jobs/table3_training.py [scale]   (scale: test|bench)
 """
 import sys
 
-from _util import emit, get_spark
+from _util import emit
 from repro.experiments import table3
 from repro.experiments.common import markdown_table
 
 
 def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "bench"
-    spark = get_spark("table3-training")
     df = table3.run(scale=scale)
     emit(f"Table 3 — offline training time + η ({scale} scale)", markdown_table(df))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,22 +1,20 @@
-"""spark-submit entrypoint: Table 4 (candidate-set decrease at fixed accuracy).
+"""Entrypoint: Table 4 (candidate-set decrease at fixed accuracy).
 
-Usage: spark-submit jobs/table4_candidates.py [scale]
+Usage: python jobs/table4_candidates.py [scale]
 """
 import sys
 
-from _util import emit, get_spark
+from _util import emit
 from repro.experiments import table4
 from repro.experiments.common import markdown_table
 
 
 def main() -> None:
     scale = sys.argv[1] if len(sys.argv) > 1 else "bench"
-    spark = get_spark("table4-candidates")
     df, curves, target = table4.run(scale=scale)
     emit(f"Table 4 — candidate-set decrease at {target:.0%} 10-NN accuracy", markdown_table(df))
     for name, c in curves.items():
         emit(f"Fig. 5a-style curve — {name}", markdown_table(c))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,20 +1,18 @@
-"""spark-submit entrypoint: Table 5 (clustering comparison, ARI).
+"""Entrypoint: Table 5 (clustering comparison, ARI).
 
-Usage: spark-submit jobs/table5_clustering.py [n]
+Usage: python jobs/table5_clustering.py [n]
 """
 import sys
 
-from _util import emit, get_spark
+from _util import emit
 from repro.experiments import table5
 from repro.experiments.common import markdown_table
 
 
 def main() -> None:
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 800
-    spark = get_spark("table5-clustering")
     df = table5.run(n=n)
     emit("Table 5 — clustering ARI vs generating labels", markdown_table(df))
-    spark.stop()
 
 
 if __name__ == "__main__":

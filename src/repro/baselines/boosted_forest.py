@@ -22,19 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex
+from repro.index import tree
+from repro.index.base import PartitionIndex, members_by_bin
 from repro.knn.exact import knn_matrix_numpy
-
-
-class _BsfNode:
-    __slots__ = ("w", "t", "scale", "children", "leaf_id")
-
-    def __init__(self):
-        self.w = None
-        self.t = 0.0
-        self.scale = 1.0
-        self.children = []
-        self.leaf_id = None
 
 
 def similarity_preserving_hyperplane(
@@ -83,7 +73,7 @@ class BoostedSearchForest(PartitionIndex):
         self.k_prime = k_prime
         self.min_split = min_split
         self.seed = seed
-        self.trees: list[_BsfNode] = []
+        self.trees: list[tree.Node] = []
         self.tree_bins: list[np.ndarray] = []
         self.tree_n_bins: list[int] = []
         self.n_bins = 0
@@ -93,14 +83,23 @@ class BoostedSearchForest(PartitionIndex):
         rng = np.random.default_rng(self.seed)
         knn_idx = knn_matrix_numpy(x, min(self.k_prime, len(x) - 1))
         weights = np.ones(len(x))
+
+        # Reads ``weights`` when called, so each tree sees the boosted weights.
+        def split(idx: np.ndarray, level: int):
+            if level >= self.depth or len(idx) < self.min_split:
+                return None
+            sub = x[idx]
+            sub_knn = knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1))
+            return tree.hyperplane_split(
+                sub, *similarity_preserving_hyperplane(sub, sub_knn, weights[idx], rng)
+            )
+
         self.trees, self.tree_bins, self.tree_n_bins = [], [], []
-        for t in range(self.n_trees):
-            self._leaf_counter = 0
-            bins = np.zeros(len(x), dtype=np.int64)
-            root = self._fit_node(x, np.arange(len(x)), 0, bins, weights, rng)
+        for _ in range(self.n_trees):
+            root, bins, n_leaves = tree.grow(len(x), split)
             self.trees.append(root)
             self.tree_bins.append(bins)
-            self.tree_n_bins.append(self._leaf_counter)
+            self.tree_n_bins.append(n_leaves)
             # Boosting update: weight ∝ fraction of k'-NN separated so far.
             sep = (bins[knn_idx] != bins[:, None]).mean(axis=1)
             weights = weights * (0.1 + sep)
@@ -108,70 +107,21 @@ class BoostedSearchForest(PartitionIndex):
             weights = np.ones(len(x)) if s <= 0 else weights * (len(x) / s)
         self.n_bins = self.tree_n_bins[0]
         self._data_bins = self.tree_bins[0]
-        self._members = [self._bins_to_members(b, nb) for b, nb in zip(self.tree_bins, self.tree_n_bins)]
+        self._members = [members_by_bin(b, nb) for b, nb in zip(self.tree_bins, self.tree_n_bins)]
         return self
 
-    @staticmethod
-    def _bins_to_members(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
-        order = np.argsort(bins, kind="stable")
-        sb = bins[order]
-        return [
-            order[np.searchsorted(sb, b, "left") : np.searchsorted(sb, b, "right")]
-            for b in range(n_bins)
-        ]
-
-    def _fit_node(self, x, idx, level, bins, weights, rng) -> _BsfNode:
-        node = _BsfNode()
-        if level >= self.depth or len(idx) < self.min_split:
-            node.leaf_id = self._leaf_counter
-            self._leaf_counter += 1
-            bins[idx] = node.leaf_id
-            return node
-        sub = x[idx]
-        kp = min(self.k_prime, len(sub) - 1)
-        sub_knn = knn_matrix_numpy(sub, kp)
-        w, t = similarity_preserving_hyperplane(sub, sub_knn, weights[idx], rng)
-        margins = sub @ w - t
-        left = margins < 0
-        if left.all() or (~left).all():
-            node.leaf_id = self._leaf_counter
-            self._leaf_counter += 1
-            bins[idx] = node.leaf_id
-            return node
-        node.w, node.t = w, t
-        node.scale = float(np.abs(margins).mean()) + 1e-9
-        node.children = [
-            self._fit_node(x, idx[left], level + 1, bins, weights, rng),
-            self._fit_node(x, idx[~left], level + 1, bins, weights, rng),
-        ]
-        return node
-
     # -- query side --------------------------------------------------------
-    def _tree_leaf_probs(self, root: _BsfNode, n_bins: int, q: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(q), n_bins))
-        self._acc(root, q, np.ones(len(q)), out)
-        return out
-
-    def _acc(self, node, q, acc, out) -> None:
-        if node.leaf_id is not None:
-            out[:, node.leaf_id] = acc
-            return
-        z = (q @ node.w - node.t) / node.scale
-        p_right = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
-        self._acc(node.children[0], q, acc * (1 - p_right), out)
-        self._acc(node.children[1], q, acc * p_right, out)
-
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Ranking over the *first* tree's leaves (PartitionIndex contract)."""
         q = np.asarray(queries, dtype=np.float64)
-        return np.argsort(-self._tree_leaf_probs(self.trees[0], self.tree_n_bins[0], q), axis=1, kind="stable")
+        return np.argsort(-tree.leaf_probs(self.trees[0], self.tree_n_bins[0], q), axis=1, kind="stable")
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""
         q = np.asarray(queries, dtype=np.float64)
         per_tree = n_probes
         all_orders = [
-            np.argsort(-self._tree_leaf_probs(r, nb, q), axis=1, kind="stable")[:, :per_tree]
+            np.argsort(-tree.leaf_probs(r, nb, q), axis=1, kind="stable")[:, :per_tree]
             for r, nb in zip(self.trees, self.tree_n_bins)
         ]
         out = []

@@ -15,6 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.base import PartitionIndex
+from repro.knn.exact import sqdist
 
 
 class KMeans:
@@ -63,12 +64,7 @@ class KMeans:
 
     @staticmethod
     def assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        d2 = (
-            (x**2).sum(axis=1, keepdims=True)
-            - 2 * x @ centroids.T
-            + (centroids**2).sum(axis=1)
-        )
-        return d2.argmin(axis=1)
+        return sqdist(x, centroids).argmin(axis=1)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.assign(np.asarray(x, dtype=np.float64), self.centroids)
@@ -94,9 +90,7 @@ class KMeansPartitioner(PartitionIndex):
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         q = np.asarray(queries, dtype=np.float64)
-        c = self.km.centroids
-        d2 = (q**2).sum(axis=1, keepdims=True) - 2 * q @ c.T + (c**2).sum(axis=1)
-        return np.argsort(d2, axis=1, kind="stable")
+        return np.argsort(sqdist(q, self.km.centroids), axis=1, kind="stable")
 
     def n_parameters(self) -> int:
         """Centroid table size — Table 2's K-means parameter count."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
+from repro.index import tree
 from repro.index.base import PartitionIndex
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
@@ -102,15 +103,6 @@ class NeuralLSHPartitioner(PartitionIndex):
         return int(sum(p.value.size for p in self.model.params()))
 
 
-class _RegNode:
-    __slots__ = ("model", "children", "leaf_id")
-
-    def __init__(self):
-        self.model = None
-        self.children: list[_RegNode] = []
-        self.leaf_id: int | None = None
-
-
 class RegressionLSHTree(PartitionIndex):
     """Regression LSH: binary tree; each node 2-way graph-partitions its
     subset and trains logistic regression on those labels (§5.2)."""
@@ -129,48 +121,28 @@ class RegressionLSHTree(PartitionIndex):
         self.epochs = epochs
         self.min_split = min_split
         self.seed = seed
-        self.root: _RegNode | None = None
+        self.root: tree.Node | None = None
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "RegressionLSHTree":
         x = np.asarray(x, dtype=np.float64)
-        self._leaf_counter = 0
-        bins = np.zeros(len(x), dtype=np.int64)
-        self.root = self._fit_node(x, np.arange(len(x)), 0, bins)
-        self.n_bins = self._leaf_counter
-        self._data_bins = bins
+
+        def split(idx: np.ndarray, level: int):
+            if level >= self.depth or len(idx) < self.min_split:
+                return None
+            sub = x[idx]
+            kp = min(self.k_prime, len(sub) - 1)
+            knn_idx = knn_matrix_numpy(sub, kp)
+            labels = balanced_graph_partition(knn_idx, 2, seed=self.seed + level)
+            model = logistic_regression(x.shape[1], 2, seed=self.seed + level)
+            train_supervised(model, sub, labels, epochs=self.epochs, seed=self.seed)
+            return model, [labels == b for b in range(2)]
+
+        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
         return self
 
-    def _fit_node(self, x, idx, level, bins) -> _RegNode:
-        node = _RegNode()
-        if level >= self.depth or len(idx) < self.min_split:
-            node.leaf_id = self._leaf_counter
-            self._leaf_counter += 1
-            bins[idx] = node.leaf_id
-            return node
-        sub = x[idx]
-        kp = min(self.k_prime, len(sub) - 1)
-        knn_idx = knn_matrix_numpy(sub, kp)
-        labels = balanced_graph_partition(knn_idx, 2, seed=self.seed + level)
-        node.model = logistic_regression(x.shape[1], 2, seed=self.seed + level)
-        train_supervised(node.model, sub, labels, epochs=self.epochs, seed=self.seed)
-        for b in range(2):
-            node.children.append(self._fit_node(x, idx[labels == b], level + 1, bins))
-        return node
-
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=np.float64)
-        out = np.zeros((len(queries), self.n_bins))
-        self._acc(self.root, queries, np.ones(len(queries)), out)
-        return out
-
-    def _acc(self, node, q, acc, out) -> None:
-        if node.leaf_id is not None:
-            out[:, node.leaf_id] = acc
-            return
-        probs = node.model.predict_proba(q)
-        for b, child in enumerate(node.children):
-            self._acc(child, q, acc * probs[:, b], out)
+        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")

@@ -13,11 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.kmeans import KMeans
+from repro.index import tree
 from repro.index.base import PartitionIndex
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+from repro.knn.exact import knn_matrix_numpy
 
 
 # --- split rules: subset (and optional global-kNN context) → (w, t) --------
@@ -96,17 +94,6 @@ SPLIT_RULES = {
 }
 
 
-class _TreeNode:
-    __slots__ = ("w", "t", "scale", "children", "leaf_id")
-
-    def __init__(self):
-        self.w = None
-        self.t = 0.0
-        self.scale = 1.0
-        self.children: list[_TreeNode] = []
-        self.leaf_id: int | None = None
-
-
 class BinaryPartitionTree(PartitionIndex):
     """Generic hyperplane binary tree driven by a named split rule."""
 
@@ -126,71 +113,30 @@ class BinaryPartitionTree(PartitionIndex):
         self.min_split = min_split
         self.k_prime = k_prime
         self.seed = seed
-        self.root: _TreeNode | None = None
+        self.root: tree.Node | None = None
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "BinaryPartitionTree":
-        from repro.knn.exact import knn_matrix_numpy
-
         x = np.asarray(x, dtype=np.float64)
-        self._rng = np.random.default_rng(self.seed)
-        self._leaf_counter = 0
-        bins = np.zeros(len(x), dtype=np.int64)
-        self._knn_fn = (
-            (lambda sub: knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1)))
-            if self.rule == "learned_kd"
-            else None
-        )
-        self.root = self._fit_node(x, np.arange(len(x)), 0, bins)
-        self.n_bins = self._leaf_counter
-        self._data_bins = bins
+        rng = np.random.default_rng(self.seed)
+        rule = SPLIT_RULES[self.rule]
+
+        def split(idx: np.ndarray, level: int):
+            if level >= self.depth or len(idx) < self.min_split:
+                return None
+            sub = x[idx]
+            sub_knn = (
+                knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1))
+                if self.rule == "learned_kd"
+                else None
+            )
+            return tree.hyperplane_split(sub, *rule(sub, rng, sub_knn=sub_knn))
+
+        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
         return self
 
-    def _fit_node(self, x, idx, level, bins) -> _TreeNode:
-        node = _TreeNode()
-        if level >= self.depth or len(idx) < self.min_split:
-            node.leaf_id = self._leaf_counter
-            self._leaf_counter += 1
-            bins[idx] = node.leaf_id
-            return node
-        sub = x[idx]
-        sub_knn = self._knn_fn(sub) if self._knn_fn is not None else None
-        w, t = SPLIT_RULES[self.rule](sub, self._rng, sub_knn=sub_knn)
-        margins = sub @ w - t
-        node.w, node.t = w, t
-        node.scale = float(np.abs(margins).mean()) + 1e-9
-        left = margins < 0
-        if left.all() or (~left).all():  # degenerate split → force median
-            med = float(np.median(sub @ w))
-            node.t = med
-            margins = sub @ w - med
-            left = margins < 0
-            if left.all() or (~left).all():
-                node.w = None
-                node.leaf_id = self._leaf_counter
-                self._leaf_counter += 1
-                bins[idx] = node.leaf_id
-                return node
-        node.children = [
-            self._fit_node(x, idx[left], level + 1, bins),
-            self._fit_node(x, idx[~left], level + 1, bins),
-        ]
-        return node
-
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.asarray(queries, dtype=np.float64)
-        out = np.zeros((len(queries), self.n_bins))
-        self._acc(self.root, queries, np.ones(len(queries)), out)
-        return out
-
-    def _acc(self, node, q, acc, out) -> None:
-        if node.leaf_id is not None:
-            out[:, node.leaf_id] = acc
-            return
-        margins = (q @ node.w - node.t) / node.scale
-        p_right = _sigmoid(margins)
-        self._acc(node.children[0], q, acc * (1 - p_right), out)
-        self._acc(node.children[1], q, acc * p_right, out)
+        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")

@@ -11,13 +11,13 @@ from collections import deque
 
 import numpy as np
 
+from repro.knn.exact import sqdist
+
 
 def dbscan(x: np.ndarray, *, eps: float = 0.2, min_samples: int = 5) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    d2 = (
-        (x**2).sum(axis=1, keepdims=True) - 2 * x @ x.T + (x**2).sum(axis=1)
-    )
+    d2 = sqdist(x, x)
     np.maximum(d2, 0.0, out=d2)
     within = d2 <= eps * eps
     counts = within.sum(axis=1)  # includes self

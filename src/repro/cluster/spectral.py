@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.kmeans import KMeans
+from repro.knn.exact import sqdist
 
 
 def spectral_clustering(
@@ -22,7 +23,7 @@ def spectral_clustering(
 ) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    d2 = (x**2).sum(axis=1, keepdims=True) - 2 * x @ x.T + (x**2).sum(axis=1)
+    d2 = sqdist(x, x)
     np.maximum(d2, 0.0, out=d2)
     if gamma is None:
         med = np.median(d2[d2 > 0]) + 1e-12

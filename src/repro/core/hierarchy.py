@@ -13,18 +13,9 @@ import numpy as np
 
 from repro.core.partitioner import build_model
 from repro.core.train import TrainConfig, train_usp_model
+from repro.index import tree
 from repro.index.base import PartitionIndex
 from repro.knn.exact import knn_matrix_numpy
-
-
-class _Node:
-    __slots__ = ("model", "children", "leaf_id", "m")
-
-    def __init__(self):
-        self.model = None
-        self.children: list[_Node] = []
-        self.leaf_id: int | None = None
-        self.m = 0
 
 
 class HierarchicalPartitioner(PartitionIndex):
@@ -48,61 +39,39 @@ class HierarchicalPartitioner(PartitionIndex):
         self.min_split = min_split
         self.seed = seed
         self.cfg_factory = cfg_factory or (lambda level, m: TrainConfig(m=m))
-        self.root: _Node | None = None
+        self.root: tree.Node | None = None
         self.n_bins = 0
 
     # -- offline -----------------------------------------------------------
     def fit(self, x: np.ndarray) -> "HierarchicalPartitioner":
         x = np.asarray(x, dtype=np.float64)
-        self._leaf_counter = 0
-        bins = np.zeros(len(x), dtype=np.int64)
-        self.root = self._fit_node(x, np.arange(len(x)), 0, bins)
-        self.n_bins = self._leaf_counter
-        self._data_bins = bins
-        return self
 
-    def _fit_node(self, x: np.ndarray, idx: np.ndarray, level: int, bins: np.ndarray) -> _Node:
-        node = _Node()
-        # Leaf: out of levels, or too few points to split meaningfully.
-        if level >= len(self.levels) or len(idx) < max(self.min_split, 2 * self.levels[level]):
-            node.leaf_id = self._leaf_counter
-            self._leaf_counter += 1
-            bins[idx] = node.leaf_id
-            return node
-        m = self.levels[level]
-        node.m = m
-        sub = x[idx]
-        kp = min(self.k_prime, len(sub) - 1)
-        knn_idx = knn_matrix_numpy(sub, kp)
-        cfg = self.cfg_factory(level, m)
-        cfg.m = m
-        cfg.seed = self.seed + 7919 * level + 31 * len(idx) % 104729
-        node.model = build_model(
-            {"arch": self.arch, "d": x.shape[1], "m": m,
-             "hidden": self.hidden, "dropout": 0.1, "seed": cfg.seed}
-        )
-        train_usp_model(node.model, sub, knn_idx, cfg)
-        assign = node.model.predict_bin(sub)
-        for b in range(m):
-            child_idx = idx[assign == b]
-            node.children.append(self._fit_node(x, child_idx, level + 1, bins))
-        return node
+        def split(idx: np.ndarray, level: int):
+            # Leaf: out of levels, or too few points to split meaningfully.
+            if level >= len(self.levels) or len(idx) < max(self.min_split, 2 * self.levels[level]):
+                return None
+            m = self.levels[level]
+            sub = x[idx]
+            kp = min(self.k_prime, len(sub) - 1)
+            knn_idx = knn_matrix_numpy(sub, kp)
+            cfg = self.cfg_factory(level, m)
+            cfg.m = m
+            cfg.seed = self.seed + 7919 * level + 31 * len(idx) % 104729
+            model = build_model(
+                {"arch": self.arch, "d": x.shape[1], "m": m,
+                 "hidden": self.hidden, "dropout": 0.1, "seed": cfg.seed}
+            )
+            train_usp_model(model, sub, knn_idx, cfg)
+            assign = model.predict_bin(sub)
+            return model, [assign == b for b in range(m)]
+
+        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
+        return self
 
     # -- online ------------------------------------------------------------
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
         """(n_q, n_leaves): product of per-level probabilities per leaf."""
-        queries = np.asarray(queries, dtype=np.float64)
-        out = np.zeros((len(queries), self.n_bins))
-        self._accumulate(self.root, queries, np.ones(len(queries)), out)
-        return out
-
-    def _accumulate(self, node: _Node, q: np.ndarray, acc: np.ndarray, out: np.ndarray) -> None:
-        if node.leaf_id is not None:
-            out[:, node.leaf_id] = acc
-            return
-        probs = node.model.predict_proba(q)  # (n_q, m)
-        for b, child in enumerate(node.children):
-            self._accumulate(child, q, acc * probs[:, b], out)
+        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")

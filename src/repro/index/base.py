@@ -11,6 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 
+def members_by_bin(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
+    """Lookup table bin → sorted point ids for a bin-id array."""
+    order = np.argsort(bins, kind="stable")
+    sorted_bins = bins[order]
+    members: list[np.ndarray] = []
+    for b in range(n_bins):
+        lo = np.searchsorted(sorted_bins, b, side="left")
+        hi = np.searchsorted(sorted_bins, b, side="right")
+        members.append(order[lo:hi])
+    return members
+
+
 class PartitionIndex:
     """Abstract base: subclasses set ``n_bins`` and ``_data_bins`` after fit
     and implement :meth:`probe_matrix`."""
@@ -27,15 +39,7 @@ class PartitionIndex:
 
     def bin_members(self) -> list[np.ndarray]:
         """Lookup table bin → sorted point ids (Algorithm 1, Step 3)."""
-        bins = self.data_bins()
-        order = np.argsort(bins, kind="stable")
-        sorted_bins = bins[order]
-        members: list[np.ndarray] = []
-        for b in range(self.n_bins):
-            lo = np.searchsorted(sorted_bins, b, side="left")
-            hi = np.searchsorted(sorted_bins, b, side="right")
-            members.append(order[lo:hi])
-        return members
+        return members_by_bin(self.data_bins(), self.n_bins)
 
     # -- query side --------------------------------------------------------
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover

@@ -4,7 +4,8 @@ graphs ... by successively searching in more of the most probable bins").
 The sweep drives any :class:`repro.index.base.PartitionIndex`; for every
 probe count m' it materializes the candidate sets, runs exact k-NN inside
 them, and records (mean |C|, k-NN accuracy). Table 4 interpolates this curve
-at a target accuracy.
+at a target accuracy with :func:`cost_at_quality`, the same interpolator
+Fig. 7 uses for query time at a target recall.
 """
 from __future__ import annotations
 
@@ -65,23 +66,29 @@ def sweep_accuracy(
     return pd.DataFrame(rows)
 
 
-def candidate_size_at_accuracy(curve: pd.DataFrame, target: float) -> float | None:
-    """Interpolated mean |C| at which the curve reaches ``target`` accuracy.
+def cost_at_quality(curve: pd.DataFrame, cost: str, quality: str, target: float) -> float | None:
+    """Interpolated ``cost`` at which the curve's ``quality`` reaches ``target``.
 
-    Linear interpolation between the bracketing sweep points (the paper reads
-    Table 4's 85% point off Fig. 5a the same way). None if never reached.
+    Sorts by cost and interpolates linearly between the bracketing points
+    (the paper reads Table 4's 85% point off Fig. 5a the same way). None if
+    never reached.
     """
-    c = curve.sort_values("mean_candidates")
-    acc = c["accuracy"].to_numpy()
-    size = c["mean_candidates"].to_numpy()
-    if acc[0] >= target:
-        return float(size[0])
-    above = np.nonzero(acc >= target)[0]
+    c = curve.sort_values(cost)
+    q = c[quality].to_numpy()
+    x = c[cost].to_numpy()
+    if q[0] >= target:
+        return float(x[0])
+    above = np.nonzero(q >= target)[0]
     if len(above) == 0:
         return None
     hi = above[0]
     lo = hi - 1
-    if acc[hi] == acc[lo]:
-        return float(size[hi])
-    frac = (target - acc[lo]) / (acc[hi] - acc[lo])
-    return float(size[lo] + frac * (size[hi] - size[lo]))
+    if q[hi] == q[lo]:
+        return float(x[hi])
+    frac = (target - q[lo]) / (q[hi] - q[lo])
+    return float(x[lo] + frac * (x[hi] - x[lo]))
+
+
+def candidate_size_at_accuracy(curve: pd.DataFrame, target: float) -> float | None:
+    """Interpolated mean |C| at which the curve reaches ``target`` accuracy."""
+    return cost_at_quality(curve, "mean_candidates", "accuracy", target)

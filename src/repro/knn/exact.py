@@ -18,6 +18,13 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances via the expansion
+    ‖a‖² − 2a·b + ‖b‖². Floating-point error can leave tiny negatives;
+    callers that need non-negative values clamp them."""
+    return (a**2).sum(axis=1, keepdims=True) - 2.0 * a @ b.T + (b**2).sum(axis=1)
+
+
 def topk_neighbors(
     queries: np.ndarray, data: np.ndarray, k: int, *, exclude_self: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -30,12 +37,7 @@ def topk_neighbors(
     """
     queries = np.asarray(queries, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
-    # Squared Euclidean via the expansion; clamp tiny negatives from fp error.
-    d2 = (
-        (queries**2).sum(axis=1, keepdims=True)
-        - 2.0 * queries @ data.T
-        + (data**2).sum(axis=1)
-    )
+    d2 = sqdist(queries, data)
     np.maximum(d2, 0.0, out=d2)
     if exclude_self:
         n = len(queries)
@@ -56,11 +58,7 @@ def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = 2048) -> np.ndarr
     out = np.empty((n, min(k, n - 1)), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d2 = (
-            (data[lo:hi] ** 2).sum(axis=1, keepdims=True)
-            - 2.0 * data[lo:hi] @ data.T
-            + (data**2).sum(axis=1)
-        )
+        d2 = sqdist(data[lo:hi], data)
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         kk = out.shape[1]

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.knn.exact import sqdist
+
 
 class AnisotropicPQ:
     """Product quantizer with the anisotropic (score-aware) loss."""
@@ -51,9 +53,7 @@ class AnisotropicPQ:
         xhat = xs / norms
         # r‖ component: ⟨x − c, x̂⟩ = ‖x‖ − ⟨c, x̂⟩
         proj = norms - xhat @ cb.T                      # (n, k)
-        d2 = (
-            (xs**2).sum(axis=1, keepdims=True) - 2 * xs @ cb.T + (cb**2).sum(axis=1)
-        )
+        d2 = sqdist(xs, cb)
         np.maximum(d2, 0.0, out=d2)
         loss = self.h_perp * d2 + (self.h_par - self.h_perp) * proj**2
         return loss.argmin(axis=1)

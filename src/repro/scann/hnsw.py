@@ -2,8 +2,10 @@
 
 Standard hierarchical navigable small-world graph: exponential level
 assignment, greedy descent through upper layers, beam search (ef) at layer 0,
-neighbor selection by the simple closest-M heuristic. Compact numpy/heapq
-implementation sized for the reproduction's 10–20k-point datasets.
+neighbor selection by the diversity heuristic (the HNSW paper's Algorithm 4),
+which keeps a candidate only if it is closer to the new node than to every
+neighbor already kept. Compact numpy/heapq implementation sized for the
+reproduction's 10–20k-point datasets.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import numpy as np
 import pandas as pd
 
 from repro.index.base import PartitionIndex
+from repro.index.search import cost_at_quality
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
 
@@ -104,20 +105,7 @@ def recall_time_curve(
 
 def time_at_recall(curve: pd.DataFrame, target: float) -> float | None:
     """Interpolated ms/query at which the curve reaches ``target`` recall."""
-    c = curve.sort_values("ms_per_query")
-    rec = c["recall"].to_numpy()
-    ms = c["ms_per_query"].to_numpy()
-    if rec[0] >= target:
-        return float(ms[0])
-    above = np.nonzero(rec >= target)[0]
-    if len(above) == 0:
-        return None
-    hi = above[0]
-    lo = hi - 1
-    if rec[hi] == rec[lo]:
-        return float(ms[hi])
-    frac = (target - rec[lo]) / (rec[hi] - rec[lo])
-    return float(ms[lo] + frac * (ms[hi] - ms[lo]))
+    return cost_at_quality(curve, "ms_per_query", "recall", target)
 
 
 def speedup_at_recall(fast: pd.DataFrame, slow: pd.DataFrame, target: float) -> float | None:

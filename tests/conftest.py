@@ -23,6 +23,19 @@ def small_data() -> tuple[np.ndarray, np.ndarray]:
 
 
 @pytest.fixture(scope="session")
+def duplicates() -> tuple[np.ndarray, np.ndarray]:
+    """(data, queries): 8 distinct points in R^8, the first repeated 40 times
+    and the others 10 times, so tree nodes see tied projections and
+    all-identical subsets (the degenerate-split path). Each query sits next
+    to one of the 10-fold points, so its exact 10-NN set is that point's
+    copies and no tie straddles the top 10."""
+    rng = np.random.default_rng(72)
+    base = rng.normal(size=(8, 8))
+    data = np.repeat(base, [40] + [10] * 7, axis=0)
+    return data, base[1:] + 0.01 * rng.normal(size=(7, 8))
+
+
+@pytest.fixture(scope="session")
 def small_gt(small_data) -> np.ndarray:
     data, queries = small_data
     idx, _ = topk_neighbors(queries, data, 10)

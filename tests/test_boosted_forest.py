@@ -48,6 +48,12 @@ class TestForest:
         d, _ = data
         return BoostedSearchForest(3, n_trees=2, seed=0).fit(d)
 
+    @pytest.fixture(scope="class")
+    def forests(self, forest, data, duplicates):
+        """(forest, data, queries) on clustered and duplicate-heavy data."""
+        dup_forest = BoostedSearchForest(3, n_trees=2, seed=0).fit(duplicates[0])
+        return [(forest, *data), (dup_forest, *duplicates)]
+
     def test_tree_count(self, forest):
         assert len(forest.trees) == 2
         assert len(forest.tree_bins) == 2
@@ -69,14 +75,14 @@ class TestForest:
         for row in pm:
             assert sorted(row) == list(range(forest.tree_n_bins[0]))
 
-    def test_full_probe_covers_everything(self, forest, data):
-        d, q = data
-        cands = forest.candidate_ids(q[:3], forest.n_bins)
-        for c in cands:
-            assert len(c) == len(d)
+    def test_full_probe_covers_everything(self, forests):
+        for forest, d, q in forests:
+            cands = forest.candidate_ids(q[:3], forest.n_bins)
+            for c in cands:
+                assert len(c) == len(d)
 
-    def test_members_partition_points(self, forest, data):
-        d, _ = data
-        for mem, nb in zip(forest._members, forest.tree_n_bins):
-            ids = np.sort(np.concatenate(mem))
-            np.testing.assert_array_equal(ids, np.arange(len(d)))
+    def test_members_partition_points(self, forests):
+        for forest, d, _ in forests:
+            for mem, nb in zip(forest._members, forest.tree_n_bins):
+                ids = np.sort(np.concatenate(mem))
+                np.testing.assert_array_equal(ids, np.arange(len(d)))

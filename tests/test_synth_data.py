@@ -1,4 +1,4 @@
-"""Tests for the dataset generators (provided TPC-H-lite + vector/toy sets)."""
+"""Tests for the dataset generators (vector and 2-D toy sets)."""
 import numpy as np
 import pytest
 
@@ -91,23 +91,3 @@ class TestToyDatasets:
         x2, y2 = gen(n=100, seed=3)
         np.testing.assert_array_equal(x1, x2)
         np.testing.assert_array_equal(y1, y2)
-
-
-class TestTpchLite:
-    """The provided OLAP generators still work (used by oracle plumbing tests)."""
-
-    def test_lineitem_schema(self, spark):
-        df = sd.lineitem(spark, sf=0.001)
-        assert {"l_orderkey", "l_quantity", "l_shipdate"} <= set(df.columns)
-        assert df.count() > 0
-
-    def test_orders_keys_unique(self, spark):
-        df = sd.orders(spark, sf=0.001)
-        assert df.count() == df.select("o_orderkey").distinct().count()
-
-    def test_zipf_skew(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=1.5)
-        top = (
-            df.groupBy("k").count().orderBy("count", ascending=False).first()["count"]
-        )
-        assert top > 5000 / 100 * 3  # heavy head

@@ -14,6 +14,11 @@ from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
 
 RULES = sorted(SPLIT_RULES)
+# Each rule on clustered data (ids "rp", ...) and on the duplicate-heavy
+# ``duplicates`` fixture (ids "rp-duplicates", ...).
+RULE_DATA = [pytest.param(r, "data", id=r) for r in RULES] + [
+    pytest.param(r, "duplicates", id=f"{r}-duplicates") for r in RULES
+]
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +78,9 @@ class TestSplitRules:
 
 
 class TestBinaryPartitionTree:
-    @pytest.mark.parametrize("rule", RULES)
-    def test_fit_contract(self, rule, data):
-        d, q = data
+    @pytest.mark.parametrize("rule,dataset", RULE_DATA)
+    def test_fit_contract(self, rule, dataset, request):
+        d, q = request.getfixturevalue(dataset)
         tree = BinaryPartitionTree(rule, 3, seed=0).fit(d)
         assert 2 <= tree.n_bins <= 8
         bins = tree.data_bins()
@@ -84,9 +89,9 @@ class TestBinaryPartitionTree:
         for row in pm:
             assert sorted(row) == list(range(tree.n_bins))
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_leaf_probs_sum_one(self, rule, data):
-        d, q = data
+    @pytest.mark.parametrize("rule,dataset", RULE_DATA)
+    def test_leaf_probs_sum_one(self, rule, dataset, request):
+        d, q = request.getfixturevalue(dataset)
         tree = BinaryPartitionTree(rule, 3, seed=1).fit(d)
         np.testing.assert_allclose(tree.leaf_probs(q[:10]).sum(axis=1), 1.0, atol=1e-9)
 
@@ -105,12 +110,12 @@ class TestBinaryPartitionTree:
         tree = BinaryPartitionTree("rp", 6, min_split=16, seed=0).fit(d)
         assert tree.n_bins < 2**6
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_search_exact_with_all_probes(self, rule, data):
+    @pytest.mark.parametrize("rule,dataset", RULE_DATA)
+    def test_search_exact_with_all_probes(self, rule, dataset, request):
         from repro.index.search import sweep_accuracy
         from repro.knn.exact import topk_neighbors
 
-        d, q = data
+        d, q = request.getfixturevalue(dataset)
         gt, _ = topk_neighbors(q, d, 10)
         tree = BinaryPartitionTree(rule, 3, seed=3).fit(d)
         curve = sweep_accuracy(tree, d, q, gt, probe_counts=[tree.n_bins])
