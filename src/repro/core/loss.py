@@ -23,15 +23,13 @@ from repro.nn.layers import softmax
 _EPS = 1e-12
 
 
-def neighbor_bin_distribution(neighbor_probs: np.ndarray) -> np.ndarray:
+def neighbor_bin_distribution(hard: np.ndarray, m: int) -> np.ndarray:
     """``B_{k'}(p_i)`` (Eq. 9): per-point proportion of its k' neighbors
-    hard-assigned to each bin. ``neighbor_probs`` is (n_b, k', m)."""
-    n_b, kp, m = neighbor_probs.shape
-    hard = np.argmax(neighbor_probs, axis=2)  # (n_b, k')
-    out = np.zeros((n_b, m))
-    for j in range(m):
-        out[:, j] = (hard == j).sum(axis=1)
-    return out / kp
+    hard-assigned to each of the ``m`` bins. ``hard`` is the (n_b, k') matrix
+    of the neighbors' bins."""
+    n_b, kp = hard.shape
+    cells = (np.arange(n_b)[:, None] * m + hard).ravel()
+    return np.bincount(cells, minlength=n_b * m).reshape(n_b, m) / kp
 
 
 def quality_loss_and_grad(

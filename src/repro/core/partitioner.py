@@ -12,6 +12,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.train import TrainConfig, train_usp_model
 from repro.index.base import PartitionIndex
 from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
+from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
 
@@ -122,13 +123,13 @@ def assign_bins_spark(
         for pdf in batches:
             if not len(pdf):
                 continue
-            x = np.stack(pdf["vec"].to_numpy())
-            probs = model.predict_proba(x)
+            logits = model.forward(np.stack(pdf["vec"].to_numpy()), train=False)
             yield pd.DataFrame(
                 {
                     "id": pdf["id"].to_numpy(),
-                    "bin": probs.argmax(axis=1).astype(np.int64),
-                    "prob": probs.max(axis=1),
+                    # Same rule as MLP.predict_bin, so both paths agree on bins.
+                    "bin": logits.argmax(axis=1).astype(np.int64),
+                    "prob": softmax(logits).max(axis=1),
                 }
             )
 

@@ -4,8 +4,8 @@ Driver-side numpy mini-batch loop (the paper trains on a single GPU; here the
 NN substrate is numpy). Each step:
 
 1. uniformly sample a mini-batch of point indices (§4.2.2 "Batching");
-2. eval-mode forward pass on the batch's k'-NN neighbors → hard assignments →
-   constant targets ``B_{k'}`` (Eq. 9);
+2. eval-mode forward pass on the batch's distinct k'-NN neighbors → hard
+   (argmax) assignments → constant targets ``B_{k'}`` (Eq. 9);
 3. train-mode forward on the batch → logits; combined loss/grad (Eq. 5);
 4. backprop through the model; Adam step.
 
@@ -102,6 +102,15 @@ class TrainConfig:
     history: list = field(default_factory=list)
 
 
+def neighbor_targets(model: MLP, x: np.ndarray, neigh: np.ndarray, m: int) -> np.ndarray:
+    """Constant targets ``B_{k'}`` (Eq. 9) for a batch whose (b, k') neighbor
+    indices are ``neigh``: the neighbors' eval-mode bins, each distinct
+    neighbor scored once (batches share many neighbors)."""
+    uniq, inv = np.unique(neigh, return_inverse=True)
+    hard = model.predict_bin(x[uniq])[inv.reshape(neigh.shape)]
+    return neighbor_bin_distribution(hard, m)
+
+
 def train_usp_model(
     model: MLP,
     x: np.ndarray,
@@ -127,12 +136,7 @@ def train_usp_model(
             if len(idx) < max(2, cfg.m):
                 continue  # balance term is meaningless on a tiny tail batch
             xb = x[idx]
-            neigh = knn_idx[idx]  # (b, k')
-            # Constant targets from eval-mode neighbor assignments.
-            nb_probs = model.predict_proba(x[neigh.ravel()]).reshape(
-                len(idx), neigh.shape[1], cfg.m
-            )
-            targets = neighbor_bin_distribution(nb_probs)
+            targets = neighbor_targets(model, x, knn_idx[idx], cfg.m)
             w = None if weights is None else weights[idx]
             logits = model.forward(xb, train=True)
             u, s, grad = usp_loss_and_grad(logits, targets, cfg.eta, w)

@@ -1,7 +1,8 @@
 """Layers with manual forward/backward passes.
 
-Every layer caches what its backward pass needs during ``forward`` and
-exposes trainable tensors as :class:`Param` objects (value + grad), which the
+Every layer caches what its backward pass needs during a train-mode
+``forward`` (eval mode caches nothing and has no backward) and exposes
+trainable tensors as :class:`Param` objects (value + grad), which the
 optimizers in :mod:`repro.nn.optim` update in place.
 """
 from __future__ import annotations
@@ -56,7 +57,8 @@ class Linear(Layer):
         return [self.W, self.b]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        self._x = x
+        if train:
+            self._x = x
         return x @ self.W.value + self.b.value
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -67,6 +69,8 @@ class Linear(Layer):
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+        if not train:
+            return np.maximum(x, 0.0)
         self._mask = x > 0
         return x * self._mask
 
@@ -109,16 +113,16 @@ class BatchNorm1d(Layer):
         return [self.gamma, self.beta]
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if train:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-        else:
-            mu, var = self.running_mean, self.running_var
+        if not train:
+            # Running stats are constants here, so the layer is one affine map.
+            scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
+            return x * scale + (self.beta.value - self.running_mean * scale)
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
+        self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         self._std = np.sqrt(var + self.eps)
         self._xhat = (x - mu) / self._std
-        self._train = train
         return self.gamma.value * self._xhat + self.beta.value
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -126,8 +130,5 @@ class BatchNorm1d(Layer):
         self.gamma.grad += (g * xhat).sum(axis=0)
         self.beta.grad += g.sum(axis=0)
         gx = g * self.gamma.value
-        if not self._train:
-            return gx / std
-        n = g.shape[0]
         # Standard batchnorm backward through batch mean/var.
         return (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)) / std

@@ -38,7 +38,9 @@ class MLP:
         return softmax(self.forward(np.asarray(x, dtype=np.float64), train=False))
 
     def predict_bin(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=1)
+        """Hard bin assignment: the argmax of the eval-mode logits (softmax
+        keeps their order, so it is skipped)."""
+        return np.argmax(self.forward(np.asarray(x, dtype=np.float64), train=False), axis=1)
 
     # -- parameter access --------------------------------------------------
     def params(self):

@@ -37,13 +37,15 @@ class TestNeighborBinDistribution:
                 [[0.1, 0.9], [0.2, 0.8], [0.4, 0.6]],   # bins 1,1,1 → (0, 1)
             ]
         )
-        out = neighbor_bin_distribution(nb)
+        out = neighbor_bin_distribution(nb.argmax(axis=2), 2)
         np.testing.assert_allclose(out, [[2 / 3, 1 / 3], [0.0, 1.0]])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         nb = softmax(rng.normal(size=(5 * 4, 3)).reshape(-1, 3)).reshape(5, 4, 3)
-        np.testing.assert_allclose(neighbor_bin_distribution(nb).sum(axis=1), 1.0)
+        np.testing.assert_allclose(
+            neighbor_bin_distribution(nb.argmax(axis=2), 3).sum(axis=1), 1.0
+        )
 
 
 class TestQualityLoss:

@@ -2,7 +2,12 @@
 import numpy as np
 import pytest
 
-from repro.core.train import TrainConfig, sinkhorn_balance, train_usp_model
+from repro.core.train import (
+    TrainConfig,
+    neighbor_targets,
+    sinkhorn_balance,
+    train_usp_model,
+)
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.model import mlp_partitioner
 from repro.synth_data import sift_lite
@@ -70,6 +75,31 @@ class TestTrainUspModel:
         model = mlp_partitioner(8, 4, hidden=8, seed=0)
         train_usp_model(model, data, knn, cfg)
         assert len(cfg.history) == 3
+
+
+def full_row_targets(model, x, neigh, m):
+    """Reference: every neighbor row through ``predict_proba``, argmax, then
+    a per-bin count."""
+    hard = model.predict_proba(x[neigh.ravel()]).argmax(axis=1).reshape(neigh.shape)
+    out = np.zeros((len(neigh), m))
+    for j in range(m):
+        out[:, j] = (hard == j).sum(axis=1)
+    return out / neigh.shape[1]
+
+
+class TestNeighborTargets:
+    def test_deduplicated_equal_full_rows(self, tiny):
+        """At checkpoints through a training run, scoring each distinct
+        neighbor once gives exactly the targets of scoring every row."""
+        data, knn = tiny
+        model = mlp_partitioner(8, 4, hidden=16, seed=6)
+        rng = np.random.default_rng(6)
+        for epoch in range(4):
+            if epoch:
+                train_usp_model(model, data, knn, TrainConfig(m=4, eta=7.0, epochs=2, seed=epoch))
+            for idx in np.array_split(rng.permutation(len(data)), 6):
+                got = neighbor_targets(model, data, knn[idx], 4)
+                np.testing.assert_array_equal(got, full_row_targets(model, data, knn[idx], 4))
 
 
 class TestSinkhorn:

@@ -76,6 +76,28 @@ class TestKnnMatrixNumpy:
             knn_matrix_numpy(data, 5, block=block), knn_matrix_numpy(data, 5)
         )
 
+    @pytest.mark.parametrize(
+        "fixture,block",
+        [("small_data", b) for b in (1, 7, 256, None)]
+        + [("duplicates", b) for b in (7, 256, None)],
+    )
+    def test_blocking_invariant_on_fixtures(self, request, fixture, block):
+        """The block size bounds memory only: blocks from one row up to the
+        whole set give the same matrix, also when duplicate points tie at
+        distance 0."""
+        data, _ = request.getfixturevalue(fixture)
+        got = knn_matrix_numpy(data, 10, block=block or len(data))
+        np.testing.assert_array_equal(got, knn_matrix_numpy(data, 10, block=len(data)))
+
+    def test_one_row_blocks_on_duplicates(self, duplicates):
+        """A one-row block is a matrix-vector product in BLAS, which rounds
+        differently: copies of a point land at 0 or ~1e-15 and may swap
+        places, so the neighbors agree up to copies of the same point."""
+        data, _ = duplicates
+        got = knn_matrix_numpy(data, 10, block=1)
+        ref = knn_matrix_numpy(data, 10, block=len(data))
+        np.testing.assert_array_equal(data[got], data[ref])
+
     def test_shape_caps_at_n_minus_1(self):
         data = np.random.default_rng(6).normal(size=(6, 3))
         assert knn_matrix_numpy(data, 10).shape == (6, 5)
@@ -94,6 +116,19 @@ class TestKnnMatrixSpark:
                 np.linalg.norm(sub[ref[i]] - sub[i], axis=1),
                 atol=1e-9,
             )
+
+    def test_duplicates_exclude_self(self, spark, duplicates):
+        """With 40 copies of a point tied at distance 0, the self match may
+        or may not be among a row's top k + 1; either way it is dropped and
+        the row keeps k neighbors at the reference distances."""
+        data, _ = duplicates
+        got = knn_matrix_spark_collect(spark, data, 10)
+        ref = knn_matrix_numpy(data, 10)
+        assert not (got == np.arange(len(data))[:, None]).any()
+        np.testing.assert_array_equal(
+            np.linalg.norm(data[got] - data[:, None], axis=2),
+            np.linalg.norm(data[ref] - data[:, None], axis=2),
+        )
 
     def test_ids_cover_range(self, spark):
         data = np.random.default_rng(7).normal(size=(100, 4))

@@ -95,6 +95,11 @@ class TestReLU:
         g = r.backward(np.ones_like(x))
         np.testing.assert_array_equal(g, [[0, 1], [1, 0]])
 
+    def test_eval_matches_train(self):
+        x = np.random.default_rng(12).normal(size=(30, 6))
+        x[0, 0] = 0.0
+        np.testing.assert_array_equal(ReLU().forward(x, False), ReLU().forward(x, True))
+
 
 class TestDropout:
     def test_eval_mode_identity(self):
@@ -143,6 +148,19 @@ class TestBatchNorm:
         bn.forward(x, train=True)
         y = bn.forward(x, train=False)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-2)
+
+    def test_eval_is_affine_of_running_stats(self):
+        bn = BatchNorm1d(5)
+        rng = np.random.default_rng(11)
+        bn.running_mean = rng.normal(size=5)
+        bn.running_var = rng.random(5) + 0.1
+        bn.gamma.value = rng.normal(size=5)
+        bn.beta.value = rng.normal(size=5)
+        x = rng.normal(3.0, 2.0, size=(40, 5))
+        expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma.value
+        np.testing.assert_allclose(
+            bn.forward(x, train=False), expect + bn.beta.value, rtol=1e-12
+        )
 
     def test_gradient_numeric(self):
         bn = BatchNorm1d(3)
