@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index import tree
-from repro.index.base import PartitionIndex, members_by_bin
+from repro.index.base import PartitionIndex, bin_ranks, probe_order
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -107,28 +107,23 @@ class BoostedSearchForest(PartitionIndex):
             weights = np.ones(len(x)) if s <= 0 else weights * (len(x) / s)
         self.n_bins = self.tree_n_bins[0]
         self._data_bins = self.tree_bins[0]
-        self._members = [members_by_bin(b, nb) for b, nb in zip(self.tree_bins, self.tree_n_bins)]
         return self
 
     # -- query side --------------------------------------------------------
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Ranking over the *first* tree's leaves (PartitionIndex contract)."""
         q = np.asarray(queries, dtype=np.float64)
-        return np.argsort(-tree.leaf_probs(self.trees[0], self.tree_n_bins[0], q), axis=1, kind="stable")
+        return probe_order(tree.leaf_probs(self.trees[0], self.tree_n_bins[0], q))
+
+    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
+        """A point is in the forest's C(q) iff some tree probes its leaf, so
+        its rank is the minimum of its leaf's rank over the trees."""
+        q = np.asarray(queries, dtype=np.float64)
+        return np.minimum.reduce([
+            bin_ranks(probe_order(tree.leaf_probs(r, nb, q)))[:, bins]
+            for r, nb, bins in zip(self.trees, self.tree_n_bins, self.tree_bins)
+        ])
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""
-        q = np.asarray(queries, dtype=np.float64)
-        per_tree = n_probes
-        all_orders = [
-            np.argsort(-tree.leaf_probs(r, nb, q), axis=1, kind="stable")[:, :per_tree]
-            for r, nb in zip(self.trees, self.tree_n_bins)
-        ]
-        out = []
-        for i in range(len(q)):
-            parts = [
-                np.concatenate([mem[b] for b in order[i]])
-                for order, mem in zip(all_orders, self._members)
-            ]
-            out.append(np.unique(np.concatenate(parts)))
-        return out
+        return [np.flatnonzero(r < n_probes) for r in self.probe_ranks(queries)]

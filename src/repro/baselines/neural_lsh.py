@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, probe_order
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
@@ -96,8 +96,7 @@ class NeuralLSHPartitioner(PartitionIndex):
         return self
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        probs = self.model.predict_proba(np.asarray(queries, dtype=np.float64))
-        return np.argsort(-probs, axis=1, kind="stable")
+        return probe_order(self.model.predict_proba(np.asarray(queries, dtype=np.float64)))
 
     def n_parameters(self) -> int:
         return int(sum(p.value.size for p in self.model.params()))
@@ -145,4 +144,4 @@ class RegressionLSHTree(PartitionIndex):
         return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")
+        return probe_order(self.leaf_probs(queries))

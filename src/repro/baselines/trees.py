@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.kmeans import KMeans
 from repro.index import tree
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, probe_order
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -139,4 +139,4 @@ class BinaryPartitionTree(PartitionIndex):
         return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")
+        return probe_order(self.leaf_probs(queries))

@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, bin_ranks, gather, probe_order
 from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
 
 
@@ -38,33 +38,65 @@ def update_weights(
 
 
 class EnsemblePartitioner(PartitionIndex):
-    """An ensemble of complementary USP partitions with confidence routing."""
+    """An ensemble of complementary USP partitions with confidence routing.
 
-    def __init__(self, models: list[UnsupervisedSpacePartitioner]):
+    Members are USP models or hierarchies (anything with ``predict_proba``).
+    They may have different bin counts (hierarchies pruned to different leaf
+    counts); ``n_bins`` is the largest, so probing that many bins searches
+    every point whichever member a query is routed to.
+    """
+
+    def __init__(self, models: list[PartitionIndex]):
         if not models:
             raise ValueError("empty ensemble")
         self.models = models
-        self.n_bins = models[0].n_bins
+        self.n_bins = max(m.n_bins for m in models)
         self._members = [m.bin_members() for m in models]
         self._data_bins = models[0].data_bins()  # representative partition
 
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        """Probe order of the *selected* (most confident) model per query."""
-        choice = self.model_choice(queries)
-        rows = [self.models[c].probe_matrix(q[None])[0] for c, q in zip(choice, queries)]
-        return np.stack(rows)
+    def _route(self, queries: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
+        """Algorithm 4 with one ``predict_proba`` per member. Returns the
+        selected member per query and, for each member that serves some
+        queries, ``(member, their row ids, their probe orders)``."""
+        probs = [m.predict_proba(queries) for m in self.models]
+        choice = np.stack([p.max(axis=1) for p in probs]).argmax(axis=0)
+        routed = []
+        for c in np.unique(choice):
+            rows = np.flatnonzero(choice == c)
+            routed.append((c, rows, probe_order(probs[c][rows])))
+        return choice, routed
 
     def model_choice(self, queries: np.ndarray) -> np.ndarray:
-        conf = np.stack([m.confidence(queries) for m in self.models])  # (e, n_q)
-        return conf.argmax(axis=0)
+        return self._route(queries)[0]
+
+    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
+        """Probe order of the *selected* (most confident) model per query."""
+        counts = [m.n_bins for m in self.models]
+        if len(set(counts)) > 1:
+            raise ValueError(
+                f"ensemble members have unequal bin counts {counts}: there is no "
+                "common probe matrix; use candidate_ids or probe_ranks"
+            )
+        choice, routed = self._route(queries)
+        out = np.empty((len(choice), self.n_bins), dtype=np.int64)
+        for _, rows, order in routed:
+            out[rows] = order
+        return out
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
-        choice = self.model_choice(queries)
-        out = []
-        for c, q in zip(choice, queries):
-            order = self.models[c].probe_matrix(q[None])[0][:n_probes]
-            mem = self._members[c]
-            out.append(np.concatenate([mem[b] for b in order]))
+        choice, routed = self._route(queries)
+        out: list[np.ndarray] = [None] * len(choice)
+        for c, rows, order in routed:
+            for i, cand in zip(rows, gather(self._members[c], order[:, :n_probes])):
+                out[i] = cand
+        return out
+
+    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
+        """Ranks in the selected member's probe order, over its own bins."""
+        choice, routed = self._route(queries)
+        out = np.empty((len(choice), len(self._data_bins)), dtype=np.int64)
+        for c, rows, order in routed:
+            out[rows] = bin_ranks(order)[:, self.models[c].data_bins()]
         return out
 
 

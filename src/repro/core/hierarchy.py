@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.partitioner import build_model
 from repro.core.train import TrainConfig, train_usp_model
 from repro.index import tree
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, probe_order
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -73,11 +73,12 @@ class HierarchicalPartitioner(PartitionIndex):
         """(n_q, n_leaves): product of per-level probabilities per leaf."""
         return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
 
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return np.argsort(-self.leaf_probs(queries), axis=1, kind="stable")
+    def predict_proba(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf probabilities: what an ensemble routes on (Algorithm 4)."""
+        return self.leaf_probs(queries)
 
-    def confidence(self, queries: np.ndarray) -> np.ndarray:
-        return self.leaf_probs(queries).max(axis=1)
+    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
+        return probe_order(self.leaf_probs(queries))
 
     def n_parameters(self) -> int:
         """Total learnable parameters over all node models (Table 2)."""

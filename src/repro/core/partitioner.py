@@ -10,7 +10,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.train import TrainConfig, train_usp_model
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, probe_order
 from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
@@ -97,11 +97,7 @@ class UnsupervisedSpacePartitioner(PartitionIndex):
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bins ranked by assigned probability, most probable first (Alg. 2)."""
-        return np.argsort(-self.predict_proba(queries), axis=1, kind="stable")
-
-    def confidence(self, queries: np.ndarray) -> np.ndarray:
-        """Max bin probability per query — σ_i of Algorithm 4."""
-        return self.predict_proba(queries).max(axis=1)
+        return probe_order(self.predict_proba(queries))
 
 
 def assign_bins_spark(

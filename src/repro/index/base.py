@@ -23,6 +23,27 @@ def members_by_bin(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
     return members
 
 
+def probe_order(scores: np.ndarray) -> np.ndarray:
+    """Bins ranked by score per row, highest first; ties keep bin order."""
+    return np.argsort(-scores, axis=1, kind="stable")
+
+
+def bin_ranks(order: np.ndarray) -> np.ndarray:
+    """Inverse of a probe matrix: ``ranks[i, b]`` is the position of bin ``b``
+    in row ``i`` of ``order``."""
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+    return ranks
+
+
+def gather(members: list[np.ndarray], order: np.ndarray) -> list[np.ndarray]:
+    """Candidate ids per row of a truncated probe matrix, in probe order."""
+    return [
+        np.concatenate([members[b] for b in row]) if len(row) else np.empty(0, int)
+        for row in order
+    ]
+
+
 class PartitionIndex:
     """Abstract base: subclasses set ``n_bins`` and ``_data_bins`` after fit
     and implement :meth:`probe_matrix`."""
@@ -48,12 +69,13 @@ class PartitionIndex:
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Candidate set C(q) per query from its top ``n_probes`` bins."""
-        members = self.bin_members()
-        order = self.probe_matrix(queries)[:, :n_probes]
-        return [
-            np.concatenate([members[b] for b in row]) if len(row) else np.empty(0, int)
-            for row in order
-        ]
+        return gather(self.bin_members(), self.probe_matrix(queries)[:, :n_probes])
+
+    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
+        """(n_q, n_points): the probe rank at which each data point joins
+        C(q), so ``candidate_ids(queries, p)[i]`` holds exactly the points
+        whose rank in row ``i`` is below ``p``."""
+        return bin_ranks(self.probe_matrix(queries))[:, self.data_bins()]
 
     def bin_sizes(self) -> np.ndarray:
         return np.bincount(self.data_bins(), minlength=self.n_bins)

@@ -1,11 +1,17 @@
 """Accuracy-vs-candidate-set-size sweep (§5.4: "We generate each of the
 graphs ... by successively searching in more of the most probable bins").
 
-The sweep drives any :class:`repro.index.base.PartitionIndex`; for every
-probe count m' it materializes the candidate sets, runs exact k-NN inside
-them, and records (mean |C|, k-NN accuracy). Table 4 interpolates this curve
-at a target accuracy with :func:`cost_at_quality`, the same interpolator
-Fig. 7 uses for query time at a target recall.
+The sweep drives any :class:`repro.index.base.PartitionIndex` in closed
+form, without searching. Exact k-NN inside C(q) returns every true neighbour
+that C(q) holds, since those are nearer than any other candidate. So with
+each point's probe rank from :meth:`PartitionIndex.probe_ranks` (the rank of
+the first probe whose bin holds it), the k-NN accuracy at m' probes is the
+share of ground-truth ids whose rank is below m', and |C| is the number of
+points below m'. Both are counted once per query, for every m' at once.
+:func:`topk_within` is that exact search inside one C(q), for serving.
+Table 4 interpolates the curve at a target accuracy with
+:func:`cost_at_quality`, the same interpolator Fig. 7 uses for query time at
+a target recall.
 """
 from __future__ import annotations
 
@@ -13,7 +19,9 @@ import numpy as np
 import pandas as pd
 
 from repro.index.base import PartitionIndex
-from repro.knn.metrics import knn_accuracy
+
+# Queries per probe_ranks call: the sweep holds one (block, n) rank matrix.
+SWEEP_BLOCK = 256
 
 
 def topk_within(
@@ -39,31 +47,40 @@ def sweep_accuracy(
     probe_counts: list[int] | None = None,
 ) -> pd.DataFrame:
     """Returns a DataFrame (n_probes, mean_candidates, accuracy), one row per
-    probe count, accuracy = paper's Eq. 1 averaged over queries."""
-    data = np.asarray(data, np.float64)
+    probe count, accuracy = paper's Eq. 1 averaged over queries.
+
+    The curve is what exact search inside each C(q) would give, computed
+    from probe ranks alone, so ``data`` is not read. Tie rule: a
+    ground-truth id counts as found whenever C(q) holds it, even where
+    copies of a point tie at the k-th distance and a search could return a
+    copy outside ``gt_idx`` in its place. A probe count above the number of
+    bins probes them all.
+    """
     queries = np.asarray(queries, np.float64)
+    truth = np.asarray(gt_idx)[:, :k]
     if probe_counts is None:
         top = index.n_bins
         probe_counts = sorted(
             {p for p in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, top) if p <= top}
         )
-    rows = []
-    for m_probe in probe_counts:
-        cands = index.candidate_ids(queries, m_probe)
-        returned = np.full((len(queries), k), -1, dtype=np.int64)
-        sizes = np.empty(len(queries))
-        for i, (q, c) in enumerate(zip(queries, cands)):
-            sizes[i] = len(c)
-            top = topk_within(q, data, c, k)
-            returned[i, : len(top)] = top
-        rows.append(
-            {
-                "n_probes": m_probe,
-                "mean_candidates": float(sizes.mean()),
-                "accuracy": knn_accuracy(returned, gt_idx[:, :k]),
-            }
-        )
-    return pd.DataFrame(rows)
+    # Per probe rank below the largest probe count: points that join C at
+    # that rank, and ground-truth ids among them, summed over queries.
+    cap = max(probe_counts, default=0)
+    joined = np.zeros(cap, dtype=np.int64)
+    found = np.zeros(cap, dtype=np.int64)
+    for lo in range(0, len(queries), SWEEP_BLOCK):
+        ranks = index.probe_ranks(queries[lo:lo + SWEEP_BLOCK])
+        truth_ranks = np.take_along_axis(ranks, truth[lo:lo + SWEEP_BLOCK], axis=1)
+        joined += np.bincount(ranks.ravel(), minlength=cap)[:cap]
+        found += np.bincount(truth_ranks.ravel(), minlength=cap)[:cap]
+    return pd.DataFrame([
+        {
+            "n_probes": m_probe,
+            "mean_candidates": int(joined[:m_probe].sum()) / len(queries),
+            "accuracy": int(found[:m_probe].sum()) / truth.size,
+        }
+        for m_probe in probe_counts
+    ])
 
 
 def cost_at_quality(curve: pd.DataFrame, cost: str, quality: str, target: float) -> float | None:

@@ -12,8 +12,8 @@ def knn_accuracy(returned: np.ndarray, truth: np.ndarray) -> float:
     """
     returned = np.asarray(returned)
     truth = np.asarray(truth)
-    k = truth.shape[1]
-    hits = 0
-    for r, t in zip(returned, truth):
-        hits += len(set(int(x) for x in r if x >= 0) & set(int(x) for x in t))
-    return hits / (len(truth) * k)
+    # A truth id is a hit if it appears anywhere in its row of ``returned``;
+    # truth rows are distinct ids >= 0, so this is the set intersection and
+    # the -1 padding never matches.
+    hits = (truth[:, :, None] == returned[:, None, :]).any(axis=2).sum()
+    return int(hits) / truth.size

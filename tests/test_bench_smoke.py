@@ -1,6 +1,7 @@
 """Smoke runs of the USP benchmark (``perfbench/run.py``) at test scale with
-tracing on: every check passes, and the spans that attribute the offline
-build still attach (eval-forward rows and target time are recorded)."""
+tracing on: every check passes, the spans that attribute the offline
+build still attach (eval-forward rows and target time are recorded), and
+the accuracy sweep runs no search and gathers no candidate lists."""
 import json
 import subprocess
 import sys
@@ -24,3 +25,5 @@ def test_traced_smoke_run(workload):
     metrics = out["metrics"]
     assert metrics["nn.eval_rows"]["value"] > 0
     assert metrics["core.targets_s"]["value"] > 0
+    assert metrics["index.sweep.topk_s"]["value"] == 0
+    assert metrics["index.sweep.gather_s"]["value"] == 0

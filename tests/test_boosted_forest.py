@@ -7,6 +7,7 @@ from repro.baselines.boosted_forest import (
     BoostedSearchForest,
     similarity_preserving_hyperplane,
 )
+from repro.index.base import members_by_bin
 from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
 
@@ -83,6 +84,6 @@ class TestForest:
 
     def test_members_partition_points(self, forests):
         for forest, d, _ in forests:
-            for mem, nb in zip(forest._members, forest.tree_n_bins):
-                ids = np.sort(np.concatenate(mem))
+            for bins, nb in zip(forest.tree_bins, forest.tree_n_bins):
+                ids = np.sort(np.concatenate(members_by_bin(bins, nb)))
                 np.testing.assert_array_equal(ids, np.arange(len(d)))

@@ -9,6 +9,8 @@ from repro.core.ensemble import (
     train_ensemble,
     update_weights,
 )
+from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.train import TrainConfig
 from repro.index.search import sweep_accuracy
 
 
@@ -95,6 +97,46 @@ class TestEnsemble:
         pm = trained_ensemble.probe_matrix(queries[:5])
         for row in pm:
             assert sorted(row) == list(range(trained_ensemble.n_bins))
+
+
+class TestUnequalLeafCounts:
+    """Hierarchy members that ``min_split`` prunes to different leaf counts."""
+
+    @pytest.fixture(scope="class")
+    def ens(self, small_data):
+        data, _ = small_data
+        return EnsemblePartitioner([
+            HierarchicalPartitioner(
+                [4, 4], cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
+                min_split=min_split, seed=seed,
+            ).fit(data)
+            for seed, min_split in ((1, 40), (2, 300))
+        ])
+
+    def test_n_bins_is_largest_leaf_count(self, ens):
+        counts = [m.n_bins for m in ens.models]
+        assert counts[0] != counts[1]
+        assert ens.n_bins == max(counts)
+
+    def test_probe_matrix_names_leaf_counts(self, ens, small_data):
+        a, b = (m.n_bins for m in ens.models)
+        with pytest.raises(ValueError, match=rf"\[{a}, {b}\]"):
+            ens.probe_matrix(small_data[1][:3])
+
+    def test_candidates_and_ranks_follow_selected_member(self, ens, small_data):
+        data, queries = small_data
+        q = queries[:20]
+        choice = ens.model_choice(q)
+        orders = [m.probe_matrix(q) for m in ens.models]
+        ranks = ens.probe_ranks(q)
+        for p in (1, 2, ens.n_bins):
+            for i, (c, cand) in enumerate(zip(choice, ens.candidate_ids(q, p))):
+                member = ens.models[c]
+                expect = np.flatnonzero(np.isin(member.data_bins(), orders[c][i][:p]))
+                np.testing.assert_array_equal(np.sort(cand), expect)
+                np.testing.assert_array_equal(np.flatnonzero(ranks[i] < p), expect)
+            if p == ens.n_bins:
+                assert all(len(c) == len(data) for c in ens.candidate_ids(q, p))
 
 
 class TestTrainEnsemble:

@@ -36,13 +36,6 @@ class TestFitContract:
             assert p[row[0]] == p.max()
             assert (np.diff(p[row]) <= 1e-12).all()
 
-    def test_confidence_is_max_prob(self, trained_usp, small_data):
-        _, queries = small_data
-        np.testing.assert_allclose(
-            trained_usp.confidence(queries[:10]),
-            trained_usp.predict_proba(queries[:10]).max(axis=1),
-        )
-
     def test_unfitted_raises(self):
         p = UnsupervisedSpacePartitioner(4)
         with pytest.raises(RuntimeError):

@@ -170,3 +170,14 @@ class TestKnnAccuracy:
     def test_order_invariant(self):
         truth = np.array([[1, 2, 3]])
         assert knn_accuracy(np.array([[3, 1, 2]]), truth) == 1.0
+
+    def test_matches_set_intersection_loop(self):
+        """Equal to the per-row Python-set count, with -1 padding, repeated
+        returned ids and returned rows wider or narrower than k."""
+        rng = np.random.default_rng(3)
+        truth = np.stack([rng.choice(30, 5, replace=False) for _ in range(40)])
+        for width in (3, 5, 8):
+            ret = rng.integers(-1, 30, size=(40, width))
+            hits = sum(len({int(x) for x in r if x >= 0} & {int(x) for x in t})
+                       for r, t in zip(ret, truth))
+            assert knn_accuracy(ret, truth) == hits / truth.size
