@@ -50,9 +50,17 @@ class EnsemblePartitioner(PartitionIndex):
         if not models:
             raise ValueError("empty ensemble")
         self.models = models
-        self.n_bins = max(m.n_bins for m in models)
-        self._members = [m.bin_members() for m in models]
-        self._data_bins = models[0].data_bins()  # representative partition
+        for m in models:  # the lookup tables are built offline, not by the first query
+            m.bin_members()
+
+    # Read from the members on every call, so refitting them refits the ensemble.
+    @property
+    def n_bins(self) -> int:
+        return max(m.n_bins for m in self.models)
+
+    def data_bins(self) -> np.ndarray:
+        """The first member's partition, as the representative one."""
+        return self.models[0].data_bins()
 
     def _route(self, queries: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
         """Algorithm 4 with one ``predict_proba`` per member. Returns the
@@ -87,14 +95,14 @@ class EnsemblePartitioner(PartitionIndex):
         choice, routed = self._route(queries)
         out: list[np.ndarray] = [None] * len(choice)
         for c, rows, order in routed:
-            for i, cand in zip(rows, gather(self._members[c], order[:, :n_probes])):
+            for i, cand in zip(rows, gather(self.models[c].bin_members(), order[:, :n_probes])):
                 out[i] = cand
         return out
 
     def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
         """Ranks in the selected member's probe order, over its own bins."""
         choice, routed = self._route(queries)
-        out = np.empty((len(choice), len(self._data_bins)), dtype=np.int64)
+        out = np.empty((len(choice), len(self.data_bins())), dtype=np.int64)
         for c, rows, order in routed:
             out[rows] = bin_ranks(order)[:, self.models[c].data_bins()]
         return out

@@ -12,15 +12,10 @@ import numpy as np
 
 
 def members_by_bin(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
-    """Lookup table bin → sorted point ids for a bin-id array."""
+    """Lookup table bin → sorted point ids for a bin-id array: views of one
+    array of point ids sorted by bin, split at the bin boundaries."""
     order = np.argsort(bins, kind="stable")
-    sorted_bins = bins[order]
-    members: list[np.ndarray] = []
-    for b in range(n_bins):
-        lo = np.searchsorted(sorted_bins, b, side="left")
-        hi = np.searchsorted(sorted_bins, b, side="right")
-        members.append(order[lo:hi])
-    return members
+    return np.split(order, np.searchsorted(bins[order], np.arange(1, n_bins)))
 
 
 def probe_order(scores: np.ndarray) -> np.ndarray:
@@ -50,6 +45,8 @@ class PartitionIndex:
 
     n_bins: int
     _data_bins: np.ndarray | None = None
+    # (the _data_bins array the lookup table was built from, the table)
+    _lookup: tuple[np.ndarray, list[np.ndarray]] | None = None
 
     # -- partition side ----------------------------------------------------
     def data_bins(self) -> np.ndarray:
@@ -59,8 +56,12 @@ class PartitionIndex:
         return self._data_bins
 
     def bin_members(self) -> list[np.ndarray]:
-        """Lookup table bin → sorted point ids (Algorithm 1, Step 3)."""
-        return members_by_bin(self.data_bins(), self.n_bins)
+        """Lookup table bin → sorted point ids (Algorithm 1, Step 3), built
+        once per partition: a refit that assigns new bins rebuilds it."""
+        bins = self.data_bins()
+        if self._lookup is None or self._lookup[0] is not bins:
+            self._lookup = (bins, members_by_bin(bins, self.n_bins))
+        return self._lookup[1]
 
     # -- query side --------------------------------------------------------
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover

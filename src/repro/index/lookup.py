@@ -14,6 +14,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.index.base import PartitionIndex
+from repro.index.search import topk_within
 
 
 def lookup_df_from_index(spark: SparkSession, index: PartitionIndex) -> DataFrame:
@@ -33,12 +34,12 @@ def build_lookup_spark(spark: SparkSession, assign_df: DataFrame) -> DataFrame:
 def probes_df(spark: SparkSession, index: PartitionIndex, queries: np.ndarray, n_probes: int) -> DataFrame:
     """Per-query probed bins: (qid, bin, rank) for the top ``n_probes`` bins."""
     order = index.probe_matrix(queries)[:, :n_probes]
-    n_q = len(queries)
+    n_q, n_cols = order.shape
     pdf = pd.DataFrame(
         {
-            "qid": np.repeat(np.arange(n_q, dtype=np.int64), n_probes),
+            "qid": np.repeat(np.arange(n_q, dtype=np.int64), n_cols),
             "bin": order.ravel().astype(np.int64),
-            "rank": np.tile(np.arange(n_probes, dtype=np.int64), n_q),
+            "rank": np.tile(np.arange(n_cols, dtype=np.int64), n_q),
         }
     )
     return spark.createDataFrame(pdf)
@@ -69,12 +70,9 @@ def topk_in_candidates_spark(
     def topk(pdf: pd.DataFrame) -> pd.DataFrame:
         x, q = bc.value
         qid = int(pdf["qid"].iloc[0])
-        ids = pdf["id"].to_numpy()
+        ids = topk_within(q[qid], x, pdf["id"].to_numpy(), k)
         d = np.linalg.norm(x[ids] - q[qid], axis=1)
-        kk = min(k, len(ids))
-        top = np.argpartition(d, kk - 1)[:kk]
-        top = top[np.argsort(d[top], kind="stable")]
-        return pd.DataFrame({"qid": qid, "id": ids[top], "dist": d[top]})
+        return pd.DataFrame({"qid": qid, "id": ids, "dist": d})
 
     return cand_df.groupBy("qid").applyInPandas(topk, schema="qid long, id long, dist double")
 

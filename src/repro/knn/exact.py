@@ -25,30 +25,29 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a**2).sum(axis=1, keepdims=True) - 2.0 * a @ b.T + (b**2).sum(axis=1)
 
 
+def _smallest_per_row(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column ids of the ``k`` smallest entries of each row of ``d2`` and
+    those entries, in increasing order; ties keep their argpartition order."""
+    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    part = np.take_along_axis(d2, idx, axis=1)
+    order = np.argsort(part, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(part, order, axis=1)
+
+
 def topk_neighbors(
-    queries: np.ndarray, data: np.ndarray, k: int, *, exclude_self: bool = False
+    queries: np.ndarray, data: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k nearest rows of ``data`` for each row of ``queries``.
 
     Returns ``(indices, distances)`` each of shape (n_queries, k), neighbors
-    sorted by increasing Euclidean distance. ``exclude_self`` assumes
-    ``queries is data`` row-aligned and drops the self-match (used for the
-    k'-NN matrix).
+    sorted by increasing Euclidean distance.
     """
     queries = np.asarray(queries, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
     d2 = sqdist(queries, data)
     np.maximum(d2, 0.0, out=d2)
-    if exclude_self:
-        n = len(queries)
-        d2[np.arange(n), np.arange(n)] = np.inf
-    kk = min(k, d2.shape[1] - (1 if exclude_self else 0))
-    idx = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-    part = np.take_along_axis(d2, idx, axis=1)
-    order = np.argsort(part, axis=1, kind="stable")
-    idx = np.take_along_axis(idx, order, axis=1)
-    dist = np.sqrt(np.take_along_axis(part, order, axis=1))
-    return idx, dist
+    idx, part = _smallest_per_row(d2, min(k, d2.shape[1]))
+    return idx, np.sqrt(part)
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = 256) -> np.ndarray:
@@ -64,11 +63,7 @@ def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = 256) -> np.ndarra
         d2 = sqdist(data[lo:hi], data)
         np.maximum(d2, 0.0, out=d2)
         d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        kk = out.shape[1]
-        idx = np.argpartition(d2, kk - 1, axis=1)[:, :kk]
-        part = np.take_along_axis(d2, idx, axis=1)
-        order = np.argsort(part, axis=1, kind="stable")
-        out[lo:hi] = np.take_along_axis(idx, order, axis=1)
+        out[lo:hi] = _smallest_per_row(d2, out.shape[1])[0]
     return out
 
 

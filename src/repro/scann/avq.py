@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.index.search import topk_within
 from repro.knn.exact import sqdist
 
 
@@ -35,6 +36,8 @@ class AnisotropicPQ:
         n_iter: int = 10,
         seed: int = 0,
     ):
+        if n_centers > 256:
+            raise ValueError(f"n_centers={n_centers} > 256: codes are stored as uint8")
         self.n_sub = n_sub
         self.n_centers = n_centers
         self.h_par = h_par
@@ -127,12 +130,7 @@ class AnisotropicPQ:
         approx = self.adc_distances(query, None if subset is None else ids)
         r = min(max(rerank, k), len(ids))
         cand_pos = np.argpartition(approx, r - 1)[:r] if r < len(ids) else np.arange(len(ids))
-        cand = ids[cand_pos]
-        exact = np.linalg.norm(self._x[cand] - query, axis=1)
-        kk = min(k, len(cand))
-        top = np.argpartition(exact, kk - 1)[:kk] if kk < len(cand) else np.arange(len(cand))
-        top = top[np.argsort(exact[top], kind="stable")]
-        return cand[top]
+        return topk_within(query, self._x, ids[cand_pos], k)
 
     def reconstruction(self) -> np.ndarray:
         """Decoded dataset (for quantization-error tests)."""

@@ -3,7 +3,7 @@
 ``ScannPipeline`` composes a space partitioner (USP, K-means, or none) with
 the anisotropic-PQ sketch: the partitioner produces a candidate set for a
 query, ScaNN's ADC + re-rank searches inside it. ``recall_time_curve`` turns
-any ``search(query, k, param)`` function into a (param, recall, ms/query)
+any ``search(queries, k, param)`` function into a (param, recall, ms/query)
 curve, and ``speedup_at_recall`` interpolates the relative query-time saving
 at a fixed recall — the paper's "40% speedup over K-means+ScaNN" claim.
 """
@@ -27,45 +27,35 @@ class ScannPipeline:
     def __init__(self, pq: AnisotropicPQ, partitioner: PartitionIndex | None = None):
         self.pq = pq
         self.partitioner = partitioner
-        self._members: list[np.ndarray] | None = None
 
     def fit(self, x: np.ndarray) -> "ScannPipeline":
         self.pq.fit(np.asarray(x, dtype=np.float64))
-        if self.partitioner is not None:
-            self._members = self.partitioner.bin_members()
+        if self.partitioner is not None:  # build the lookup table offline
+            self.partitioner.bin_members()
         return self
-
-    def search(self, query: np.ndarray, k: int, *, n_probes: int = 1, rerank: int = 100) -> np.ndarray:
-        if self.partitioner is None:
-            return self.pq.search(query, k, rerank=rerank)
-        order = self.partitioner.probe_matrix(np.asarray(query)[None])[0][:n_probes]
-        subset = np.concatenate([self._members[b] for b in order])
-        return self.pq.search(query, k, subset=subset, rerank=rerank)
 
     def batch_search(
         self, queries: np.ndarray, k: int, *, n_probes: int = 1, rerank: int = 100
     ) -> np.ndarray:
-        """Batched online phase: one vectorized probe-matrix pass for the
-        whole query set (how a serving system amortizes model inference),
-        then the per-query candidate ADC scan + re-rank. Returns (n_q, k)
+        """The online phase for a block of queries: one ``candidate_ids``
+        call for the block (how a serving system amortizes model
+        inference), then the ADC scan + re-rank inside each candidate set,
+        or over every row when there is no partitioner. Returns (n_q, k)
         ids padded with -1."""
         queries = np.asarray(queries, dtype=np.float64)
         out = np.full((len(queries), k), -1, dtype=np.int64)
-        if self.partitioner is None:
-            for i, q in enumerate(queries):
-                res = self.pq.search(q, k, rerank=rerank)
-                out[i, : len(res)] = res
-            return out
-        orders = self.partitioner.probe_matrix(queries)[:, :n_probes]
-        for i, (q, row) in enumerate(zip(queries, orders)):
-            subset = np.concatenate([self._members[b] for b in row])
+        subsets = (
+            [None] * len(queries) if self.partitioner is None
+            else self.partitioner.candidate_ids(queries, n_probes)
+        )
+        for i, (q, subset) in enumerate(zip(queries, subsets)):
             res = self.pq.search(q, k, subset=subset, rerank=rerank)
             out[i, : len(res)] = res
         return out
 
 
 def recall_time_curve(
-    search_fn: Callable[[np.ndarray, int, object], np.ndarray],
+    search_fn: Callable[[np.ndarray, int, object], list[np.ndarray] | np.ndarray],
     params: list,
     queries: np.ndarray,
     gt_idx: np.ndarray,
@@ -74,29 +64,21 @@ def recall_time_curve(
 ) -> pd.DataFrame:
     """(param, recall, ms_per_query) rows; recall is the paper's Eq. 1.
 
-    A short untimed warmup precedes each timed sweep so first-touch costs
+    ``search_fn(queries, k, param)`` takes the whole query block and returns
+    one id row per query; rows shorter than ``k`` are padded with -1. A
+    short untimed warmup precedes each timed call so first-touch costs
     (codebook tables, cache fill) don't land on the first parameter.
-    A ``search_fn`` with attribute ``batched = True`` is called once with the
-    whole query matrix and must return an (n_q, k) id array — used by the
-    partition+ScaNN pipelines, which amortize model inference over the batch.
     """
     rows = []
-    batched = getattr(search_fn, "batched", False)
     for p in params:
-        if batched:
-            search_fn(queries[: min(20, len(queries))], k, p)
-            t0 = time.perf_counter()
-            returned = np.asarray(search_fn(queries, k, p))[:, :k]
-            ms = (time.perf_counter() - t0) * 1000.0 / len(queries)
-        else:
-            for q in queries[: min(20, len(queries))]:
-                search_fn(q, k, p)
-            t0 = time.perf_counter()
-            returned = np.full((len(queries), k), -1, dtype=np.int64)
-            for i, q in enumerate(queries):
-                res = search_fn(q, k, p)
-                returned[i, : len(res)] = res[:k]
-            ms = (time.perf_counter() - t0) * 1000.0 / len(queries)
+        search_fn(queries[: min(20, len(queries))], k, p)
+        t0 = time.perf_counter()
+        result = search_fn(queries, k, p)
+        ms = (time.perf_counter() - t0) * 1000.0 / len(queries)
+        returned = np.full((len(queries), k), -1, dtype=np.int64)
+        for i, res in enumerate(result):
+            res = res[:k]
+            returned[i, : len(res)] = res
         rows.append(
             {"param": p, "recall": knn_accuracy(returned, gt_idx[:, :k]), "ms_per_query": ms}
         )

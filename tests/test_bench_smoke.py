@@ -1,7 +1,8 @@
 """Smoke runs of the USP benchmark (``perfbench/run.py``) at test scale with
 tracing on: every check passes, the spans that attribute the offline
-build still attach (eval-forward rows and target time are recorded), and
-the accuracy sweep runs no search and gathers no candidate lists."""
+build still attach (eval-forward rows and target time are recorded), the
+accuracy sweep runs no search and gathers no candidate lists, and serving
+runs through the one online path (candidate gather, then top-k)."""
 import json
 import subprocess
 import sys
@@ -27,3 +28,6 @@ def test_traced_smoke_run(workload):
     assert metrics["core.targets_s"]["value"] > 0
     assert metrics["index.sweep.topk_s"]["value"] == 0
     assert metrics["index.sweep.gather_s"]["value"] == 0
+    # Both workloads serve through candidate_ids and topk_within.
+    assert metrics["index.gather_s"]["value"] > 0
+    assert metrics["index.topk_s"]["value"] > 0

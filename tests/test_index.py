@@ -142,12 +142,14 @@ class TestSparkLookup:
     def test_candidates_join_matches_numpy(self, spark, lookup, trained_usp, small_data):
         data, queries = small_data
         q = queries[:15]
-        pr = probes_df(spark, trained_usp, q, 2)
-        cand = candidates_spark(pr, lookup).toPandas()
-        numpy_cands = trained_usp.candidate_ids(q, 2)
-        for qid in range(15):
-            got = np.sort(cand.loc[cand.qid == qid, "id"].to_numpy())
-            np.testing.assert_array_equal(got, np.sort(numpy_cands[qid]))
+        # n_bins + 2 probes: both paths clamp to every bin.
+        for n_probes in (2, trained_usp.n_bins + 2):
+            pr = probes_df(spark, trained_usp, q, n_probes)
+            cand = candidates_spark(pr, lookup).toPandas()
+            numpy_cands = trained_usp.candidate_ids(q, n_probes)
+            for qid in range(15):
+                got = np.sort(cand.loc[cand.qid == qid, "id"].to_numpy())
+                np.testing.assert_array_equal(got, np.sort(numpy_cands[qid]))
 
     def test_candidate_counts_oracle(self, spark, lookup, trained_usp, small_data):
         _, queries = small_data

@@ -44,13 +44,6 @@ class TestTopkNumpy:
         _, dist = topk_neighbors(data[:5], data, 10)
         assert (np.diff(dist, axis=1) >= -1e-12).all()
 
-    def test_exclude_self(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(30, 3))
-        idx, _ = topk_neighbors(data, data, 5, exclude_self=True)
-        for i in range(30):
-            assert i not in idx[i]
-
     def test_k_larger_than_n(self):
         data = np.random.default_rng(3).normal(size=(4, 2))
         idx, dist = topk_neighbors(data[:2], data, 10)

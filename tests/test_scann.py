@@ -1,14 +1,15 @@
-"""ScaNN-side substrate tests: anisotropic PQ, HNSW, IVF, pipelines."""
+"""ScaNN-side substrate tests: anisotropic PQ, HNSW, IVF (a K-means
+partition searched exactly inside its candidate sets), pipelines."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.baselines.kmeans import KMeansPartitioner
+from repro.index.search import topk_within
 from repro.knn.exact import topk_neighbors
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
 from repro.scann.hnsw import HNSW
-from repro.scann.ivf import IVFFlat
 from repro.scann.pipelines import (
     ScannPipeline,
     recall_time_curve,
@@ -100,6 +101,11 @@ class TestAnisotropicPQ:
         pq = AnisotropicPQ(4, 16, seed=0).fit(d)
         assert len(pq.search(q[0], 10, subset=np.empty(0, int))) == 0
 
+    def test_more_than_256_centers_rejected(self):
+        # Codes are uint8: centre 299 would wrap onto codeword 43.
+        with pytest.raises(ValueError, match="256"):
+            AnisotropicPQ(4, 300)
+
 
 class TestHNSW:
     @pytest.fixture(scope="class")
@@ -130,27 +136,31 @@ class TestHNSW:
 
 
 class TestIVF:
+    """FAISS IVF-Flat as Fig. 7 runs it: K-means cells probed nearest
+    centroid first, then exact top-k inside the candidate set."""
+
     @pytest.fixture(scope="class")
     def index(self, data):
         d, _ = data
-        return IVFFlat(nlist=16, seed=0).fit(d)
+        return KMeansPartitioner(16, n_iter=25, seed=0).fit(d)
+
+    @staticmethod
+    def search(index, d, q, nprobe):
+        return np.stack([topk_within(qq, d, c, 10)
+                         for qq, c in zip(q, index.candidate_ids(q, nprobe))])
 
     def test_lists_partition(self, index, data):
         d, _ = data
-        ids = np.sort(np.concatenate(index.lists))
+        ids = np.sort(np.concatenate(index.bin_members()))
         np.testing.assert_array_equal(ids, np.arange(len(d)))
 
     def test_full_probe_exact(self, index, data, gt):
-        _, q = data
-        ret = np.stack([index.search(qq, 10, nprobe=16) for qq in q])
-        assert knn_accuracy(ret, gt) == 1.0
+        d, q = data
+        assert knn_accuracy(self.search(index, d, q, 16), gt) == 1.0
 
     def test_recall_improves_with_nprobe(self, index, data, gt):
-        _, q = data
-        accs = []
-        for nprobe in (1, 8):
-            ret = np.stack([index.search(qq, 10, nprobe=nprobe) for qq in q])
-            accs.append(knn_accuracy(ret, gt))
+        d, q = data
+        accs = [knn_accuracy(self.search(index, d, q, nprobe), gt) for nprobe in (1, 8)]
         assert accs[1] >= accs[0]
 
 
@@ -159,43 +169,45 @@ class TestPipelines:
         d, q = data
         km = KMeansPartitioner(8, seed=0).fit(d)
         pipe = ScannPipeline(AnisotropicPQ(4, 64, seed=0), km).fit(d)
-        ret = np.stack([pipe.search(qq, 10, n_probes=4, rerank=200) for qq in q])
+        ret = pipe.batch_search(q, 10, n_probes=4, rerank=200)
         assert knn_accuracy(ret, gt) > 0.85
 
     def test_vanilla_pipeline(self, data, gt):
         d, q = data
         pipe = ScannPipeline(AnisotropicPQ(4, 64, seed=0)).fit(d)
-        ret = np.stack([pipe.search(qq, 10, rerank=200) for qq in q])
+        ret = pipe.batch_search(q, 10, rerank=200)
         assert knn_accuracy(ret, gt) > 0.85
 
     def test_recall_time_curve_shape(self, data, gt):
         d, q = data
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0)).fit(d)
         curve = recall_time_curve(
-            lambda qq, k, p: pipe.search(qq, k, rerank=p), [20, 100], q[:30], gt[:30]
+            lambda qs, k, p: pipe.batch_search(qs, k, rerank=p), [20, 100], q[:30], gt[:30]
         )
         assert list(curve.columns) == ["param", "recall", "ms_per_query"]
         assert curve["recall"].iloc[1] >= curve["recall"].iloc[0]
 
     def test_batch_search_matches_per_query(self, data, gt):
+        """A block of queries gets the answers each query gets alone, and
+        each answer is the PQ search inside the query's candidate set."""
         d, q = data
         km = KMeansPartitioner(8, seed=0).fit(d)
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0), km).fit(d)
         qq = q[:20]
         batch = pipe.batch_search(qq, 10, n_probes=2, rerank=80)
-        for i, one in enumerate(qq):
-            single = pipe.search(one, 10, n_probes=2, rerank=80)
-            np.testing.assert_array_equal(batch[i][: len(single)], single)
+        for i, (one, cand) in enumerate(zip(qq, km.candidate_ids(qq, 2))):
+            np.testing.assert_array_equal(
+                batch[i], pipe.batch_search(one[None], 10, n_probes=2, rerank=80)[0])
+            np.testing.assert_array_equal(batch[i], pipe.pq.search(one, 10, subset=cand, rerank=80))
 
     def test_batch_search_vanilla(self, data, gt):
         d, q = data
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0)).fit(d)
         batch = pipe.batch_search(q[:10], 10, rerank=80)
         assert batch.shape == (10, 10)
-        single = pipe.search(q[0], 10, rerank=80)
-        np.testing.assert_array_equal(batch[0][: len(single)], single)
+        np.testing.assert_array_equal(batch[0], pipe.pq.search(q[0], 10, rerank=80))
 
-    def test_batched_flag_in_curve(self, data, gt):
+    def test_batched_pipeline_curve(self, data, gt):
         d, q = data
         km = KMeansPartitioner(8, seed=0).fit(d)
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0), km).fit(d)
@@ -204,10 +216,17 @@ class TestPipelines:
             # Re-rank budget grows with probes so recall is monotone.
             return pipe.batch_search(qs, k, n_probes=p, rerank=80 * p)
 
-        fn.batched = True
         curve = recall_time_curve(fn, [1, 4], q[:40], gt[:40])
         assert len(curve) == 2
         assert curve["recall"].iloc[1] >= curve["recall"].iloc[0]
+
+    def test_curve_pads_ragged_rows(self, data, gt):
+        """Rows shorter than k count as misses; a row of the first 5 true
+        neighbours scores 0.5 at k = 10."""
+        _, q = data
+        curve = recall_time_curve(lambda qs, k, p: [g[:p] for g in gt[: len(qs)]],
+                                  [5, 10], q, gt)
+        assert curve["recall"].tolist() == [0.5, 1.0]
 
     def test_time_at_recall_interp(self):
         c = pd.DataFrame({"param": [1, 2], "recall": [0.5, 1.0], "ms_per_query": [1.0, 3.0]})

@@ -1,6 +1,13 @@
-"""The closed-form accuracy sweep against search: for every index type,
+"""Every index type against the contract of the online path, and the
+closed-form accuracy sweep against search.
+
+For every index type: the cached lookup table puts each point in exactly
+the bin ``data_bins`` gives it and follows a refit; probing all bins
+gathers every point, and exact top-k inside that C is the exact k-NN. And
 ``sweep_accuracy`` (probe ranks, no search) must give exactly the curve that
 gathering C, running exact top-k inside it and scoring Eq. 1 gives."""
+import copy
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -125,3 +132,51 @@ def test_sweep_blocks_queries(small_indexes, small_data, small_gt, monkeypatch):
     monkeypatch.setattr(search, "SWEEP_BLOCK", 7)
     pd.testing.assert_frame_equal(sweep_accuracy(idx, data, queries, small_gt), whole,
                                   check_exact=True)
+
+
+def _assert_lookup_and_full_probe(index, data, queries, k=10):
+    members = index.bin_members()
+    assert index.bin_members() is members
+    np.testing.assert_array_equal(np.sort(np.concatenate(members)), np.arange(len(data)))
+    bins = index.data_bins()
+    for b, ids in enumerate(members):
+        assert (bins[ids] == b).all()
+    for q, c in zip(queries, index.candidate_ids(queries, index.n_bins)):
+        np.testing.assert_array_equal(np.sort(c), np.arange(len(data)))
+        top = topk_within(q, data, c, k)
+        np.testing.assert_array_equal(np.linalg.norm(data[top] - q, axis=1),
+                                      np.sort(np.linalg.norm(data - q, axis=1))[:k])
+
+
+def _assert_lookup_follows_refit(index, data, queries):
+    index = copy.deepcopy(index)  # the fixtures stay as built
+    before = index.bin_members()
+    other = data[::2]
+    for member in getattr(index, "models", [index]):  # an ensemble refits its members
+        member.fit(other)
+    assert index.bin_members() is not before
+    _assert_lookup_and_full_probe(index, other, queries)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_lookup_and_full_probe(name, small_indexes, small_data):
+    data, queries = small_data
+    _assert_lookup_and_full_probe(small_indexes[name], data, queries)
+
+
+@pytest.mark.parametrize("name", DUPLICATE)
+def test_lookup_and_full_probe_on_duplicates(name, duplicate_indexes, duplicates):
+    data, queries = duplicates
+    _assert_lookup_and_full_probe(duplicate_indexes[name], data, queries)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_lookup_follows_refit(name, small_indexes, small_data):
+    data, queries = small_data
+    _assert_lookup_follows_refit(small_indexes[name], data, queries)
+
+
+@pytest.mark.parametrize("name", DUPLICATE)
+def test_lookup_follows_refit_on_duplicates(name, duplicate_indexes, duplicates):
+    data, queries = duplicates
+    _assert_lookup_follows_refit(duplicate_indexes[name], data, queries)
