@@ -122,7 +122,6 @@ def fig7(
     """
     data, queries = load_dataset(dataset, scale)
     gt = ground_truth(data, queries, 10)
-    knn_idx = knn_matrix_numpy(data, 10)
     n_sub = max(2, data.shape[1] // 8)
 
     # m=64 via hierarchical 8×8 keeps per-bin candidate lists small enough

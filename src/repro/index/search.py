@@ -8,7 +8,8 @@ each point's probe rank from :meth:`PartitionIndex.probe_ranks` (the rank of
 the first probe whose bin holds it), the k-NN accuracy at m' probes is the
 share of ground-truth ids whose rank is below m', and |C| is the number of
 points below m'. Both are counted once per query, for every m' at once.
-:func:`topk_within` is that exact search inside one C(q), for serving.
+:func:`topk_within` is that exact search inside C(q), for serving one query
+or a block of them.
 Table 4 interpolates the curve at a target accuracy with
 :func:`cost_at_quality`, the same interpolator Fig. 7 uses for query time at
 a target recall.
@@ -27,14 +28,35 @@ SWEEP_BLOCK = 256
 def topk_within(
     query: np.ndarray, data: np.ndarray, cand: np.ndarray, k: int
 ) -> np.ndarray:
-    """Exact top-k point ids among candidate ids ``cand`` for one query."""
-    if len(cand) == 0:
-        return np.empty(0, dtype=np.int64)
-    d = np.linalg.norm(data[cand] - query, axis=1)
-    kk = min(k, len(cand))
-    top = np.argpartition(d, kk - 1)[:kk] if kk < len(cand) else np.arange(len(cand))
-    top = top[np.argsort(d[top], kind="stable")]
-    return cand[top]
+    """Exact top-k point ids among candidate ids, nearest first.
+
+    One query (d,) with candidate ids ``cand`` (r,) returns up to k ids. A
+    block of queries (b, d) with ``cand`` (b, r), rows padded with -1,
+    returns (b, k) ids padded with -1; the one-query form is its one-row
+    case. The block holds a (b, r, d) difference array, so callers bound
+    b × r.
+    """
+    query, cand = np.asarray(query), np.asarray(cand)
+    one = query.ndim == 1
+    if one:
+        query, cand = query[None], cand[None]
+    kk = min(k, cand.shape[1])
+    ids = np.empty((len(cand), 0), dtype=np.int64)
+    if kk:
+        diff = np.take(data, cand, axis=0)  # the one (b, r, d) temporary
+        diff -= query[:, None]
+        diff *= diff
+        d = np.sqrt(diff.sum(axis=2))
+        d[cand < 0] = np.inf
+        rows = np.arange(len(cand))[:, None]
+        top = (np.argpartition(d, kk - 1, axis=1)[:, :kk] if kk < cand.shape[1]
+               else np.broadcast_to(np.arange(kk), cand.shape))
+        ids = cand[rows, top[rows, np.argsort(d[rows, top], axis=1, kind="stable")]]
+    if one:
+        return ids[0][ids[0] >= 0]
+    out = np.full((len(cand), k), -1, dtype=np.int64)
+    out[:, :kk] = ids
+    return out
 
 
 def sweep_accuracy(

@@ -13,7 +13,11 @@ distance, and the centroid update solves the exact quadratic minimizer
 ``c* = (Σ M_x)⁻¹ Σ M_x x`` per cluster. h∥/h⊥ > 1 recovers ScaNN's
 score-aware behavior; h∥ = h⊥ degenerates to classic PQ (used as a test
 oracle). Search is asymmetric distance computation (ADC) with per-query
-lookup tables + exact re-ranking of the best ``rerank`` candidates.
+lookup tables + exact re-ranking of the best ``rerank`` candidates. A block
+of queries runs as one piece, or a few under ``ROW_BUDGET``: its lookup
+tables are built together, the ADC scan is one flat gather per subspace over
+the block's concatenated candidates, and the re-rank is one block
+``topk_within`` call; a single query is the one-row block.
 """
 from __future__ import annotations
 
@@ -21,6 +25,12 @@ import numpy as np
 
 from repro.index.search import topk_within
 from repro.knn.exact import sqdist
+
+# Candidate rows per piece of a query block in ``AnisotropicPQ.search``: a
+# piece's query count times its longest candidate list stays within this,
+# which bounds the ADC and re-rank temporaries (rows × d floats for the
+# re-rank). A single query with more candidates runs as a piece of its own.
+ROW_BUDGET = 16384
 
 
 class AnisotropicPQ:
@@ -109,28 +119,85 @@ class AnisotropicPQ:
         return self
 
     # -- search ------------------------------------------------------------
-    def adc_distances(self, query: np.ndarray, subset: np.ndarray | None = None) -> np.ndarray:
-        """Approximate squared distances via per-subspace lookup tables."""
-        codes = self.codes if subset is None else self.codes[subset]
+    def check_queries(self, queries: np.ndarray) -> np.ndarray:
+        """``queries`` (d,) or (b, d) as float64; ValueError when their
+        dimension differs from the fitted data's or a value is not finite."""
+        queries = np.asarray(queries, dtype=np.float64)
+        d = self._x.shape[1]
+        if queries.ndim not in (1, 2) or queries.shape[-1] != d:
+            raise ValueError(f"queries of shape {queries.shape}; the data has dimension {d}")
+        if not np.isfinite(queries).all():
+            raise ValueError("queries hold NaN or infinite values")
+        return queries
+
+    def adc_distances(
+        self, queries: np.ndarray, subset: np.ndarray | None = None,
+        owner: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Approximate squared distances via per-subspace lookup tables.
+
+        One query (d,) is scored against the rows ``subset`` (every row when
+        None). For a block (b, d), ``subset`` holds the block's candidate ids
+        concatenated and ``owner`` the block row each id belongs to: each
+        subspace builds the block's (b, n_centers) table in one broadcast and
+        adds one flat gather, in the same order as for a query alone.
+        """
+        queries = np.atleast_2d(queries)
+        codes = self.codes if subset is None else np.take(self.codes, subset, axis=0)
+        n_c = len(self.codebooks[0])
+        base = None if owner is None else owner * n_c
         total = np.zeros(len(codes))
         for s, (lo, hi) in enumerate(self._bounds):
-            qsub = query[lo:hi]
-            table = ((self.codebooks[s] - qsub) ** 2).sum(axis=1)  # (n_centers,)
-            total += table[codes[:, s]]
+            table = ((self.codebooks[s] - queries[:, None, lo:hi]) ** 2).sum(axis=2).ravel()
+            total += table[codes[:, s] if base is None else base + codes[:, s]]
         return total
 
     def search(
-        self, query: np.ndarray, k: int, *, subset: np.ndarray | None = None, rerank: int = 100
+        self, queries: np.ndarray, k: int, *,
+        subset: np.ndarray | list[np.ndarray] | None = None, rerank: int = 100,
     ) -> np.ndarray:
-        """ADC scan (+ optional exact re-rank) → top-k point ids."""
-        query = np.asarray(query, dtype=np.float64)
-        ids = np.arange(len(self.codes)) if subset is None else np.asarray(subset)
-        if len(ids) == 0:
-            return np.empty(0, dtype=np.int64)
-        approx = self.adc_distances(query, None if subset is None else ids)
-        r = min(max(rerank, k), len(ids))
-        cand_pos = np.argpartition(approx, r - 1)[:r] if r < len(ids) else np.arange(len(ids))
-        return topk_within(query, self._x, ids[cand_pos], k)
+        """ADC scan, then an exact re-rank of the max(rerank, k) rows
+        nearest by ADC → top-k point ids, nearest first.
+
+        One query (d,) searches the ids ``subset`` (every row when None) and
+        returns up to k ids. A block (b, d) takes a list of b id arrays (or
+        None) and returns (b, k) ids padded with -1; the one-query form is
+        its one-row case. The block is cut into pieces whose length times
+        longest candidate list is at most ``ROW_BUDGET``, and each piece
+        makes one ``adc_distances`` and one ``topk_within`` call. Each
+        shortlist is selected on its own query's ADC distances, so ties at
+        the cut fall as they do for the query alone.
+        """
+        queries = self.check_queries(queries)
+        one = queries.ndim == 1
+        if one:
+            queries, subset = queries[None], [subset]
+        every = np.arange(len(self.codes))
+        lists = [every if c is None else np.asarray(c, dtype=np.int64)
+                 for c in ([None] * len(queries) if subset is None else subset)]
+        sizes = np.array([len(c) for c in lists], dtype=np.int64)
+        short = np.minimum(max(rerank, k), sizes)
+        out = np.full((len(queries), k), -1, dtype=np.int64)
+        lo = 0
+        while lo < len(queries):
+            padded = np.maximum.accumulate(sizes[lo:]) * np.arange(1, len(queries) - lo + 1)
+            hi = lo + max(1, int(np.searchsorted(padded, ROW_BUDGET, side="right")))
+            if hi - lo == 1:  # one query: its own id array, no row offsets
+                ids, owner = lists[lo], None
+            else:
+                ids = np.concatenate(lists[lo:hi])
+                owner = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+            approx = self.adc_distances(queries[lo:hi], ids, owner)
+            cand = np.full((hi - lo, short[lo:hi].max()), -1, dtype=np.int64)
+            start = 0
+            for row, (n, r) in enumerate(zip(sizes[lo:hi].tolist(), short[lo:hi].tolist())):
+                seg = slice(start, start + n)
+                cand[row, :r] = (ids[seg][approx[seg].argpartition(r - 1)[:r]] if r < n
+                                 else ids[seg])
+                start += n
+            out[lo:hi] = topk_within(queries[lo:hi], self._x, cand, k)
+            lo = hi
+        return out[0][out[0] >= 0] if one else out
 
     def reconstruction(self) -> np.ndarray:
         """Decoded dataset (for quantization-error tests)."""

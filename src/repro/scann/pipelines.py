@@ -1,8 +1,10 @@
 """§5.4.3 pipelines: partition-then-ScaNN and the non-learning ANNS baselines.
 
 ``ScannPipeline`` composes a space partitioner (USP, K-means, or none) with
-the anisotropic-PQ sketch: the partitioner produces a candidate set for a
-query, ScaNN's ADC + re-rank searches inside it. ``recall_time_curve`` turns
+the anisotropic-PQ sketch: the partitioner produces a candidate set for
+each query of a block, and ScaNN's ADC scan + exact re-rank search inside
+them, once for the whole block (``AnisotropicPQ.search``, as ScaNN and FAISS
+scan a query batch). ``recall_time_curve`` turns
 any ``search(queries, k, param)`` function into a (param, recall, ms/query)
 curve, and ``speedup_at_recall`` interpolates the relative query-time saving
 at a fixed recall — the paper's "40% speedup over K-means+ScaNN" claim.
@@ -19,6 +21,9 @@ from repro.index.base import PartitionIndex
 from repro.index.search import cost_at_quality
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
+
+# Timed calls per parameter in ``recall_time_curve``; the fastest is reported.
+TIMED_REPEATS = 3
 
 
 class ScannPipeline:
@@ -39,19 +44,15 @@ class ScannPipeline:
     ) -> np.ndarray:
         """The online phase for a block of queries: one ``candidate_ids``
         call for the block (how a serving system amortizes model
-        inference), then the ADC scan + re-rank inside each candidate set,
-        or over every row when there is no partitioner. Returns (n_q, k)
-        ids padded with -1."""
-        queries = np.asarray(queries, dtype=np.float64)
-        out = np.full((len(queries), k), -1, dtype=np.int64)
-        subsets = (
-            [None] * len(queries) if self.partitioner is None
-            else self.partitioner.candidate_ids(queries, n_probes)
-        )
-        for i, (q, subset) in enumerate(zip(queries, subsets)):
-            res = self.pq.search(q, k, subset=subset, rerank=rerank)
-            out[i, : len(res)] = res
-        return out
+        inference), then one ``AnisotropicPQ.search`` over the block's
+        candidate sets, or over every row when there is no partitioner.
+        Returns (n_q, k) ids padded with -1. Raises ValueError when the
+        queries' dimension differs from the data's or a value is not
+        finite."""
+        queries = self.pq.check_queries(queries)
+        subsets = (None if self.partitioner is None
+                   else self.partitioner.candidate_ids(queries, n_probes))
+        return self.pq.search(queries, k, subset=subsets, rerank=rerank)
 
 
 def recall_time_curve(
@@ -66,15 +67,20 @@ def recall_time_curve(
 
     ``search_fn(queries, k, param)`` takes the whole query block and returns
     one id row per query; rows shorter than ``k`` are padded with -1. A
-    short untimed warmup precedes each timed call so first-touch costs
-    (codebook tables, cache fill) don't land on the first parameter.
+    short untimed warmup precedes the timed calls so first-touch costs
+    (codebook tables, cache fill) don't land on the first parameter; each
+    parameter is then timed ``TIMED_REPEATS`` times and the fastest counts,
+    since a shared host only ever adds time.
     """
     rows = []
     for p in params:
         search_fn(queries[: min(20, len(queries))], k, p)
-        t0 = time.perf_counter()
-        result = search_fn(queries, k, p)
-        ms = (time.perf_counter() - t0) * 1000.0 / len(queries)
+        best = np.inf
+        for _ in range(TIMED_REPEATS):
+            t0 = time.perf_counter()
+            result = search_fn(queries, k, p)
+            best = min(best, time.perf_counter() - t0)
+        ms = best * 1000.0 / len(queries)
         returned = np.full((len(queries), k), -1, dtype=np.int64)
         for i, res in enumerate(result):
             res = res[:k]

@@ -1,5 +1,6 @@
 """ScaNN-side substrate tests: anisotropic PQ, HNSW, IVF (a K-means
-partition searched exactly inside its candidate sets), pipelines."""
+partition searched exactly inside its candidate sets), pipelines, and the
+block search against the per-query loop it replaced."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,6 +9,7 @@ from repro.baselines.kmeans import KMeansPartitioner
 from repro.index.search import topk_within
 from repro.knn.exact import topk_neighbors
 from repro.knn.metrics import knn_accuracy
+from repro.scann import avq
 from repro.scann.avq import AnisotropicPQ
 from repro.scann.hnsw import HNSW
 from repro.scann.pipelines import (
@@ -238,3 +240,192 @@ class TestPipelines:
         fast = pd.DataFrame({"param": [1], "recall": [0.9], "ms_per_query": [1.0]})
         slow = pd.DataFrame({"param": [1], "recall": [0.9], "ms_per_query": [1.4]})
         assert speedup_at_recall(fast, slow, 0.9) == pytest.approx(0.4)
+
+
+def oracle_search(pq, query, k, subset, rerank):
+    """One query as the per-query loop searched it: a lookup table per
+    subspace, the ADC distances of the rows ``subset`` (every row when
+    None), an argpartition shortlist of the max(rerank, k) nearest, then
+    exact top-k inside it by ``np.linalg.norm``, argpartition and a stable
+    argsort."""
+    ids = np.arange(len(pq.codes)) if subset is None else np.asarray(subset)
+    if len(ids) == 0:
+        return np.empty(0, dtype=np.int64)
+    approx = np.zeros(len(ids))
+    for s, (lo, hi) in enumerate(pq._bounds):
+        table = ((pq.codebooks[s] - query[lo:hi]) ** 2).sum(axis=1)
+        approx += table[pq.codes[ids, s]]
+    r = min(max(rerank, k), len(ids))
+    short = ids[np.argpartition(approx, r - 1)[:r]] if r < len(ids) else ids
+    d = np.linalg.norm(pq._x[short] - query, axis=1)
+    kk = min(k, len(short))
+    top = np.argpartition(d, kk - 1)[:kk] if kk < len(short) else np.arange(len(short))
+    return short[top[np.argsort(d[top], kind="stable")]]
+
+
+def oracle_batch(pipe, queries, k, *, n_probes=1, rerank=100):
+    """``ScannPipeline.batch_search`` as a loop of ``oracle_search``."""
+    subsets = ([None] * len(queries) if pipe.partitioner is None
+               else pipe.partitioner.candidate_ids(queries, n_probes))
+    out = np.full((len(queries), k), -1, dtype=np.int64)
+    for i, (q, c) in enumerate(zip(queries, subsets)):
+        res = oracle_search(pipe.pq, q, k, c, rerank)
+        out[i, : len(res)] = res
+    return out
+
+
+class FixedCandidates:
+    """A partitioner that hands query i the i-th of the given candidate sets."""
+
+    def __init__(self, sets):
+        self.sets = sets
+
+    def bin_members(self):
+        return []
+
+    def candidate_ids(self, queries, n_probes):
+        return self.sets[: len(queries)]
+
+
+class TestBlockSearch:
+    """``batch_search`` runs one ADC scan and one re-rank per block; its
+    answers must equal the per-query loop's exactly."""
+
+    @pytest.fixture(scope="class")
+    def pq(self, data):
+        return AnisotropicPQ(4, 32, seed=0).fit(data[0])
+
+    @pytest.fixture()
+    def pieces(self, pq, monkeypatch):
+        """Records (queries, longest candidate list) for every
+        ``adc_distances`` call on ``pq``."""
+        calls = []
+        adc = pq.adc_distances
+
+        def recorded(queries, subset=None, owner=None):
+            sizes = [len(subset)] if owner is None else np.bincount(owner)
+            calls.append((len(np.atleast_2d(queries)), max(sizes, default=0)))
+            return adc(queries, subset, owner)
+
+        monkeypatch.setattr(pq, "adc_distances", recorded)
+        return calls
+
+    @pytest.mark.parametrize("partitioned", [True, False], ids=["kmeans", "vanilla"])
+    def test_pipelines_match_oracle(self, data, pq, partitioned):
+        d, q = data
+        part = KMeansPartitioner(8, seed=0).fit(d) if partitioned else None
+        pipe = ScannPipeline(pq, part)
+        for n_probes, rerank in ((1, 40), (3, 150), (8, 5)):
+            np.testing.assert_array_equal(
+                pipe.batch_search(q, 10, n_probes=n_probes, rerank=rerank),
+                oracle_batch(pipe, q, 10, n_probes=n_probes, rerank=rerank))
+
+    def test_ragged_candidate_sets(self, data, pq):
+        """Empty C, |C| below k and below rerank, and rerank >= n, in one block."""
+        d, q = data
+        rng = np.random.default_rng(3)
+        sets = [np.empty(0, dtype=np.int64), rng.choice(len(d), 4, replace=False),
+                rng.choice(len(d), 60, replace=False), np.arange(len(d)),
+                np.empty(0, dtype=np.int64), rng.choice(len(d), 900, replace=False)]
+        pipe = ScannPipeline(pq, FixedCandidates(sets))
+        qq = q[: len(sets)]
+        for rerank in (100, len(d), 3 * len(d)):
+            got = pipe.batch_search(qq, 10, rerank=rerank)
+            np.testing.assert_array_equal(got, oracle_batch(pipe, qq, 10, rerank=rerank))
+        assert (got[0] == -1).all() and (got[1, 4:] == -1).all() and (got[1, :4] >= 0).all()
+
+    @pytest.mark.parametrize("budget", [300, 1000, 5000])
+    def test_block_cut_at_row_budget(self, data, pq, pieces, monkeypatch, budget):
+        """A block crossing the budget is cut into pieces of at most
+        ``ROW_BUDGET`` padded rows; a query holding more rows than the budget
+        runs alone. Both give the per-query answers."""
+        d, q = data
+        monkeypatch.setattr(avq, "ROW_BUDGET", budget)
+        km = KMeansPartitioner(8, seed=0).fit(d)
+        for pipe, probes in ((ScannPipeline(pq, km), 2), (ScannPipeline(pq, km), 8),
+                             (ScannPipeline(pq), 1)):
+            pieces.clear()
+            got = pipe.batch_search(q, 10, n_probes=probes, rerank=120)
+            np.testing.assert_array_equal(got, oracle_batch(pipe, q, 10, n_probes=probes,
+                                                            rerank=120))
+            assert sum(n for n, _ in pieces) == len(q) and len(pieces) > 1
+            assert all(n * widest <= budget or n == 1 for n, widest in pieces)
+        if budget < len(d):  # vanilla: every query holds all rows and runs alone
+            assert pieces == [(1, len(d))] * len(q)
+
+    def test_default_budget_cuts_vanilla_block(self, data, pq, pieces):
+        d, q = data
+        pipe = ScannPipeline(pq)
+        np.testing.assert_array_equal(pipe.batch_search(q, 10, rerank=50),
+                                      oracle_batch(pipe, q, 10, rerank=50))
+        per = avq.ROW_BUDGET // len(d)
+        assert [n for n, _ in pieces] == [per] * (len(q) // per) + [len(q) % per] * (len(q) % per > 0)
+
+    def test_one_query_form_is_a_block_row(self, data, pq):
+        d, q = data
+        rng = np.random.default_rng(4)
+        for subset in (None, rng.choice(len(d), 300, replace=False), np.empty(0, int)):
+            one = pq.search(q[0], 10, subset=subset, rerank=50)
+            np.testing.assert_array_equal(one, oracle_search(pq, q[0], 10, subset, 50))
+            row = pq.search(q[:1], 10, subset=None if subset is None else [subset], rerank=50)
+            np.testing.assert_array_equal(one, row[0][row[0] >= 0])
+
+    def test_block_adc_is_per_query_adc(self, data, pq):
+        d, q = data
+        rng = np.random.default_rng(5)
+        sets = [rng.choice(len(d), n, replace=False) for n in (50, 0, 700, 3)]
+        ids = np.concatenate(sets)
+        owner = np.repeat(np.arange(len(sets)), [len(c) for c in sets])
+        block = pq.adc_distances(q[: len(sets)], ids, owner)
+        np.testing.assert_array_equal(
+            block, np.concatenate([pq.adc_distances(qq, c) for qq, c in zip(q, sets)]))
+
+
+class TestTopkWithinBlock:
+    def test_block_rows_equal_one_query_form(self, data):
+        """Row by row, the block form equals the one-query form on the row's
+        candidates; padded rows, an all-padding row and rows shorter than
+        k included."""
+        d, q = data
+        rng = np.random.default_rng(6)
+        lengths = [0, 3, 10, 57, 200, 200, 1]
+        cand = np.full((len(lengths), max(lengths)), -1, dtype=np.int64)
+        for i, n in enumerate(lengths):
+            cand[i, :n] = rng.choice(len(d), n, replace=False)
+        qq = q[: len(lengths)]
+        block = topk_within(qq, d, cand, 10)
+        assert block.shape == (len(lengths), 10) and block.dtype == np.int64
+        for i, n in enumerate(lengths):
+            one = topk_within(qq[i], d, cand[i, :n], 10)
+            np.testing.assert_array_equal(block[i, : len(one)], one)
+            assert len(one) == min(n, 10) and (block[i, len(one):] == -1).all()
+            np.testing.assert_array_equal(topk_within(qq[i], d, cand[i], 10), one)
+
+    def test_no_candidate_columns(self, data):
+        d, q = data
+        got = topk_within(q[:3], d, np.empty((3, 0), dtype=np.int64), 5)
+        assert got.shape == (3, 5) and (got == -1).all()
+
+
+class TestQueryValidation:
+    @pytest.fixture(scope="class")
+    def pipe(self, data):
+        d, _ = data
+        return ScannPipeline(AnisotropicPQ(4, 16, seed=0), KMeansPartitioner(4, seed=0).fit(d)).fit(d)
+
+    def test_dimension_mismatch_rejected(self, pipe, data):
+        _, q = data
+        with pytest.raises(ValueError, match="dimension"):
+            pipe.batch_search(q[:4, :-1], 10)
+        with pytest.raises(ValueError, match="dimension"):
+            pipe.pq.search(np.r_[q[0], 0.0], 10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, pipe, data, bad):
+        _, q = data
+        qq = q[:4].copy()
+        qq[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            pipe.batch_search(qq, 10)
+        with pytest.raises(ValueError, match="finite"):
+            pipe.pq.search(qq[2], 10)
