@@ -26,10 +26,10 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise numerically stable softmax."""
-    z = z - z.max(axis=1, keepdims=True)
+    """Numerically stable softmax over the last axis."""
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class Layer:
@@ -112,11 +112,16 @@ class BatchNorm1d(Layer):
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
 
+    def eval_affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift) of eval mode, where the running stats are constants
+        and the layer is the affine map ``x * scale + shift``."""
+        scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
+        return scale, self.beta.value - self.running_mean * scale
+
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
         if not train:
-            # Running stats are constants here, so the layer is one affine map.
-            scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
-            return x * scale + (self.beta.value - self.running_mean * scale)
+            scale, shift = self.eval_affine()
+            return x * scale + shift
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu

@@ -8,6 +8,9 @@
 Models expose ``get_weights``/``set_weights`` (flat list of arrays) so Spark
 executors can run inference from a broadcast variable without pickling layer
 objects, and ``predict_proba`` runs an eval-mode forward pass.
+:class:`StackedMLP` runs the eval forward of several models of one
+architecture at once, one batched matmul per linear layer; partition trees
+score each depth's node models with it.
 """
 from __future__ import annotations
 
@@ -42,6 +45,10 @@ class MLP:
         keeps their order, so it is skipped)."""
         return np.argmax(self.forward(np.asarray(x, dtype=np.float64), train=False), axis=1)
 
+    @staticmethod
+    def stack(models: list[MLP]) -> StackedMLP:
+        return StackedMLP(models)
+
     # -- parameter access --------------------------------------------------
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
@@ -65,6 +72,47 @@ class MLP:
                 layer.running_mean = np.asarray(extra[i])
                 layer.running_var = np.asarray(extra[i + 1])
                 i += 2
+
+
+class StackedMLP:
+    """Eval-mode ``predict_proba`` of several MLPs of one architecture at once.
+
+    Built from the layers' current weights: each ``Linear`` becomes a batched
+    ``np.matmul`` over weights of shape (models, d_in, d_out), each
+    ``BatchNorm1d`` its eval-mode scale and shift, ``Dropout`` the identity.
+    numpy runs the same gemm on every slice of a batched matmul as on the
+    single model's ``x @ W``, so each slice of the output is bit-identical to
+    that model's own ``predict_proba``.
+    """
+
+    def __init__(self, models: list[MLP]):
+        kinds = {tuple(type(layer) for layer in mdl.layers) for mdl in models}
+        if len(kinds) != 1:
+            raise ValueError(f"cannot stack models of {len(kinds)} architectures")
+        self.ops: list[tuple] = []
+        for layers in zip(*(mdl.layers for mdl in models)):
+            if isinstance(layers[0], Linear):
+                self.ops.append(("linear", np.stack([ly.W.value for ly in layers]),
+                                 np.stack([ly.b.value for ly in layers])[:, None]))
+            elif isinstance(layers[0], BatchNorm1d):
+                scale, shift = zip(*(ly.eval_affine() for ly in layers))
+                self.ops.append(("affine", np.stack(scale)[:, None], np.stack(shift)[:, None]))
+            elif isinstance(layers[0], ReLU):
+                self.ops.append(("relu", None, None))
+            # Dropout is the identity in eval mode.
+        self.d_in = self.ops[0][1].shape[1]
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """(models, n, m): each model's bin distribution for the rows of ``x``."""
+        x = np.asarray(x, dtype=np.float64)
+        for kind, a, b in self.ops:
+            if kind == "linear":
+                x = np.matmul(x, a) + b
+            elif kind == "affine":
+                x = x * a + b
+            else:
+                x = np.maximum(x, 0.0)
+        return softmax(x)
 
 
 def mlp_partitioner(

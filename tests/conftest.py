@@ -9,7 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.ensemble import train_ensemble
+from repro.baselines.boosted_forest import BoostedSearchForest
+from repro.baselines.kmeans import KMeansPartitioner
+from repro.baselines.lsh import CrossPolytopeLSH
+from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
+from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
+from repro.core.ensemble import EnsemblePartitioner, train_ensemble
+from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.knn.exact import knn_matrix_numpy, topk_neighbors
@@ -64,3 +70,53 @@ def trained_ensemble(small_data, small_knn):
     return train_ensemble(
         data, m=8, e=2, cfg=TrainConfig(m=8, eta=7.0, epochs=20), knn_idx=small_knn, seed=1
     )
+
+
+def _hierarchy(levels, *, min_split, seed, epochs=5):
+    return HierarchicalPartitioner(
+        levels, cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=epochs),
+        min_split=min_split, seed=seed,
+    )
+
+
+def _trees(depth):
+    out = {f"tree-{r}": BinaryPartitionTree(r, depth, seed=0) for r in sorted(SPLIT_RULES)}
+    out["bsf"] = BoostedSearchForest(depth, n_trees=3, seed=0)
+    return out
+
+
+@pytest.fixture(scope="session")
+def small_indexes(small_data, small_knn, trained_usp):
+    """Every index type fitted on ``small_data``; shared by the modules that
+    check the online path, so a test that changes an index works on a copy."""
+    data, _ = small_data
+    out = {
+        "usp": trained_usp,
+        "ensemble": train_ensemble(data, m=8, e=3, cfg=TrainConfig(m=8, eta=7.0, epochs=8),
+                                   knn_idx=small_knn, seed=3),
+        "hierarchy": _hierarchy([4, 4], min_split=40, seed=0).fit(data),
+        # Members pruned to different leaf counts.
+        "ensemble-of-hierarchies": EnsemblePartitioner([
+            _hierarchy([4, 4], min_split=40, seed=1).fit(data),
+            _hierarchy([4, 4], min_split=300, seed=2).fit(data),
+        ]),
+        "kmeans": KMeansPartitioner(8, seed=0).fit(data),
+        "cp-lsh": CrossPolytopeLSH(8, seed=0).fit(data),
+        "neural-lsh": NeuralLSHPartitioner(8, hidden=32, epochs=5, seed=0).fit(
+            data, knn_idx=small_knn),
+        "regression-lsh": RegressionLSHTree(3, epochs=5, seed=0).fit(data),
+    }
+    for name, idx in _trees(3).items():
+        out[name] = idx.fit(data)
+    return out
+
+
+@pytest.fixture(scope="session")
+def duplicate_indexes(duplicates):
+    """The index types that ``duplicates`` drives into degenerate splits."""
+    data, _ = duplicates
+    out = {"kmeans": KMeansPartitioner(4, seed=0).fit(data),
+           "hierarchy": _hierarchy([2, 2], min_split=16, seed=0).fit(data)}
+    for name, idx in _trees(3).items():
+        out[name] = idx.fit(data)
+    return out

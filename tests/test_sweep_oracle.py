@@ -12,14 +12,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.boosted_forest import BoostedSearchForest
-from repro.baselines.kmeans import KMeansPartitioner
-from repro.baselines.lsh import CrossPolytopeLSH
-from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
-from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
-from repro.core.ensemble import EnsemblePartitioner, train_ensemble
-from repro.core.hierarchy import HierarchicalPartitioner
-from repro.core.train import TrainConfig
+from repro.baselines.trees import SPLIT_RULES
 from repro.index.search import sweep_accuracy, topk_within
 from repro.knn.exact import topk_neighbors
 from repro.knn.metrics import knn_accuracy
@@ -43,53 +36,6 @@ def search_sweep(index, data, queries, gt_idx, *, k, probe_counts) -> pd.DataFra
             "accuracy": knn_accuracy(returned, gt_idx[:, :k]),
         })
     return pd.DataFrame(rows)
-
-
-def _hierarchy(levels, *, min_split, seed, epochs=5):
-    return HierarchicalPartitioner(
-        levels, cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=epochs),
-        min_split=min_split, seed=seed,
-    )
-
-
-def _trees(depth):
-    out = {f"tree-{r}": BinaryPartitionTree(r, depth, seed=0) for r in sorted(SPLIT_RULES)}
-    out["bsf"] = BoostedSearchForest(depth, n_trees=3, seed=0)
-    return out
-
-
-@pytest.fixture(scope="module")
-def small_indexes(small_data, small_knn, trained_usp):
-    data, _ = small_data
-    out = {
-        "usp": trained_usp,
-        "ensemble": train_ensemble(data, m=8, e=3, cfg=TrainConfig(m=8, eta=7.0, epochs=8),
-                                   knn_idx=small_knn, seed=3),
-        "hierarchy": _hierarchy([4, 4], min_split=40, seed=0).fit(data),
-        # Members pruned to different leaf counts.
-        "ensemble-of-hierarchies": EnsemblePartitioner([
-            _hierarchy([4, 4], min_split=40, seed=1).fit(data),
-            _hierarchy([4, 4], min_split=300, seed=2).fit(data),
-        ]),
-        "kmeans": KMeansPartitioner(8, seed=0).fit(data),
-        "cp-lsh": CrossPolytopeLSH(8, seed=0).fit(data),
-        "neural-lsh": NeuralLSHPartitioner(8, hidden=32, epochs=5, seed=0).fit(
-            data, knn_idx=small_knn),
-        "regression-lsh": RegressionLSHTree(3, epochs=5, seed=0).fit(data),
-    }
-    for name, idx in _trees(3).items():
-        out[name] = idx.fit(data)
-    return out
-
-
-@pytest.fixture(scope="module")
-def duplicate_indexes(duplicates):
-    data, _ = duplicates
-    out = {"kmeans": KMeansPartitioner(4, seed=0).fit(data),
-           "hierarchy": _hierarchy([2, 2], min_split=16, seed=0).fit(data)}
-    for name, idx in _trees(3).items():
-        out[name] = idx.fit(data)
-    return out
 
 
 TREES = [f"tree-{r}" for r in sorted(SPLIT_RULES)] + ["bsf"]

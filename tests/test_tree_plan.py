@@ -1,0 +1,182 @@
+"""Per-depth leaf scoring against the per-node recursion it replaced.
+
+``walk_leaf_probs`` is the recursive walk ``tree.leaf_probs`` used to run:
+one router call per internal node, each path product multiplied down from
+the root. The per-depth plan must give exactly its leaf probabilities and
+probe order on every tree index, for one query, a 16-query block and every
+query. Also: a depth whose routers cannot be stacked fails at grow time, and
+bad queries fail on every tree index."""
+import numpy as np
+import pytest
+
+from repro.baselines.boosted_forest import BoostedSearchForest
+from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
+from repro.core.ensemble import EnsemblePartitioner
+from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.train import TrainConfig
+from repro.index import tree
+from repro.nn.model import logistic_regression, mlp_partitioner
+
+
+def node_proba(router, q):
+    """One router's (n_q, children) probabilities, as each node computed them."""
+    if isinstance(router, tree.Hyperplane):
+        z = (q @ router.w - router.t) / router.scale
+        p_right = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
+        return np.stack([1 - p_right, p_right], axis=1)
+    return router.predict_proba(q)
+
+
+def walk_leaf_probs(root, n_leaves, q):
+    out = np.zeros((len(q), n_leaves))
+
+    def walk(node, acc):
+        if node.leaf_id is not None:
+            out[:, node.leaf_id] = acc
+            return
+        probs = node_proba(node.model, q)
+        for b, child in enumerate(node.children):
+            walk(child, acc * probs[:, b])
+
+    walk(root, np.ones(len(q)))
+    return out
+
+
+def roots(index):
+    """(root, n_leaves) of every tree an index scores queries with."""
+    if isinstance(index, EnsemblePartitioner):
+        return [r for member in index.models for r in roots(member)]
+    if isinstance(index, BoostedSearchForest):
+        return list(zip(index.trees, index.tree_n_bins))
+    return [(index.root, index.n_bins)]
+
+
+def _hierarchy(levels, *, min_split, seed, arch="mlp"):
+    return HierarchicalPartitioner(
+        levels, arch=arch, cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
+        min_split=min_split, seed=seed,
+    )
+
+
+TREES = [f"tree-{r}" for r in sorted(SPLIT_RULES)] + ["bsf"]
+SMALL_TREES = ["hierarchy", "ensemble-of-hierarchies", "regression-lsh", *TREES]
+DUPLICATE_TREES = ["hierarchy", *TREES]
+EXTRA = ["hierarchy-4x4x4", "logreg-2x2x2x2", "hierarchy-two-leaf-depths", "single-leaf"]
+NAMES = SMALL_TREES + [f"{n}-duplicates" for n in DUPLICATE_TREES] + EXTRA
+
+
+@pytest.fixture(scope="module")
+def tree_indexes(small_indexes, duplicate_indexes, small_data, duplicates):
+    """name -> (index, queries) for every tree index."""
+    data, queries = small_data
+    out = {n: (small_indexes[n], queries) for n in SMALL_TREES}
+    out.update({f"{n}-duplicates": (duplicate_indexes[n], duplicates[1])
+                for n in DUPLICATE_TREES})
+    out.update({
+        "hierarchy-4x4x4": (_hierarchy([4, 4, 4], min_split=40, seed=0).fit(data), queries),
+        "logreg-2x2x2x2": (_hierarchy([2] * 4, min_split=40, seed=0, arch="logreg").fit(data),
+                           queries),
+        # One depth-1 child is a leaf, the others split; one leaf is empty.
+        "hierarchy-two-leaf-depths": (_hierarchy([4, 4], min_split=300, seed=1).fit(data),
+                                      queries),
+        "single-leaf": (BinaryPartitionTree("rp", 3, min_split=len(data) + 1).fit(data), queries),
+    })
+    return out
+
+
+def _blocks(queries):
+    return [queries[:1], queries[:16], queries]
+
+
+def test_fixture_shapes(tree_indexes):
+    """The extra trees have the shapes they are there for."""
+    h, _ = tree_indexes["hierarchy-4x4x4"]
+    assert len(h.root.plan) == 3
+    h, _ = tree_indexes["hierarchy-two-leaf-depths"]
+    assert [len(step.leaf_ids) > 0 for step in h.root.plan] == [True, True]
+    assert (np.bincount(h.data_bins(), minlength=h.n_bins) == 0).any()
+    single, _ = tree_indexes["single-leaf"]
+    assert single.n_bins == 1 and single.root.plan == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_leaf_probs_equal_walk(name, tree_indexes):
+    index, queries = tree_indexes[name]
+    for root, n_leaves in roots(index):
+        for q in _blocks(queries):
+            assert np.array_equal(tree.leaf_probs(root, n_leaves, q),
+                                  walk_leaf_probs(root, n_leaves, q))
+
+
+def probe_outputs(index, q):
+    """What the online path reads off the leaf scores: the probe ranks, and
+    the probe matrix of the index or, for an ensemble, of each member."""
+    return [index.probe_ranks(q)] + [m.probe_matrix(q) for m in getattr(index, "models", [index])]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_probe_order_equal_walk(name, tree_indexes, monkeypatch):
+    index, queries = tree_indexes[name]
+    got = [probe_outputs(index, q) for q in _blocks(queries)]
+    monkeypatch.setattr(tree, "leaf_probs", walk_leaf_probs)
+    for outputs, q in zip(got, _blocks(queries)):
+        for a, b in zip(outputs, probe_outputs(index, q), strict=True):
+            assert np.array_equal(a, b)
+
+
+def _grow_with(first, second, fanouts, d=4):
+    """A root routing points 0-1 to a child split by ``first`` and points
+    2-3 to a child split by ``second``; ``fanouts`` are their child counts."""
+    def split(idx, level):
+        if level == 0:
+            return logistic_regression(d, 2, seed=0), [idx < 2, idx >= 2]
+        if level == 1:
+            i = int(idx[0] >= 2)
+            return (first, second)[i], [idx == idx[0]] + [idx < 0] * (fanouts[i] - 1)
+        return None
+    return tree.grow(4, split)
+
+
+@pytest.mark.parametrize("first, second, fanouts", [
+    pytest.param(tree.Hyperplane(np.ones(4), 0.0, 1.0), logistic_regression(4, 2), (2, 2),
+                 id="router-types"),
+    pytest.param(logistic_regression(4, 2), logistic_regression(4, 3), (2, 3), id="child-counts"),
+    pytest.param(logistic_regression(4, 2), mlp_partitioner(4, 2, hidden=8), (2, 2),
+                 id="architectures"),
+    pytest.param(mlp_partitioner(4, 2, hidden=8), mlp_partitioner(4, 2, hidden=16), (2, 2),
+                 id="hidden-widths"),
+    pytest.param(tree.Hyperplane(np.ones(4), 0.0, 1.0), tree.Hyperplane(np.ones(5), 0.0, 1.0),
+                 (2, 2), id="hyperplane-dims"),
+])
+def test_mixed_depth_fails_at_grow(first, second, fanouts):
+    with pytest.raises(ValueError, match="depth 1"):
+        _grow_with(first, second, fanouts)
+
+
+def test_one_router_kind_per_depth_grows():
+    root, _, n_leaves = _grow_with(logistic_regression(4, 2, seed=1),
+                                   logistic_regression(4, 2, seed=2), (2, 2))
+    q = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.array_equal(tree.leaf_probs(root, n_leaves, q), walk_leaf_probs(root, n_leaves, q))
+
+
+def _assert_rejected(index, queries):
+    for call in (index.probe_matrix, index.probe_ranks, lambda q: index.candidate_ids(q, 2)):
+        with pytest.raises(ValueError):
+            call(queries)
+
+
+@pytest.mark.parametrize("name", SMALL_TREES)
+def test_rejects_query_dimension(name, tree_indexes):
+    index, queries = tree_indexes[name]
+    _assert_rejected(index, queries[:, :-1])
+    _assert_rejected(index, np.hstack([queries, queries[:, :1]]))
+
+
+@pytest.mark.parametrize("name", SMALL_TREES)
+def test_rejects_non_finite_queries(name, tree_indexes):
+    index, queries = tree_indexes[name]
+    for bad in (np.nan, np.inf, -np.inf):
+        q = queries[:16].copy()
+        q[3, 2] = bad
+        _assert_rejected(index, q)
