@@ -96,7 +96,7 @@ class BoostedSearchForest(PartitionIndex):
 
         self.trees, self.tree_bins, self.tree_n_bins = [], [], []
         for _ in range(self.n_trees):
-            root, bins, n_leaves = tree.grow(len(x), split)
+            root, bins, n_leaves = tree.grow(x.shape, split)
             self.trees.append(root)
             self.tree_bins.append(bins)
             self.tree_n_bins.append(n_leaves)

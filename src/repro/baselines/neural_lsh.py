@@ -137,7 +137,7 @@ class RegressionLSHTree(PartitionIndex):
             train_supervised(model, sub, labels, epochs=self.epochs, seed=self.seed)
             return model, [labels == b for b in range(2)]
 
-        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
+        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
         return self
 
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:

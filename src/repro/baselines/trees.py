@@ -132,7 +132,7 @@ class BinaryPartitionTree(PartitionIndex):
             )
             return tree.hyperplane_split(sub, *rule(sub, rng, sub_knn=sub_knn))
 
-        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
+        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
         return self
 
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ multiplied by the number of its k' neighbors that model j separated from it
 (Eq. 14's weight update), so later models specialize on "difficult" points.
 At query time every model scores the query; the candidate set of the model
 with the highest confidence (max bin probability) is used (Algorithm 4).
+Members that are all flat USP models are scored by one stacked forward
+(:class:`~repro.nn.model.StackedMLP`), cached until a refit replaces a
+member's model; each query's probe order is then one selection out of the
+(members, n_q, n_bins) scores, whichever member serves it.
 """
 from __future__ import annotations
 
@@ -13,8 +17,9 @@ from pyspark.sql import SparkSession
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
-from repro.index.base import PartitionIndex, bin_ranks, gather, probe_order
+from repro.index.base import PartitionIndex, bin_ranks, check_queries, probe_order
 from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
+from repro.nn.model import MLP, StackedMLP
 
 
 def separation_counts(data_bins: np.ndarray, knn_idx: np.ndarray) -> np.ndarray:
@@ -46,6 +51,9 @@ class EnsemblePartitioner(PartitionIndex):
     every point whichever member a query is routed to.
     """
 
+    # (the members' models the stack was built from, the stack or None)
+    _stack: tuple[tuple, StackedMLP | None] | None = None
+
     def __init__(self, models: list[PartitionIndex]):
         if not models:
             raise ValueError("empty ensemble")
@@ -62,17 +70,42 @@ class EnsemblePartitioner(PartitionIndex):
         """The first member's partition, as the representative one."""
         return self.models[0].data_bins()
 
-    def _route(self, queries: np.ndarray) -> tuple[np.ndarray, list[tuple]]:
-        """Algorithm 4 with one ``predict_proba`` per member. Returns the
-        selected member per query and, for each member that serves some
-        queries, ``(member, their row ids, their probe orders)``."""
-        probs = [m.predict_proba(queries) for m in self.models]
-        choice = np.stack([p.max(axis=1) for p in probs]).argmax(axis=0)
-        routed = []
-        for c in np.unique(choice):
-            rows = np.flatnonzero(choice == c)
-            routed.append((c, rows, probe_order(probs[c][rows])))
-        return choice, routed
+    def _stacked(self) -> StackedMLP | None:
+        """One stacked forward over the members' MLPs when every member is a
+        flat USP model and their MLPs share one shape, else None; rebuilt when
+        a refit replaces a member's model."""
+        models = tuple(getattr(m, "model", None) for m in self.models)
+        if self._stack is None or self._stack[0] != models:  # MLPs compare by identity
+            stack = None
+            if all(isinstance(m, UnsupervisedSpacePartitioner) for m in self.models):
+                try:
+                    stack = MLP.stack(list(models))
+                except ValueError:  # members of different architectures or bin counts
+                    pass
+            self._stack = (models, stack)
+        return self._stack[1]
+
+    def _probs(self, queries: np.ndarray) -> np.ndarray:
+        """(members, n_q, n_bins): every member's bin probabilities. A member
+        with fewer bins is padded with -1, which ranks after every real bin
+        and is never the max."""
+        q = np.asarray(queries, dtype=np.float64)
+        stack = self._stacked()
+        if stack is not None:
+            return stack.predict_proba(check_queries(q, stack.d_in))
+        out = np.full((len(self.models), len(q), self.n_bins), -1.0)
+        for o, m in zip(out, self.models):
+            o[:, :m.n_bins] = m.predict_proba(q)
+        return out
+
+    def _route(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 4 over one (members, n_q, n_bins) score array: the
+        selected member per query, the one with the highest max-bin
+        probability, and each query's probe order in that member's scores
+        (its padded bins last)."""
+        probs = self._probs(queries)
+        choice = probs.max(axis=2).argmax(axis=0)
+        return choice, probe_order(probs[choice, np.arange(len(choice))])
 
     def model_choice(self, queries: np.ndarray) -> np.ndarray:
         return self._route(queries)[0]
@@ -85,26 +118,25 @@ class EnsemblePartitioner(PartitionIndex):
                 f"ensemble members have unequal bin counts {counts}: there is no "
                 "common probe matrix; use candidate_ids or probe_ranks"
             )
-        choice, routed = self._route(queries)
-        out = np.empty((len(choice), self.n_bins), dtype=np.int64)
-        for _, rows, order in routed:
-            out[rows] = order
-        return out
+        return self._route(queries)[1]
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
-        choice, routed = self._route(queries)
-        out: list[np.ndarray] = [None] * len(choice)
-        for c, rows, order in routed:
-            for i, cand in zip(rows, gather(self.models[c].bin_members(), order[:, :n_probes])):
-                out[i] = cand
-        return out
+        """The points of each query's top ``n_probes`` bins in its selected
+        member's lookup, in probe order; a padded bin holds no points."""
+        choice, order = self._route(queries)
+        empty = np.empty(0, dtype=np.int64)
+        lookups = [m.bin_members() + [empty] * (self.n_bins - m.n_bins) for m in self.models]
+        return [np.concatenate([lookups[c][b] for b in row] or [empty])
+                for c, row in zip(choice, order[:, :n_probes])]
 
     def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
         """Ranks in the selected member's probe order, over its own bins."""
-        choice, routed = self._route(queries)
+        choice, order = self._route(queries)
+        ranks = bin_ranks(order)
         out = np.empty((len(choice), len(self.data_bins())), dtype=np.int64)
-        for c, rows, order in routed:
-            out[rows] = bin_ranks(order)[:, self.models[c].data_bins()]
+        for c, m in enumerate(self.models):
+            rows = np.flatnonzero(choice == c)
+            out[rows] = ranks[rows][:, m.data_bins()]
         return out
 
 

@@ -65,7 +65,7 @@ class HierarchicalPartitioner(PartitionIndex):
             assign = model.predict_bin(sub)
             return model, [assign == b for b in range(m)]
 
-        self.root, self._data_bins, self.n_bins = tree.grow(len(x), split)
+        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
         return self
 
     # -- online ------------------------------------------------------------

@@ -10,7 +10,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.train import TrainConfig, train_usp_model
-from repro.index.base import PartitionIndex, probe_order
+from repro.index.base import PartitionIndex, check_queries, probe_order
 from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
@@ -93,7 +93,9 @@ class UnsupervisedSpacePartitioner(PartitionIndex):
 
     # -- online phase ------------------------------------------------------
     def predict_proba(self, queries: np.ndarray) -> np.ndarray:
-        return self.model.predict_proba(np.asarray(queries, dtype=np.float64))
+        """(n_q, m) bin probabilities; ValueError when the queries' dimension
+        is not the data's or they hold NaN or infinite values."""
+        return self.model.predict_proba(check_queries(queries, self._x.shape[1]))
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bins ranked by assigned probability, most probable first (Alg. 2)."""

@@ -23,6 +23,17 @@ def probe_order(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, axis=1, kind="stable")
 
 
+def check_queries(q: np.ndarray, d: int) -> np.ndarray:
+    """``q`` as a float64 (n_q, d) block; ValueError when it has another shape
+    or holds NaN or infinite values."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != d:
+        raise ValueError(f"queries of shape {q.shape}; the index routes dimension {d}")
+    if not np.isfinite(q).all():
+        raise ValueError("queries hold NaN or infinite values")
+    return q
+
+
 def bin_ranks(order: np.ndarray) -> np.ndarray:
     """Inverse of a probe matrix: ``ranks[i, b]`` is the position of bin ``b``
     in row ``i`` of ``order``."""

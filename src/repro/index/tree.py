@@ -15,19 +15,23 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.index.base import check_queries
+
 
 class Node:
     """A tree node: ``model`` routes queries (``predict_proba`` gives one
     column per child) at an internal node; a leaf has ``leaf_id`` instead.
-    The root of a grown tree also holds its per-depth ``plan``."""
+    The root of a grown tree also holds its per-depth ``plan`` and the
+    dimension ``d`` of the points it was grown over."""
 
-    __slots__ = ("model", "children", "leaf_id", "plan")
+    __slots__ = ("model", "children", "leaf_id", "plan", "d")
 
     def __init__(self, model=None, children: list[Node] | None = None, leaf_id: int | None = None):
         self.model = model
         self.children = children or []
         self.leaf_id = leaf_id
         self.plan: list[Depth] | None = None
+        self.d: int | None = None
 
 
 class Hyperplane:
@@ -93,9 +97,10 @@ class Depth(NamedTuple):
     leaf_ids: np.ndarray
 
 
-def _compile_plan(root: Node) -> list[Depth]:
+def _compile_plan(root: Node, d: int) -> list[Depth]:
     """The per-depth plan of the tree under ``root``; ValueError when a depth
-    mixes router types or router shapes."""
+    mixes router types or router shapes, or its routers take a dimension
+    other than ``d``."""
     plan = []
     nodes, parent = ([] if root.leaf_id is not None else [root]), [0]
     while nodes:
@@ -107,6 +112,9 @@ def _compile_plan(root: Node) -> list[Depth]:
             routers = kinds.pop().stack([node.model for node in nodes])
         except ValueError as e:
             raise ValueError(f"depth {len(plan)}: {e}") from e
+        if routers.d_in != d:
+            raise ValueError(f"depth {len(plan)} routes dimension {routers.d_in}; "
+                             f"the points have dimension {d}")
         children = [child for node in nodes for child in node.children]
         leaf_cols = [i for i, child in enumerate(children) if child.leaf_id is not None]
         plan.append(Depth(routers, np.array(parent, dtype=np.intp),
@@ -117,10 +125,12 @@ def _compile_plan(root: Node) -> list[Depth]:
     return plan
 
 
-def grow(n: int, split: Callable) -> tuple[Node, np.ndarray, int]:
-    """Grow a tree over ``n`` points; returns ``(root, bins, n_leaves)`` with
-    leaves numbered depth-first, ``bins`` each point's leaf id and the root's
-    ``plan`` compiled.
+def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int]:
+    """Grow a tree over ``n`` points of dimension ``d``, ``shape = (n, d)``;
+    returns ``(root, bins, n_leaves)`` with leaves numbered depth-first,
+    ``bins`` each point's leaf id, and the root's ``plan`` compiled and ``d``
+    recorded, so queries are checked against ``d`` even when the root is a
+    leaf.
 
     ``split(idx, level)`` gets the point ids routed to a node and returns None
     to make it a leaf, or ``(router, masks)``: one boolean mask over ``idx``
@@ -128,6 +138,7 @@ def grow(n: int, split: Callable) -> tuple[Node, np.ndarray, int]:
     of one depth must be of one type and shape, with a ``stack(routers)`` whose
     ``predict_proba(q)`` is (nodes, n_q, children).
     """
+    n, d = shape
     bins = np.zeros(n, dtype=np.int64)
     n_leaves = 0
 
@@ -142,7 +153,8 @@ def grow(n: int, split: Callable) -> tuple[Node, np.ndarray, int]:
         return Node(router, [node(idx[mask], level + 1) for mask in masks])
 
     root = node(np.arange(n), 0)
-    root.plan = _compile_plan(root)
+    root.plan = _compile_plan(root, d)
+    root.d = d
     return root, bins, n_leaves
 
 
@@ -150,15 +162,11 @@ def leaf_probs(root: Node, n_leaves: int, q: np.ndarray) -> np.ndarray:
     """(n_q, n_leaves): product of the routing probabilities down each leaf's
     path, one stacked router call per depth of the root's plan.
 
-    ValueError when ``q`` is not (n_q, d) with the routers' d, or holds NaN
-    or infinite values.
+    ValueError when ``q`` is not (n_q, d) with the tree's ``d``, or holds
+    NaN or infinite values.
     """
+    q = check_queries(q, root.d)
     plan = root.plan
-    d = plan[0].routers.d_in if plan else q.shape[-1]
-    if q.ndim != 2 or q.shape[1] != d:
-        raise ValueError(f"queries of shape {q.shape}; the tree routes dimension {d}")
-    if not np.isfinite(q).all():
-        raise ValueError("queries hold NaN or infinite values")
     out = np.ones((len(q), n_leaves))  # a root that is a leaf: probability one
     acc = np.ones((len(q), 1))
     for step in plan:

@@ -1,5 +1,12 @@
 """Ensembling tests (Algorithms 3–4): weight updates, confidence routing,
-and the boost in candidate-set quality."""
+and the boost in candidate-set quality.
+
+``grouped_route`` is the routing the ensemble used to run: one
+``predict_proba`` per member, queries grouped by selected member, one probe
+order per group. The one-selection routing over stacked scores must give
+exactly its member choice, probe matrix, candidates and probe ranks."""
+import copy
+
 import numpy as np
 import pytest
 
@@ -10,8 +17,71 @@ from repro.core.ensemble import (
     update_weights,
 )
 from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
+from repro.index.base import bin_ranks, gather, probe_order
 from repro.index.search import sweep_accuracy
+
+
+def grouped_route(ens, q):
+    """(choice, [(member, its row ids, their probe orders)])."""
+    probs = [m.predict_proba(q) for m in ens.models]
+    choice = np.stack([p.max(axis=1) for p in probs]).argmax(axis=0)
+    routed = []
+    for c in np.unique(choice):
+        rows = np.flatnonzero(choice == c)
+        routed.append((c, rows, probe_order(probs[c][rows])))
+    return choice, routed
+
+
+def grouped_probe_matrix(ens, q):
+    choice, routed = grouped_route(ens, q)
+    out = np.empty((len(choice), ens.n_bins), dtype=np.int64)
+    for _, rows, order in routed:
+        out[rows] = order
+    return out
+
+
+def grouped_candidate_ids(ens, q, n_probes):
+    choice, routed = grouped_route(ens, q)
+    out = [None] * len(choice)
+    for c, rows, order in routed:
+        for i, cand in zip(rows, gather(ens.models[c].bin_members(), order[:, :n_probes])):
+            out[i] = cand
+    return out
+
+
+def grouped_probe_ranks(ens, q):
+    choice, routed = grouped_route(ens, q)
+    out = np.empty((len(choice), len(ens.data_bins())), dtype=np.int64)
+    for c, rows, order in routed:
+        out[rows] = bin_ranks(order)[:, ens.models[c].data_bins()]
+    return out
+
+
+def assert_routes_like_oracle(ens, q):
+    assert np.array_equal(ens.model_choice(q), grouped_route(ens, q)[0])
+    if len({m.n_bins for m in ens.models}) == 1:
+        assert np.array_equal(ens.probe_matrix(q), grouped_probe_matrix(ens, q))
+    for p in (1, 2, ens.n_bins):
+        got, want = ens.candidate_ids(q, p), grouped_candidate_ids(ens, q, p)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(ens.probe_ranks(q), grouped_probe_ranks(ens, q))
+
+
+@pytest.fixture(scope="module")
+def unequal_ensemble(small_data):
+    """Hierarchy members that ``min_split`` prunes to different leaf counts."""
+    data, _ = small_data
+    return EnsemblePartitioner([
+        HierarchicalPartitioner(
+            [4, 4], cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
+            min_split=min_split, seed=seed,
+        ).fit(data)
+        for seed, min_split in ((1, 40), (2, 300))
+    ])
 
 
 class TestWeightUpdate:
@@ -99,19 +169,20 @@ class TestEnsemble:
             assert sorted(row) == list(range(trained_ensemble.n_bins))
 
 
+@pytest.fixture(scope="module")
+def flat_unequal_ensemble(small_data, small_knn, trained_usp):
+    """Flat USP members of 8 and 4 bins: they cannot share one stack."""
+    data, _ = small_data
+    four = UnsupervisedSpacePartitioner(4, cfg=TrainConfig(m=4, eta=7.0, epochs=5), seed=1)
+    return EnsemblePartitioner([trained_usp, four.fit(data, knn_idx=small_knn)])
+
+
 class TestUnequalLeafCounts:
     """Hierarchy members that ``min_split`` prunes to different leaf counts."""
 
-    @pytest.fixture(scope="class")
-    def ens(self, small_data):
-        data, _ = small_data
-        return EnsemblePartitioner([
-            HierarchicalPartitioner(
-                [4, 4], cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
-                min_split=min_split, seed=seed,
-            ).fit(data)
-            for seed, min_split in ((1, 40), (2, 300))
-        ])
+    @pytest.fixture
+    def ens(self, unequal_ensemble):
+        return unequal_ensemble
 
     def test_n_bins_is_largest_leaf_count(self, ens):
         counts = [m.n_bins for m in ens.models]
@@ -137,6 +208,72 @@ class TestUnequalLeafCounts:
                 np.testing.assert_array_equal(np.flatnonzero(ranks[i] < p), expect)
             if p == ens.n_bins:
                 assert all(len(c) == len(data) for c in ens.candidate_ids(q, p))
+
+
+class TestRoutingOracle:
+    """One stacked scoring and one probe order per request, against the
+    per-member grouped routing, on blocks of 1, 16 and all queries."""
+
+    @pytest.fixture(params=["ensemble", "ensemble-of-hierarchies", "unequal", "flat-unequal"])
+    def ens(self, request, small_indexes, unequal_ensemble, flat_unequal_ensemble):
+        indexes = {**small_indexes, "unequal": unequal_ensemble,
+                   "flat-unequal": flat_unequal_ensemble}
+        return indexes[request.param]
+
+    def test_equal_to_grouped_route(self, ens, small_data):
+        _, queries = small_data
+        assert set(ens.model_choice(queries)) == set(range(len(ens.models)))
+        for q in (queries[:1], queries[:16], queries):
+            assert_routes_like_oracle(ens, q)
+
+    def test_flat_members_scored_by_one_stack(self, small_indexes, flat_unequal_ensemble):
+        assert small_indexes["ensemble"]._stacked() is not None
+        assert small_indexes["ensemble-of-hierarchies"]._stacked() is None
+        assert flat_unequal_ensemble._stacked() is None
+
+    def test_refit_member_reroutes(self, small_indexes, small_data, small_knn):
+        """A refit replaces a member's model; the stack is rebuilt from it."""
+        data, queries = small_data
+        ens = copy.deepcopy(small_indexes["ensemble"])
+        before = ens._probs(queries)
+        member = ens.models[1]
+        member.seed = member.cfg.seed = 12345
+        member.fit(data, knn_idx=small_knn)
+        after = ens._probs(queries)
+        assert np.array_equal(after[1], member.predict_proba(queries))
+        assert not np.array_equal(after[1], before[1])
+        assert np.array_equal(after[[0, 2]], before[[0, 2]])
+        assert not np.array_equal(ens.model_choice(queries), grouped_route(
+            small_indexes["ensemble"], queries)[0])
+        assert_routes_like_oracle(ens, queries)
+
+
+class TestQueryValidation:
+    """A wrong query dimension and NaN/inf fail on the flat USP index and on
+    the flat ensemble's stacked path."""
+
+    @pytest.fixture(params=["usp", "ensemble"])
+    def index(self, request, small_indexes):
+        return small_indexes[request.param]
+
+    @staticmethod
+    def assert_rejected(index, q, match):
+        for call in (index.probe_matrix, index.probe_ranks,
+                     lambda q: index.candidate_ids(q, 2)):
+            with pytest.raises(ValueError, match=match):
+                call(q)
+
+    def test_rejects_query_dimension(self, index, small_data):
+        q = small_data[1][:16]
+        self.assert_rejected(index, q[:, :-1], "routes dimension 12")
+        self.assert_rejected(index, np.hstack([q, q[:, :1]]), "routes dimension 12")
+        self.assert_rejected(index, q[0], "routes dimension 12")
+
+    def test_rejects_non_finite_queries(self, index, small_data):
+        for bad in (np.nan, np.inf, -np.inf):
+            q = small_data[1][:16].copy()
+            q[3, 2] = bad
+            self.assert_rejected(index, q, "NaN or infinite")
 
 
 class TestTrainEnsemble:

@@ -5,7 +5,7 @@ one router call per internal node, each path product multiplied down from
 the root. The per-depth plan must give exactly its leaf probabilities and
 probe order on every tree index, for one query, a 16-query block and every
 query. Also: a depth whose routers cannot be stacked fails at grow time, and
-bad queries fail on every tree index."""
+bad queries fail on every tree index, a tree whose root is a leaf included."""
 import numpy as np
 import pytest
 
@@ -88,7 +88,7 @@ def _blocks(queries):
     return [queries[:1], queries[:16], queries]
 
 
-def test_fixture_shapes(tree_indexes):
+def test_fixture_shapes(tree_indexes, small_data):
     """The extra trees have the shapes they are there for."""
     h, _ = tree_indexes["hierarchy-4x4x4"]
     assert len(h.root.plan) == 3
@@ -97,6 +97,7 @@ def test_fixture_shapes(tree_indexes):
     assert (np.bincount(h.data_bins(), minlength=h.n_bins) == 0).any()
     single, _ = tree_indexes["single-leaf"]
     assert single.n_bins == 1 and single.root.plan == []
+    assert single.root.d == small_data[0].shape[1]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -134,7 +135,7 @@ def _grow_with(first, second, fanouts, d=4):
             i = int(idx[0] >= 2)
             return (first, second)[i], [idx == idx[0]] + [idx < 0] * (fanouts[i] - 1)
         return None
-    return tree.grow(4, split)
+    return tree.grow((4, d), split)
 
 
 @pytest.mark.parametrize("first, second, fanouts", [
@@ -147,6 +148,8 @@ def _grow_with(first, second, fanouts, d=4):
                  id="hidden-widths"),
     pytest.param(tree.Hyperplane(np.ones(4), 0.0, 1.0), tree.Hyperplane(np.ones(5), 0.0, 1.0),
                  (2, 2), id="hyperplane-dims"),
+    pytest.param(tree.Hyperplane(np.ones(5), 0.0, 1.0), tree.Hyperplane(np.ones(5), 0.0, 1.0),
+                 (2, 2), id="router-dimension-not-the-points"),
 ])
 def test_mixed_depth_fails_at_grow(first, second, fanouts):
     with pytest.raises(ValueError, match="depth 1"):
@@ -166,14 +169,15 @@ def _assert_rejected(index, queries):
             call(queries)
 
 
-@pytest.mark.parametrize("name", SMALL_TREES)
+# A root that is a leaf has no router; it checks against the grown points' d.
+@pytest.mark.parametrize("name", SMALL_TREES + ["single-leaf"])
 def test_rejects_query_dimension(name, tree_indexes):
     index, queries = tree_indexes[name]
     _assert_rejected(index, queries[:, :-1])
     _assert_rejected(index, np.hstack([queries, queries[:, :1]]))
 
 
-@pytest.mark.parametrize("name", SMALL_TREES)
+@pytest.mark.parametrize("name", SMALL_TREES + ["single-leaf"])
 def test_rejects_non_finite_queries(name, tree_indexes):
     index, queries = tree_indexes[name]
     for bad in (np.nan, np.inf, -np.inf):
