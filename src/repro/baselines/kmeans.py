@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, check_queries
 from repro.knn.exact import sqdist
 
 
@@ -89,8 +89,9 @@ class KMeansPartitioner(PartitionIndex):
         return self
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        q = np.asarray(queries, dtype=np.float64)
-        return np.argsort(sqdist(q, self.km.centroids), axis=1, kind="stable")
+        c = self.km.centroids
+        q = check_queries(queries, c.shape[1])
+        return np.argsort(sqdist(q, c), axis=1, kind="stable")
 
     def n_parameters(self) -> int:
         """Centroid table size — Table 2's K-means parameter count."""

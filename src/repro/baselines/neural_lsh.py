@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
-from repro.index.base import PartitionIndex, probe_order
+from repro.index.base import PartitionIndex, check_queries, probe_order
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
@@ -96,7 +96,8 @@ class NeuralLSHPartitioner(PartitionIndex):
         return self
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self.model.predict_proba(np.asarray(queries, dtype=np.float64)))
+        d = self.model.layers[0].W.value.shape[0]
+        return probe_order(self.model.predict_proba(check_queries(queries, d)))
 
     def n_parameters(self) -> int:
         return int(sum(p.value.size for p in self.model.params()))

@@ -20,18 +20,54 @@ from pyspark.sql import DataFrame, SparkSession
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the expansion
-    ‖a‖² − 2a·b + ‖b‖². Floating-point error can leave tiny negatives;
-    callers that need non-negative values clamp them."""
-    return (a**2).sum(axis=1, keepdims=True) - 2.0 * a @ b.T + (b**2).sum(axis=1)
+    ‖a‖² − 2a·b + ‖b‖², built in the one (len(a), len(b)) buffer the
+    product returns. Floating-point error can leave tiny negatives;
+    callers that need non-negative values clamp them.
+
+    Bit-identical to ``(a**2).sum(1, keepdims=True) - 2.0 * a @ b.T +
+    (b**2).sum(1)``: scaling by −2 is exact, and the product never takes the
+    same buffer on both sides (for ``a is b`` BLAS would use ``syrk``, which
+    rounds differently)."""
+    d2 = (-2.0 * a) @ b.T
+    d2 += (a**2).sum(axis=1, keepdims=True)
+    d2 += (b**2).sum(axis=1)
+    return d2
+
+
+def _row_cut(d2: np.ndarray, k: int) -> np.ndarray:
+    """(len(d2), 1) per-row cut at or above each row's k-th smallest entry.
+
+    A row's columns form ``g`` groups by column index mod ``g``; the cut is
+    the k-th smallest group minimum. k groups each hold an entry at or below
+    it, so every one of the row's k smallest entries is at or below it too.
+    At k = 10 and n = 6000 about 10.3 entries per row pass it."""
+    n = d2.shape[1]
+    g = min(n, max(k, 128))
+    gmin = d2[:, :g].copy()
+    for lo in range(g, n, g):
+        # The last slice folds the n mod g tail columns into the first groups.
+        cols = d2[:, lo : lo + g]
+        np.minimum(gmin[:, : cols.shape[1]], cols, out=gmin[:, : cols.shape[1]])
+    return np.partition(gmin, k - 1, axis=1)[:, [k - 1]]
 
 
 def _smallest_per_row(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Column ids of the ``k`` smallest entries of each row of ``d2`` and
-    those entries, in increasing order; ties keep their argpartition order."""
-    idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    part = np.take_along_axis(d2, idx, axis=1)
-    order = np.argsort(part, axis=1, kind="stable")
-    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(part, order, axis=1)
+    those entries, in increasing order; exact ties fall by column, as in a
+    stable sort of the row. ``d2`` must hold no NaN. Only the entries at or
+    below :func:`_row_cut` are sorted, by (row, value, column)."""
+    # flatnonzero, not the far slower 2-D nonzero, on the sparse mask.
+    rows, cols = np.divmod(np.flatnonzero(d2 <= _row_cut(d2, k)), d2.shape[1])
+    vals = d2[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    starts = np.searchsorted(rows, np.arange(len(d2)))
+    pick = order[starts[:, None] + np.arange(k)]
+    return cols[pick], vals[pick]
+
+
+def _check_finite(x: np.ndarray, name: str) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} hold NaN or infinite values")
 
 
 def topk_neighbors(
@@ -40,10 +76,13 @@ def topk_neighbors(
     """Top-k nearest rows of ``data`` for each row of ``queries``.
 
     Returns ``(indices, distances)`` each of shape (n_queries, k), neighbors
-    sorted by increasing Euclidean distance.
+    sorted by increasing Euclidean distance, exact ties by data row.
+    ValueError when the queries or the data hold NaN or infinite values.
     """
     queries = np.asarray(queries, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
+    _check_finite(queries, "queries")
+    _check_finite(data, "data")
     d2 = sqdist(queries, data)
     np.maximum(d2, 0.0, out=d2)
     idx, part = _smallest_per_row(d2, min(k, d2.shape[1]))
@@ -51,11 +90,14 @@ def topk_neighbors(
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = 256) -> np.ndarray:
-    """k'-NN matrix (n, k) of neighbor *indices*, self excluded, blocked to
-    bound peak memory — the driver-side reference implementation. A block
-    of 256 rows holds 2 KB of distances per point of ``data`` (12 MB at
-    n = 6000). The block does not change the result, except that a one-row
+    """k'-NN matrix (n, k) of neighbor *indices*, self excluded, nearest
+    first and exact ties by index; ValueError when ``data`` holds NaN or
+    infinite values. The single-process reference implementation, blocked to
+    bound peak memory: a block of 256 rows holds one (256, n) float64
+    distance buffer (12 MB at n = 6000) plus a (256, n) bool mask for the
+    row cut. The block does not change the result, except that a one-row
     block rounds differently and may swap exact duplicates."""
+    _check_finite(data, "data")
     n = len(data)
     out = np.empty((n, min(k, n - 1)), dtype=np.int64)
     for lo in range(0, n, block):

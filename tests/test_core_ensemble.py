@@ -249,10 +249,10 @@ class TestRoutingOracle:
 
 
 class TestQueryValidation:
-    """A wrong query dimension and NaN/inf fail on the flat USP index and on
-    the flat ensemble's stacked path."""
+    """A wrong query dimension and NaN/inf fail on the flat USP index, the
+    flat ensemble's stacked path, K-means, CP-LSH and flat Neural LSH."""
 
-    @pytest.fixture(params=["usp", "ensemble"])
+    @pytest.fixture(params=["usp", "ensemble", "kmeans", "cp-lsh", "neural-lsh"])
     def index(self, request, small_indexes):
         return small_indexes[request.param]
 

@@ -1,13 +1,17 @@
-"""Exact k-NN substrate tests: numpy reference vs naive, Spark build vs
+"""Exact k-NN substrate tests: numpy reference vs naive, the row selection
+vs a stable sort, the distance block vs the plain expansion, Spark build vs
 numpy, and a DuckDB SQL oracle check of the neighbor sets."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.knn.exact import (
+    _row_cut,
+    _smallest_per_row,
     knn_matrix_numpy,
     knn_matrix_spark,
     knn_matrix_spark_collect,
+    sqdist,
     topk_neighbors,
 )
 from repro.knn.metrics import knn_accuracy
@@ -22,6 +26,84 @@ def naive_topk(queries, data, k, exclude_self=False):
             d[i] = np.inf
         out.append(np.argsort(d, kind="stable")[:k])
     return np.array(out)
+
+
+def plain_sqdist(a, b):
+    """The distance expression ``sqdist`` must match bit for bit."""
+    return (a**2).sum(axis=1, keepdims=True) - 2.0 * a @ b.T + (b**2).sum(axis=1)
+
+
+def stable_smallest(d2, k):
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def grouped_cut(d2, k, g):
+    """The k-th smallest minimum over groups of columns by index mod ``g``,
+    built column by column."""
+    gmin = np.full((len(d2), g), np.inf)
+    for j in range(d2.shape[1]):
+        gmin[:, j % g] = np.minimum(gmin[:, j % g], d2[:, j])
+    return np.sort(gmin, axis=1)[:, [k - 1]]
+
+
+def distance_rows(kind, r, n, seed=0):
+    """(r, n) non-negative rows with the self diagonal at inf: random values,
+    integer values with many exact ties, or all zeros but the diagonal."""
+    rng = np.random.default_rng(seed)
+    d2 = {"random": lambda: rng.random((r, n)),
+          "ties": lambda: rng.integers(0, 4, (r, n)).astype(float),
+          "zeros": lambda: np.zeros((r, n))}[kind]()
+    d2[np.arange(min(r, n)), np.arange(min(r, n))] = np.inf
+    return d2
+
+
+class TestSmallestPerRow:
+    """The row selection equals a stable sort of each row (ties by column),
+    values and ids exactly, across the group layouts: one column per group
+    (n <= 128), n a multiple of the group count, a tail of n mod 128
+    columns, and k above 128, where the group count becomes k."""
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "zeros"])
+    @pytest.mark.parametrize(
+        "n,k",
+        [(6000, 10), (300, 10), (256, 10), (128, 10), (50, 10),
+         (50, 1), (300, 1), (50, 49), (129, 128), (300, 299), (300, 150)],
+    )
+    def test_equal_to_stable_sort(self, kind, n, k):
+        d2 = distance_rows(kind, 40, n)
+        ids, vals = _smallest_per_row(d2, k)
+        ref_ids, ref_vals = stable_smallest(d2, k)
+        np.testing.assert_array_equal(ids, ref_ids)
+        np.testing.assert_array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("n,k", [(6000, 10), (300, 10), (50, 10), (300, 150)])
+    def test_cut_is_kth_group_minimum(self, n, k):
+        """The cut folds every column into its group, the tail included; a
+        looser cut stays exact but sorts more entries."""
+        d2 = distance_rows("random", 40, n)
+        np.testing.assert_array_equal(_row_cut(d2, k), grouped_cut(d2, k, min(n, max(k, 128))))
+
+    def test_k_zero(self):
+        ids, vals = _smallest_per_row(distance_rows("random", 3, 20), 0)
+        assert ids.shape == vals.shape == (3, 0)
+
+
+class TestSqdist:
+    """The in-place distance block is bit-identical to the plain expansion."""
+
+    @pytest.mark.parametrize("fixture", ["small_data", "duplicates"])
+    @pytest.mark.parametrize("rows", [slice(7, 40), slice(3, 4)])
+    def test_block_against_data(self, request, fixture, rows):
+        data, queries = request.getfixturevalue(fixture)
+        block = data[rows]
+        np.testing.assert_array_equal(sqdist(block, data), plain_sqdist(block, data))
+        np.testing.assert_array_equal(sqdist(queries, data), plain_sqdist(queries, data))
+
+    @pytest.mark.parametrize("fixture", ["small_data", "duplicates"])
+    def test_data_against_itself(self, request, fixture):
+        data, _ = request.getfixturevalue(fixture)
+        np.testing.assert_array_equal(sqdist(data, data), plain_sqdist(data, data))
 
 
 class TestTopkNumpy:
@@ -48,6 +130,15 @@ class TestTopkNumpy:
         data = np.random.default_rng(3).normal(size=(4, 2))
         idx, dist = topk_neighbors(data[:2], data, 10)
         assert idx.shape == (2, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["data", "queries"])
+    def test_rejects_non_finite(self, bad, where):
+        data = np.random.default_rng(9).normal(size=(50, 4))
+        queries = data[:5].copy()
+        (data if where == "data" else queries)[3, 1] = bad
+        with pytest.raises(ValueError, match=f"{where} hold NaN or infinite"):
+            topk_neighbors(queries, data, 5)
 
 
 class TestKnnMatrixNumpy:
@@ -90,6 +181,23 @@ class TestKnnMatrixNumpy:
         got = knn_matrix_numpy(data, 10, block=1)
         ref = knn_matrix_numpy(data, 10, block=len(data))
         np.testing.assert_array_equal(data[got], data[ref])
+
+    def test_ties_fall_by_index(self, duplicates):
+        """Copies of a point tie at one distance; they come in index order,
+        as in a stable sort of each row of the whole distance matrix."""
+        data, _ = duplicates
+        d2 = np.maximum(sqdist(data, data), 0.0)
+        np.fill_diagonal(d2, np.inf)
+        np.testing.assert_array_equal(
+            knn_matrix_numpy(data, 10, block=len(data)), stable_smallest(d2, 10)[0]
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        data = np.random.default_rng(9).normal(size=(50, 4))
+        data[3, 1] = bad
+        with pytest.raises(ValueError, match="data hold NaN or infinite"):
+            knn_matrix_numpy(data, 5)
 
     def test_shape_caps_at_n_minus_1(self):
         data = np.random.default_rng(6).normal(size=(6, 3))
