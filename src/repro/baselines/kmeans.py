@@ -3,16 +3,12 @@
 K-means is both a paper baseline (§5.1.2: "used in many production systems
 for partitioning the dataset before ANN search") and a substrate for the
 2-means tree, IVF coarse quantizer, and spectral clustering. Lloyd's
-algorithm with k-means++ seeding, driver-side numpy; Spark assignment via
-``mapInPandas`` with broadcast centroids for the distributed lookup build.
+algorithm with k-means++ seeding, driver-side numpy; the distributed lookup
+build broadcasts ``KMeans.predict`` (:func:`repro.spark.assign_bins_spark`).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.base import PartitionIndex, check_queries
 from repro.knn.exact import sqdist
@@ -97,22 +93,3 @@ class KMeansPartitioner(PartitionIndex):
         """Centroid table size — Table 2's K-means parameter count."""
         return int(self.km.centroids.size)
 
-
-def assign_kmeans_spark(
-    spark: SparkSession, vec_df: DataFrame, centroids: np.ndarray
-) -> DataFrame:
-    """Distributed Voronoi assignment: (id, vec) → (id, bin) with broadcast
-    centroids — the Spark half of the K-means lookup-table build."""
-    bc = spark.sparkContext.broadcast(np.asarray(centroids, dtype=np.float64))
-
-    def go(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        c = bc.value
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            x = np.stack(pdf["vec"].to_numpy())
-            yield pd.DataFrame(
-                {"id": pdf["id"].to_numpy(), "bin": KMeans.assign(x, c).astype(np.int64)}
-            )
-
-    return vec_df.mapInPandas(go, schema="id long, bin long")

@@ -13,12 +13,11 @@ member's model; each query's probe order is then one selection out of the
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.index.base import PartitionIndex, bin_ranks, check_queries, probe_order
-from repro.knn.exact import knn_matrix_numpy, knn_matrix_spark_collect
+from repro.knn.exact import knn_matrix_numpy
 from repro.nn.model import MLP, StackedMLP
 
 
@@ -150,16 +149,14 @@ def train_ensemble(
     arch: str = "mlp",
     hidden: int = 128,
     seed: int = 0,
-    spark: SparkSession | None = None,
     knn_idx: np.ndarray | None = None,
 ) -> EnsemblePartitioner:
-    """Algorithm 3: sequentially train ``e`` USP models with boosted weights."""
+    """Algorithm 3: sequentially train ``e`` USP models with boosted weights,
+    on ``knn_idx`` when given (e.g. the Spark build's) and on
+    ``knn_matrix_numpy(x, k_prime)`` otherwise."""
     x = np.asarray(x, dtype=np.float64)
     if knn_idx is None:
-        if spark is not None:
-            knn_idx = knn_matrix_spark_collect(spark, x, k_prime)
-        else:
-            knn_idx = knn_matrix_numpy(x, k_prime)
+        knn_idx = knn_matrix_numpy(x, k_prime)
     weights = np.ones(len(x))
     models = []
     for j in range(e):

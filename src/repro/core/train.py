@@ -121,9 +121,13 @@ def train_usp_model(
     """Train ``model`` in place; returns epoch history of (mean U, mean S).
 
     ``knn_idx`` is the (n, k') k'-NN matrix of indices into ``x``;
-    ``weights`` are the ensembling per-point weights (Eq. 14).
+    ``weights`` are the ensembling per-point weights (Eq. 14). ValueError
+    when there are fewer than max(2, m) points: every batch would be skipped
+    and the model left untrained.
     """
     n = len(x)
+    if n < max(2, cfg.m):
+        raise ValueError(f"{n} points cannot train a partition into m={cfg.m} bins")
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params(), lr=cfg.lr)
     batch = int(min(n, max(cfg.min_batch, round(n * cfg.batch_frac))))

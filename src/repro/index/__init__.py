@@ -1,14 +1,11 @@
 """Index-side plumbing shared by USP and every baseline: the partition-index
-interface, Spark lookup-table build + candidate retrieval, and the
+interface, the bin → ids lookup, candidate retrieval, and the
 accuracy-vs-candidate-set-size sweep harness (§5.4)."""
 from repro.index.base import PartitionIndex
-from repro.index.lookup import build_lookup_spark, candidates_spark
 from repro.index.search import sweep_accuracy, candidate_size_at_accuracy
 
 __all__ = [
     "PartitionIndex",
-    "build_lookup_spark",
-    "candidates_spark",
     "sweep_accuracy",
     "candidate_size_at_accuracy",
 ]

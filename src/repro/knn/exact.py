@@ -1,21 +1,17 @@
-"""Exact (brute-force) k-NN: numpy reference and Spark-distributed build.
+"""Exact (brute-force) k-NN: the numpy reference build of the k'-NN matrix
+(§4.2.1) and the top-k of queries against data.
 
-The Spark build is the distributed-dataflow version of the paper's k'-NN
-matrix construction (§4.2.1): the dataset is a DataFrame of (id, vec) rows;
-each executor block computes distances from its rows to the *broadcast*
-dataset with vectorized numpy, keeping the top-k per row. At the scale
-factors used here the full dataset broadcast is a few MB — the same pattern
-an ANN index build over object-store shards uses (block × broadcast probe
-side). Correctness is oracle-checked against a DuckDB SQL cross-join top-k
-in the tests.
+The matrix is built one block of rows at a time by :func:`knn_block`; the
+Spark build in :mod:`repro.spark` runs the same function on each executor's
+blocks, so both builds return the same ids.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+
+# Rows per k'-NN block: one (256, n) float64 distance buffer (12 MB at
+# n = 6000) plus a (256, n) bool mask for the row cut.
+KNN_BLOCK = 256
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,62 +85,28 @@ def topk_neighbors(
     return idx, np.sqrt(part)
 
 
-def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = 256) -> np.ndarray:
+def knn_block(data: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+    """Rows ``lo:hi`` of the k'-NN matrix of ``data``: each row's ``k``
+    nearest other points, nearest first and exact ties by index. The row's
+    own column is set to inf, so a point is never its own neighbor while its
+    exact duplicates still are."""
+    d2 = sqdist(data[lo:hi], data)
+    np.maximum(d2, 0.0, out=d2)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    return _smallest_per_row(d2, k)[0]
+
+
+def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
     """k'-NN matrix (n, k) of neighbor *indices*, self excluded, nearest
     first and exact ties by index; ValueError when ``data`` holds NaN or
-    infinite values. The single-process reference implementation, blocked to
-    bound peak memory: a block of 256 rows holds one (256, n) float64
-    distance buffer (12 MB at n = 6000) plus a (256, n) bool mask for the
-    row cut. The block does not change the result, except that a one-row
-    block rounds differently and may swap exact duplicates."""
+    infinite values. Built by :func:`knn_block` over blocks of ``block``
+    rows, which bounds peak memory. The block does not change the result,
+    except that a one-row block rounds differently and may swap exact
+    duplicates."""
     _check_finite(data, "data")
     n = len(data)
     out = np.empty((n, min(k, n - 1)), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d2 = sqdist(data[lo:hi], data)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        out[lo:hi] = _smallest_per_row(d2, out.shape[1])[0]
+        out[lo:hi] = knn_block(data, lo, hi, out.shape[1])
     return out
-
-
-def knn_matrix_spark(
-    spark: SparkSession, data: np.ndarray, k: int, *, n_blocks: int | None = None
-) -> DataFrame:
-    """Distributed k'-NN matrix build (Algorithm 1, Step 1).
-
-    Rows of ``data`` are sharded across executors; the full dataset is
-    broadcast once. Returns a DataFrame (id: long, neighbors: array<long>)
-    where ``neighbors`` holds the k nearest other points, nearest first.
-    """
-    n = len(data)
-    kk = min(k, n - 1)
-    bc = spark.sparkContext.broadcast(np.asarray(data, dtype=np.float64))
-    if n_blocks is None:
-        n_blocks = max(1, min(spark.sparkContext.defaultParallelism, n // 256 or 1))
-    ids = spark.range(0, n, 1, n_blocks)  # column "id"
-
-    def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        x = bc.value
-        for pdf in batches:
-            rows = pdf["id"].to_numpy()
-            idx, _ = topk_neighbors(x[rows], x, kk + 1)
-            # Drop the self column wherever it appears (duplicates can tie
-            # with it or push it out of the top kk + 1), then keep the first
-            # kk of what is left; every row keeps at least kk entries.
-            keep = idx != rows[:, None]
-            keep &= np.cumsum(keep, axis=1) <= kk
-            neigh = idx[keep].reshape(len(rows), kk)
-            yield pd.DataFrame({"id": rows, "neighbors": list(map(list, neigh))})
-
-    return ids.mapInPandas(compute, schema="id long, neighbors array<long>")
-
-
-def knn_matrix_spark_collect(
-    spark: SparkSession, data: np.ndarray, k: int
-) -> np.ndarray:
-    """Run the Spark build and materialize the (n, k) index matrix on the
-    driver (the training loop indexes it per mini-batch, §4.2.2)."""
-    pdf = knn_matrix_spark(spark, data, k).toPandas().sort_values("id")
-    return np.stack(pdf["neighbors"].to_numpy()).astype(np.int64)

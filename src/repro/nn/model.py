@@ -5,9 +5,7 @@
 - ``logistic_regression``: a single Linear(d, m) → softmax (m=2 in the
   paper's binary-tree setting).
 
-Models expose ``get_weights``/``set_weights`` (flat list of arrays) so Spark
-executors can run inference from a broadcast variable without pickling layer
-objects, and ``predict_proba`` runs an eval-mode forward pass.
+``predict_proba`` runs an eval-mode forward pass.
 :class:`StackedMLP` runs the eval forward of several models of one
 architecture at once, one batched matmul per linear layer; partition trees
 score each depth's node models with it.
@@ -52,26 +50,6 @@ class MLP:
     # -- parameter access --------------------------------------------------
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
-
-    def get_weights(self) -> list[np.ndarray]:
-        w = [p.value.copy() for p in self.params()]
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm1d):
-                w.append(layer.running_mean.copy())
-                w.append(layer.running_var.copy())
-        return w
-
-    def set_weights(self, weights: list[np.ndarray]) -> None:
-        ps = self.params()
-        for p, w in zip(ps, weights[: len(ps)]):
-            p.value = np.asarray(w, dtype=np.float64).reshape(p.value.shape)
-        extra = weights[len(ps):]
-        i = 0
-        for layer in self.layers:
-            if isinstance(layer, BatchNorm1d):
-                layer.running_mean = np.asarray(extra[i])
-                layer.running_var = np.asarray(extra[i + 1])
-                i += 2
 
 
 class StackedMLP:

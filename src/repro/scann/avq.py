@@ -17,12 +17,13 @@ lookup tables + exact re-ranking of the best ``rerank`` candidates. A block
 of queries runs as one piece, or a few under ``ROW_BUDGET``: its lookup
 tables are built together, the ADC scan is one flat gather per subspace over
 the block's concatenated candidates, and the re-rank is one block
-``topk_within`` call; a single query is the one-row block.
+``topk_within`` call.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from repro.index.base import check_queries
 from repro.index.search import topk_within
 from repro.knn.exact import sqdist
 
@@ -119,17 +120,6 @@ class AnisotropicPQ:
         return self
 
     # -- search ------------------------------------------------------------
-    def check_queries(self, queries: np.ndarray) -> np.ndarray:
-        """``queries`` (d,) or (b, d) as float64; ValueError when their
-        dimension differs from the fitted data's or a value is not finite."""
-        queries = np.asarray(queries, dtype=np.float64)
-        d = self._x.shape[1]
-        if queries.ndim not in (1, 2) or queries.shape[-1] != d:
-            raise ValueError(f"queries of shape {queries.shape}; the data has dimension {d}")
-        if not np.isfinite(queries).all():
-            raise ValueError("queries hold NaN or infinite values")
-        return queries
-
     def adc_distances(
         self, queries: np.ndarray, subset: np.ndarray | None = None,
         owner: np.ndarray | None = None,
@@ -154,24 +144,21 @@ class AnisotropicPQ:
 
     def search(
         self, queries: np.ndarray, k: int, *,
-        subset: np.ndarray | list[np.ndarray] | None = None, rerank: int = 100,
+        subset: list[np.ndarray] | None = None, rerank: int = 100,
     ) -> np.ndarray:
         """ADC scan, then an exact re-rank of the max(rerank, k) rows
         nearest by ADC → top-k point ids, nearest first.
 
-        One query (d,) searches the ids ``subset`` (every row when None) and
-        returns up to k ids. A block (b, d) takes a list of b id arrays (or
-        None) and returns (b, k) ids padded with -1; the one-query form is
-        its one-row case. The block is cut into pieces whose length times
+        ``queries`` is a (b, d) block; ``subset`` a list of b id arrays, one
+        per query (every row when None). Returns (b, k) ids padded with -1.
+        ValueError when the queries' dimension differs from the data's or a
+        value is not finite. The block is cut into pieces whose length times
         longest candidate list is at most ``ROW_BUDGET``, and each piece
         makes one ``adc_distances`` and one ``topk_within`` call. Each
         shortlist is selected on its own query's ADC distances, so ties at
         the cut fall as they do for the query alone.
         """
-        queries = self.check_queries(queries)
-        one = queries.ndim == 1
-        if one:
-            queries, subset = queries[None], [subset]
+        queries = check_queries(queries, self._x.shape[1])
         every = np.arange(len(self.codes))
         lists = [every if c is None else np.asarray(c, dtype=np.int64)
                  for c in ([None] * len(queries) if subset is None else subset)]
@@ -197,7 +184,7 @@ class AnisotropicPQ:
                 start += n
             out[lo:hi] = topk_within(queries[lo:hi], self._x, cand, k)
             lo = hi
-        return out[0][out[0] >= 0] if one else out
+        return out
 
     def reconstruction(self) -> np.ndarray:
         """Decoded dataset (for quantization-error tests)."""

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
-from repro.index.base import PartitionIndex
+from repro.index.base import PartitionIndex, check_queries
 from repro.index.search import cost_at_quality
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
@@ -49,7 +49,7 @@ class ScannPipeline:
         Returns (n_q, k) ids padded with -1. Raises ValueError when the
         queries' dimension differs from the data's or a value is not
         finite."""
-        queries = self.pq.check_queries(queries)
+        queries = check_queries(queries, self.pq._x.shape[1])
         subsets = (None if self.partitioner is None
                    else self.partitioner.candidate_ids(queries, n_probes))
         return self.pq.search(queries, k, subset=subsets, rerank=rerank)

@@ -2,12 +2,10 @@
 
 ``sift_lite`` and ``mnist_lite`` stand in for the paper's SIFT and MNIST
 vectors; ``moons``, ``circles`` and ``classification_blobs`` are the 2-D
-sets of the Table 5 clustering study; ``vectors_df`` wraps a matrix as a
-Spark DataFrame. Generators are deterministic in ``seed``.
+sets of the Table 5 clustering study. Generators are deterministic in
+``seed``.
 """
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -88,14 +86,6 @@ def mnist_lite(
     perm = g.permutation(n + n_queries)
     both = both[perm]
     return both[:n], both[n : n + n_queries]
-
-
-def vectors_df(spark: SparkSession, x: np.ndarray, *, id_offset: int = 0) -> DataFrame:
-    """Wrap a numpy (n, d) matrix as a Spark DataFrame (id: long, vec: array<double>)."""
-    pdf = pd.DataFrame(
-        {"id": np.arange(id_offset, id_offset + len(x)), "vec": list(map(list, x))}
-    )
-    return spark.createDataFrame(pdf)
 
 
 # --- 2D toy datasets (sklearn stand-ins) for the Table 5 clustering study ---

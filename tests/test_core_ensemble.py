@@ -283,9 +283,18 @@ class TestTrainEnsemble:
         assert len(ens.models) == 2
 
     def test_spark_knn_path(self, spark):
+        """Training on the Spark k'-NN matrix gives the members the numpy
+        build gives them: the two matrices are equal."""
+        from repro.spark import knn_matrix_spark_collect
         from repro.synth_data import sift_lite
 
         data, _ = sift_lite(n=300, d=8, n_queries=10, seed=9)
-        ens = train_ensemble(data, m=4, e=1, spark=spark)
+        ens = train_ensemble(data, m=4, e=1, knn_idx=knn_matrix_spark_collect(spark, data, 10))
         assert len(ens.models) == 1
-        assert ens.models[0].data_bins().shape == (300,)
+        np.testing.assert_array_equal(
+            ens.models[0].data_bins(), train_ensemble(data, m=4, e=1).models[0].data_bins())
+
+    def test_fewer_points_than_bins_rejected(self):
+        data = np.random.default_rng(0).normal(size=(12, 4))
+        with pytest.raises(ValueError, match="12 points cannot train .* m=16"):
+            train_ensemble(data, m=16, e=2)

@@ -1,13 +1,12 @@
-"""USP partitioner tests: index contract, Spark inference parity."""
+"""USP partitioner tests: index contract, config handling, Spark inference
+parity."""
 import numpy as np
 import pytest
 
-from repro.core.partitioner import (
-    UnsupervisedSpacePartitioner,
-    assign_bins_spark,
-    build_model,
-)
-from repro.synth_data import vectors_df
+from repro.core.partitioner import UnsupervisedSpacePartitioner, build_model
+from repro.core.train import TrainConfig
+from repro.spark import assign_bins_spark, vectors_df
+from repro.synth_data import sift_lite
 
 
 class TestFitContract:
@@ -72,26 +71,40 @@ class TestBuildModel:
         )
 
 
+class TestConfig:
+    def test_given_cfg_not_changed(self):
+        """One TrainConfig passed to partitioners of 8 and then 4 bins: each
+        trains with its own m, and the caller's object keeps m = 8."""
+        data, _ = sift_lite(n=300, d=6, n_queries=1, seed=3)
+        cfg = TrainConfig(m=8, epochs=2)
+        p8 = UnsupervisedSpacePartitioner(8, cfg=cfg)
+        p4 = UnsupervisedSpacePartitioner(4, cfg=cfg)
+        assert cfg.m == 8 and (p8.cfg.m, p4.cfg.m) == (8, 4)
+        assert p8.fit(data).data_bins().max() < 8
+        assert p4.fit(data).data_bins().max() < 4
+        assert cfg.history == [] and len(p8.cfg.history) == 2
+
+    def test_fewer_points_than_bins_rejected(self):
+        data = np.random.default_rng(0).normal(size=(12, 4))
+        with pytest.raises(ValueError, match="12 points cannot train .* m=16"):
+            UnsupervisedSpacePartitioner(16).fit(data)
+
+
 class TestSparkInference:
     def test_matches_local(self, spark, trained_usp, small_data):
+        """The broadcast ``predict_bin`` gives every row the bin it has in
+        the numpy partition."""
         data, _ = small_data
-        vdf = vectors_df(spark, data[:200])
         out = (
-            assign_bins_spark(
-                spark, vdf, trained_usp.config(), trained_usp.model.get_weights()
-            )
+            assign_bins_spark(spark, vectors_df(spark, data), trained_usp.model.predict_bin)
             .toPandas()
             .sort_values("id")
         )
-        local_bins = trained_usp.model.predict_bin(data[:200])
-        local_probs = trained_usp.model.predict_proba(data[:200]).max(axis=1)
-        np.testing.assert_array_equal(out["bin"].to_numpy(), local_bins)
-        np.testing.assert_allclose(out["prob"].to_numpy(), local_probs, atol=1e-9)
+        np.testing.assert_array_equal(out["bin"].to_numpy(), trained_usp.data_bins())
 
     def test_every_id_scored_once(self, spark, trained_usp, small_data):
         data, _ = small_data
         vdf = vectors_df(spark, data[:150])
-        out = assign_bins_spark(
-            spark, vdf, trained_usp.config(), trained_usp.model.get_weights()
-        ).toPandas()
+        out = assign_bins_spark(spark, vdf, trained_usp.model.predict_bin).toPandas()
         assert sorted(out["id"]) == list(range(150))
+        assert list(out.columns) == ["id", "bin"]

@@ -5,16 +5,9 @@ import pandas as pd
 import pytest
 
 from repro.index.base import PartitionIndex
-from repro.index.lookup import (
-    build_lookup_spark,
-    candidate_counts_spark,
-    candidates_spark,
-    lookup_df_from_index,
-    probes_df,
-    topk_in_candidates_spark,
-)
 from repro.index.search import candidate_size_at_accuracy, sweep_accuracy, topk_within
 from repro.oracle import assert_equivalent
+from repro.spark import assign_bins_spark, build_lookup_spark, vectors_df
 
 
 class _FixedIndex(PartitionIndex):
@@ -122,8 +115,9 @@ class TestInterpolation:
 
 class TestSparkLookup:
     @pytest.fixture(scope="class")
-    def lookup(self, spark, trained_usp):
-        return build_lookup_spark(spark, lookup_df_from_index(spark, trained_usp))
+    def lookup(self, spark, trained_usp, small_data):
+        vdf = vectors_df(spark, small_data[0])
+        return build_lookup_spark(spark, assign_bins_spark(spark, vdf, trained_usp.model.predict_bin))
 
     def test_lookup_matches_index(self, spark, lookup, trained_usp):
         pdf = lookup.toPandas().sort_values("id")
@@ -139,39 +133,3 @@ class TestSparkLookup:
         )
         assert_equivalent(got, "SELECT bin, count(id) AS n FROM t GROUP BY bin", t=ref)
 
-    def test_candidates_join_matches_numpy(self, spark, lookup, trained_usp, small_data):
-        data, queries = small_data
-        q = queries[:15]
-        # n_bins + 2 probes: both paths clamp to every bin.
-        for n_probes in (2, trained_usp.n_bins + 2):
-            pr = probes_df(spark, trained_usp, q, n_probes)
-            cand = candidates_spark(pr, lookup).toPandas()
-            numpy_cands = trained_usp.candidate_ids(q, n_probes)
-            for qid in range(15):
-                got = np.sort(cand.loc[cand.qid == qid, "id"].to_numpy())
-                np.testing.assert_array_equal(got, np.sort(numpy_cands[qid]))
-
-    def test_candidate_counts_oracle(self, spark, lookup, trained_usp, small_data):
-        _, queries = small_data
-        pr = probes_df(spark, trained_usp, queries[:10], 3)
-        cand = candidates_spark(pr, lookup)
-        counts = candidate_counts_spark(cand)
-        cand_pdf = cand.toPandas()
-        assert_equivalent(
-            counts,
-            "SELECT qid, count(id) AS n_candidates FROM c GROUP BY qid",
-            c=cand_pdf,
-        )
-
-    def test_spark_topk_matches_numpy(self, spark, lookup, trained_usp, small_data, small_gt):
-        data, queries = small_data
-        q = queries[:10]
-        pr = probes_df(spark, trained_usp, q, trained_usp.n_bins)  # all bins → exact
-        cand = candidates_spark(pr, lookup)
-        top = topk_in_candidates_spark(spark, cand, data, q, 10).toPandas()
-        for qid in range(10):
-            got = top.loc[top.qid == qid].sort_values("dist")["id"].to_numpy()
-            truth_d = np.sort(np.linalg.norm(data[small_gt[qid]] - q[qid], axis=1))
-            np.testing.assert_allclose(
-                np.linalg.norm(data[got] - q[qid], axis=1), truth_d, atol=1e-9
-            )

@@ -1,55 +1,52 @@
-"""End-to-end distributed pipeline test: Algorithm 1 + Algorithm 2 with every
-data-parallel stage on Spark, cross-checked against the numpy path and the
-DuckDB oracle.
+"""End-to-end offline phase (Algorithm 1) with every data-parallel stage on
+Spark, cross-checked against the numpy path and the DuckDB oracle.
 
 Flow: Spark k'-NN matrix → driver training → Spark partition inference →
-lookup-table build → probe/candidate join → per-query exact top-k →
-k-NN accuracy aggregation in Spark SQL (oracle-checked).
+lookup-table build → bin histogram in Spark SQL (oracle-checked).
 """
 import numpy as np
-import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.partitioner import UnsupervisedSpacePartitioner, assign_bins_spark
+from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
-from repro.index.lookup import (
-    build_lookup_spark,
-    candidates_spark,
-    probes_df,
-    topk_in_candidates_spark,
-)
-from repro.index.search import sweep_accuracy
-from repro.knn.exact import knn_matrix_spark_collect, topk_neighbors
+from repro.knn.exact import knn_matrix_numpy
 from repro.oracle import assert_equivalent
-from repro.synth_data import sift_lite, vectors_df
+from repro.spark import (
+    assign_bins_spark,
+    build_lookup_spark,
+    knn_matrix_spark_collect,
+    vectors_df,
+)
+from repro.synth_data import sift_lite
 
 
 @pytest.fixture(scope="module")
 def pipeline(spark):
     """Train USP with the Spark k'-NN build and materialize Spark artifacts."""
-    data, queries = sift_lite(n=1000, d=10, n_queries=80, n_components=10, seed=101)
-    gt, _ = topk_neighbors(queries, data, 10)
+    data, _ = sift_lite(n=1000, d=10, n_queries=80, n_components=10, seed=101)
     knn_idx = knn_matrix_spark_collect(spark, data, 10)
     usp = UnsupervisedSpacePartitioner(
         6, cfg=TrainConfig(m=6, eta=7.0, epochs=20, seed=0), seed=0
     ).fit(data, knn_idx=knn_idx)
     vdf = vectors_df(spark, data)
-    assign_df = assign_bins_spark(spark, vdf, usp.config(), usp.model.get_weights())
-    lookup = build_lookup_spark(spark, assign_df).cache()
+    lookup = build_lookup_spark(spark, assign_bins_spark(spark, vdf, usp.model.predict_bin)).cache()
     lookup.count()
-    return data, queries, gt, usp, lookup
+    return data, knn_idx, usp, lookup
 
 
 class TestEndToEnd:
     def test_spark_assignment_matches_fit(self, pipeline):
-        data, _, _, usp, lookup = pipeline
+        """The Spark k'-NN matrix is the numpy one, and the Spark lookup holds
+        the bins the numpy fit assigned."""
+        data, knn_idx, usp, lookup = pipeline
+        np.testing.assert_array_equal(knn_idx, knn_matrix_numpy(data, 10))
         pdf = lookup.toPandas().sort_values("id")
         np.testing.assert_array_equal(pdf["bin"].to_numpy(), usp.data_bins())
 
     def test_balanced_lookup_oracle(self, spark, pipeline):
         """Bin histogram via Spark SQL == DuckDB; no bin > 2.5× ideal."""
-        data, _, _, usp, lookup = pipeline
+        data, _, usp, lookup = pipeline
         hist = lookup.groupBy("bin").agg(F.count("id").alias("n"))
         assert_equivalent(
             hist,
@@ -58,67 +55,3 @@ class TestEndToEnd:
         )
         sizes = hist.toPandas()["n"]
         assert sizes.max() < 2.5 * len(data) / usp.n_bins
-
-    def test_distributed_search_matches_numpy_sweep(self, spark, pipeline):
-        """The full Spark retrieval path returns the same top-k distance
-        profile as the numpy sweep harness at the same probe count."""
-        data, queries, gt, usp, lookup = pipeline
-        q = queries[:25]
-        pr = probes_df(spark, usp, q, 2)
-        cand = candidates_spark(pr, lookup)
-        top = topk_in_candidates_spark(spark, cand, data, q, 10).toPandas()
-        # numpy reference
-        numpy_cands = usp.candidate_ids(q, 2)
-        for qid in range(25):
-            got = np.sort(top.loc[top.qid == qid, "dist"].to_numpy())
-            c = numpy_cands[qid]
-            ref = np.sort(np.linalg.norm(data[c] - q[qid], axis=1))[: len(got)]
-            np.testing.assert_allclose(got, ref, atol=1e-9)
-
-    def test_accuracy_aggregation_oracle(self, spark, pipeline):
-        """k-NN accuracy computed in Spark SQL over the join of returned ids
-        with ground truth == DuckDB's answer == the Eq. 1 numpy metric."""
-        data, queries, gt, usp, lookup = pipeline
-        q = queries[:40]
-        pr = probes_df(spark, usp, q, 3)
-        cand = candidates_spark(pr, lookup)
-        top = topk_in_candidates_spark(spark, cand, data, q, 10)
-        gt_pdf = pd.DataFrame(
-            {
-                "qid": np.repeat(np.arange(len(q)), 10),
-                "id": gt[: len(q)].ravel(),
-            }
-        )
-        gt_df = spark.createDataFrame(gt_pdf)
-        hits = (
-            top.join(gt_df, on=["qid", "id"])
-            .groupBy("qid")
-            .agg(F.count("id").alias("hits"))
-        )
-        acc_df = hits.agg(
-            (F.sum("hits") / (10.0 * len(q))).alias("accuracy")
-        )
-        assert_equivalent(
-            acc_df,
-            f"""
-            SELECT sum(hits) / ({10.0 * len(q)}) AS accuracy FROM (
-                SELECT t.qid, count(t.id) AS hits
-                FROM t JOIN g ON t.qid = g.qid AND t.id = g.id
-                GROUP BY t.qid
-            )
-            """,
-            t=top.toPandas(),
-            g=gt_pdf,
-        )
-        # And it matches the numpy harness.
-        curve = sweep_accuracy(usp, data, q, gt[: len(q)], probe_counts=[3])
-        spark_acc = acc_df.toPandas()["accuracy"].iloc[0]
-        assert spark_acc == pytest.approx(curve["accuracy"].iloc[0], abs=1e-9)
-
-    def test_shuffle_join_plan(self, spark, pipeline):
-        """Broadcast joins are disabled session-wide: the candidate join must
-        be a shuffle join (sort-merge or shuffled-hash), not broadcast."""
-        data, queries, _, usp, lookup = pipeline
-        pr = probes_df(spark, usp, queries[:5], 2)
-        plan = candidates_spark(pr, lookup)._jdf.queryExecution().executedPlan().toString()
-        assert "BroadcastHashJoin" not in plan

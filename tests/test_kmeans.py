@@ -4,9 +4,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.kmeans import KMeans, KMeansPartitioner, assign_kmeans_spark
+from repro.baselines.kmeans import KMeans, KMeansPartitioner
 from repro.oracle import assert_equivalent
-from repro.synth_data import sift_lite, vectors_df
+from repro.spark import assign_bins_spark, vectors_df
+from repro.synth_data import sift_lite
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ class TestSparkAssignment:
     def test_matches_local(self, spark, blob_data):
         km = KMeans(5, seed=0).fit(blob_data)
         vdf = vectors_df(spark, blob_data[:200])
-        out = assign_kmeans_spark(spark, vdf, km.centroids).toPandas().sort_values("id")
+        out = assign_bins_spark(spark, vdf, km.predict).toPandas().sort_values("id")
         np.testing.assert_array_equal(out["bin"].to_numpy(), km.predict(blob_data[:200]))
 
     def test_oracle_voronoi_2d(self, spark):
@@ -85,7 +86,7 @@ class TestSparkAssignment:
         data = rng.normal(size=(80, 2))
         km = KMeans(3, seed=0).fit(data)
         vdf = vectors_df(spark, data)
-        got = assign_kmeans_spark(spark, vdf, km.centroids)
+        got = assign_bins_spark(spark, vdf, km.predict)
         pts = pd.DataFrame({"id": range(80), "x0": data[:, 0], "x1": data[:, 1]})
         cents = pd.DataFrame(
             {"bin": range(3), "c0": km.centroids[:, 0], "c1": km.centroids[:, 1]}

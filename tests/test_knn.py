@@ -1,6 +1,6 @@
 """Exact k-NN substrate tests: numpy reference vs naive, the row selection
 vs a stable sort, the distance block vs the plain expansion, Spark build vs
-numpy, and a DuckDB SQL oracle check of the neighbor sets."""
+numpy id for id, and a DuckDB SQL oracle check of the neighbor sets."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,13 +9,12 @@ from repro.knn.exact import (
     _row_cut,
     _smallest_per_row,
     knn_matrix_numpy,
-    knn_matrix_spark,
-    knn_matrix_spark_collect,
     sqdist,
     topk_neighbors,
 )
 from repro.knn.metrics import knn_accuracy
 from repro.oracle import assert_equivalent
+from repro.spark import knn_matrix_spark, knn_matrix_spark_collect
 
 
 def naive_topk(queries, data, k, exclude_self=False):
@@ -206,35 +205,25 @@ class TestKnnMatrixNumpy:
 
 class TestKnnMatrixSpark:
     def test_matches_numpy(self, spark, small_data):
+        """The Spark build runs the numpy build's blocks, so the ids are equal,
+        exact ties included: two blocks (300 rows) and six (1,500 rows)."""
         data, _ = small_data
-        sub = data[:300]
-        got = knn_matrix_spark_collect(spark, sub, 6)
-        ref = knn_matrix_numpy(sub, 6)
-        # Distances must agree exactly even if tie ids differ.
-        for i in range(len(sub)):
-            np.testing.assert_allclose(
-                np.linalg.norm(sub[got[i]] - sub[i], axis=1),
-                np.linalg.norm(sub[ref[i]] - sub[i], axis=1),
-                atol=1e-9,
-            )
+        for sub in (data[:300], data):
+            np.testing.assert_array_equal(
+                knn_matrix_spark_collect(spark, sub, 6), knn_matrix_numpy(sub, 6))
 
     def test_duplicates_exclude_self(self, spark, duplicates):
-        """With 40 copies of a point tied at distance 0, the self match may
-        or may not be among a row's top k + 1; either way it is dropped and
-        the row keeps k neighbors at the reference distances."""
+        """With 40 copies of a point tied at distance 0, no row lists itself
+        and every row equals the numpy build's, tie order included."""
         data, _ = duplicates
         got = knn_matrix_spark_collect(spark, data, 10)
-        ref = knn_matrix_numpy(data, 10)
         assert not (got == np.arange(len(data))[:, None]).any()
-        np.testing.assert_array_equal(
-            np.linalg.norm(data[got] - data[:, None], axis=2),
-            np.linalg.norm(data[ref] - data[:, None], axis=2),
-        )
+        np.testing.assert_array_equal(got, knn_matrix_numpy(data, 10))
 
     def test_ids_cover_range(self, spark):
-        data = np.random.default_rng(7).normal(size=(100, 4))
+        data = np.random.default_rng(7).normal(size=(600, 4))  # blocks of 256, 256, 88
         pdf = knn_matrix_spark(spark, data, 4).toPandas()
-        assert sorted(pdf["id"]) == list(range(100))
+        assert sorted(pdf["id"]) == list(range(600))
 
     def test_oracle_sql_neighbors(self, spark):
         """DuckDB cross-join top-k agrees with the Spark build (first NN)."""

@@ -88,20 +88,20 @@ class TestAnisotropicPQ:
     def test_search_high_recall_with_rerank(self, data, gt):
         d, q = data
         pq = AnisotropicPQ(4, 64, seed=0).fit(d)
-        ret = np.stack([pq.search(qq, 10, rerank=200) for qq in q])
+        ret = pq.search(q, 10, rerank=200)
         assert knn_accuracy(ret, gt) > 0.9
 
     def test_subset_search_stays_in_subset(self, data):
         d, q = data
         pq = AnisotropicPQ(4, 16, seed=0).fit(d)
         subset = np.arange(100, 300)
-        ret = pq.search(q[0], 10, subset=subset)
+        ret = pq.search(q[:1], 10, subset=[subset])[0]
         assert set(ret) <= set(subset)
 
     def test_empty_subset(self, data):
         d, q = data
         pq = AnisotropicPQ(4, 16, seed=0).fit(d)
-        assert len(pq.search(q[0], 10, subset=np.empty(0, int))) == 0
+        assert (pq.search(q[:1], 10, subset=[np.empty(0, int)]) == -1).all()
 
     def test_more_than_256_centers_rejected(self):
         # Codes are uint8: centre 299 would wrap onto codeword 43.
@@ -200,14 +200,15 @@ class TestPipelines:
         for i, (one, cand) in enumerate(zip(qq, km.candidate_ids(qq, 2))):
             np.testing.assert_array_equal(
                 batch[i], pipe.batch_search(one[None], 10, n_probes=2, rerank=80)[0])
-            np.testing.assert_array_equal(batch[i], pipe.pq.search(one, 10, subset=cand, rerank=80))
+            np.testing.assert_array_equal(
+                batch[i], pipe.pq.search(one[None], 10, subset=[cand], rerank=80)[0])
 
     def test_batch_search_vanilla(self, data, gt):
         d, q = data
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0)).fit(d)
         batch = pipe.batch_search(q[:10], 10, rerank=80)
         assert batch.shape == (10, 10)
-        np.testing.assert_array_equal(batch[0], pipe.pq.search(q[0], 10, rerank=80))
+        np.testing.assert_array_equal(batch[0], pipe.pq.search(q[:1], 10, rerank=80)[0])
 
     def test_batched_pipeline_curve(self, data, gt):
         d, q = data
@@ -361,15 +362,6 @@ class TestBlockSearch:
         per = avq.ROW_BUDGET // len(d)
         assert [n for n, _ in pieces] == [per] * (len(q) // per) + [len(q) % per] * (len(q) % per > 0)
 
-    def test_one_query_form_is_a_block_row(self, data, pq):
-        d, q = data
-        rng = np.random.default_rng(4)
-        for subset in (None, rng.choice(len(d), 300, replace=False), np.empty(0, int)):
-            one = pq.search(q[0], 10, subset=subset, rerank=50)
-            np.testing.assert_array_equal(one, oracle_search(pq, q[0], 10, subset, 50))
-            row = pq.search(q[:1], 10, subset=None if subset is None else [subset], rerank=50)
-            np.testing.assert_array_equal(one, row[0][row[0] >= 0])
-
     def test_block_adc_is_per_query_adc(self, data, pq):
         d, q = data
         rng = np.random.default_rng(5)
@@ -418,7 +410,7 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="dimension"):
             pipe.batch_search(q[:4, :-1], 10)
         with pytest.raises(ValueError, match="dimension"):
-            pipe.pq.search(np.r_[q[0], 0.0], 10)
+            pipe.pq.search(np.c_[q[:4], np.zeros(4)], 10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, pipe, data, bad):
@@ -428,4 +420,4 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match="finite"):
             pipe.batch_search(qq, 10)
         with pytest.raises(ValueError, match="finite"):
-            pipe.pq.search(qq[2], 10)
+            pipe.pq.search(qq, 10)

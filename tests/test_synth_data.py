@@ -1,8 +1,10 @@
-"""Tests for the dataset generators (vector and 2-D toy sets)."""
+"""Tests for the dataset generators (vector and 2-D toy sets) and their
+Spark DataFrame form."""
 import numpy as np
 import pytest
 
 from repro import synth_data as sd
+from repro.spark import vectors_df
 
 
 class TestVectorDatasets:
@@ -55,7 +57,7 @@ class TestVectorDatasets:
 
     def test_vectors_df_roundtrip(self, spark):
         data, _ = sd.sift_lite(n=50, d=4, n_queries=5)
-        df = sd.vectors_df(spark, data)
+        df = vectors_df(spark, data)
         pdf = df.toPandas().sort_values("id")
         back = np.stack(pdf["vec"].to_numpy())
         np.testing.assert_allclose(back, data)
