@@ -1,11 +1,9 @@
 """Benchmark + reproduction of the figure-shaped evidence (Figs. 5–7) that
 Table 4 and the ScaNN-speedup claim read from. Each sweep runs once at
-bench scale and writes its row data to benchmarks/results/.
+bench scale and writes its row data to benchmarks/results/; the Fig. 5a
+sweep also writes Table 4, read off its curves.
 """
-import numpy as np
-import pytest
-
-from repro.experiments import figures
+from repro.experiments import figures, table4
 from repro.experiments.common import markdown_table
 from repro.index.search import candidate_size_at_accuracy
 from repro.scann.pipelines import speedup_at_recall
@@ -20,6 +18,13 @@ def test_fig5_sift16(benchmark, results_dir):
         lambda: figures.fig5("sift", 16, scale="bench", epochs=25), rounds=1, iterations=1
     )
     (results_dir / "fig5_sift16.md").write_text(markdown_table(df))
+    table, curves, target = table4.run(df)
+    out = [f"target accuracy: {target:.4f}", "", markdown_table(table)]
+    for name, c in curves.items():
+        out += ["", f"### curve: {name}", markdown_table(c)]
+    (results_dir / "table4.md").write_text("\n".join(out))
+    # Table 4's shape: our candidate sets are smaller than both baselines'.
+    assert (table["measured_decrease"] > 0).all(), table
     by = _curves_by_method(df)
     # Learned methods beat data-oblivious CP-LSH at equal probe depth.
     if "CP-LSH" in by:

@@ -12,6 +12,8 @@ member's model; each query's probe order is then one selection out of the
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner
@@ -158,15 +160,12 @@ def train_ensemble(
     if knn_idx is None:
         knn_idx = knn_matrix_numpy(x, k_prime)
     weights = np.ones(len(x))
+    base = cfg or TrainConfig(m=m)
     models = []
     for j in range(e):
-        base = cfg or TrainConfig(m=m)
-        cfg_j = TrainConfig(
-            m=m, eta=base.eta, epochs=base.epochs, batch_frac=base.batch_frac,
-            min_batch=base.min_batch, lr=base.lr, seed=seed + 1000 * j,
-        )
         p = UnsupervisedSpacePartitioner(
-            m, arch=arch, hidden=hidden, k_prime=k_prime, cfg=cfg_j, seed=seed + 1000 * j
+            m, arch=arch, hidden=hidden, k_prime=k_prime,
+            cfg=replace(base, seed=seed + 1000 * j), seed=seed + 1000 * j,
         )
         p.fit(x, knn_idx=knn_idx, weights=weights)
         models.append(p)

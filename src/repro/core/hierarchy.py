@@ -57,10 +57,7 @@ class HierarchicalPartitioner(PartitionIndex):
             cfg = self.cfg_factory(level, m)
             cfg.m = m
             cfg.seed = self.seed + 7919 * level + 31 * len(idx) % 104729
-            model = build_model(
-                {"arch": self.arch, "d": x.shape[1], "m": m,
-                 "hidden": self.hidden, "dropout": 0.1, "seed": cfg.seed}
-            )
+            model = build_model(self.arch, x.shape[1], m, hidden=self.hidden, seed=cfg.seed)
             train_usp_model(model, sub, knn_idx, cfg)
             assign = model.predict_bin(sub)
             return model, [assign == b for b in range(m)]

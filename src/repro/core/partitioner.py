@@ -13,18 +13,15 @@ from repro.knn.exact import knn_matrix_numpy
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
 
-def build_model(config: dict) -> MLP:
-    """Build a fresh model from a plain-dict config."""
-    if config["arch"] == "mlp":
-        return mlp_partitioner(
-            config["d"], config["m"],
-            hidden=config.get("hidden", 128),
-            dropout=config.get("dropout", 0.1),
-            seed=config.get("seed", 0),
-        )
-    if config["arch"] == "logreg":
-        return logistic_regression(config["d"], config["m"], seed=config.get("seed", 0))
-    raise ValueError(f"unknown arch {config['arch']!r}")
+def build_model(
+    arch: str, d: int, m: int, *, hidden: int = 128, dropout: float = 0.1, seed: int = 0
+) -> MLP:
+    """A fresh, untrained ``arch`` model ("mlp" or "logreg") from d inputs to m bins."""
+    if arch == "mlp":
+        return mlp_partitioner(d, m, hidden=hidden, dropout=dropout, seed=seed)
+    if arch == "logreg":
+        return logistic_regression(d, m, seed=seed)
+    raise ValueError(f"unknown arch {arch!r}")
 
 
 class UnsupervisedSpacePartitioner(PartitionIndex):
@@ -68,10 +65,8 @@ class UnsupervisedSpacePartitioner(PartitionIndex):
         x = np.asarray(x, dtype=np.float64)
         if knn_idx is None:
             knn_idx = knn_matrix_numpy(x, self.k_prime)
-        self.model = build_model(
-            {"arch": self.arch, "d": x.shape[1], "m": self.n_bins,
-             "hidden": self.hidden, "dropout": self.dropout, "seed": self.seed}
-        )
+        self.model = build_model(self.arch, x.shape[1], self.n_bins, hidden=self.hidden,
+                                 dropout=self.dropout, seed=self.seed)
         train_usp_model(self.model, x, knn_idx, self.cfg, weights)
         self._x = x
         self._data_bins = self.model.predict_bin(x)

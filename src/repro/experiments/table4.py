@@ -3,54 +3,31 @@
 Paper (SIFT, 16 bins, 85% 10-NN accuracy, Fig. 5a): our candidate sets are
 33% smaller than Neural LSH's and 38% smaller than K-means'.
 
-We sweep accuracy-vs-|C| for USP (3-model ensemble), Neural LSH, and K-means
-on sift_lite at m=16, interpolate |C| at the target accuracy, and report the
-relative decrease. If every method clears the target at one probe the target
-is raised to the largest accuracy all methods bracket, so the comparison
-stays on the sloped part of the curves (recorded in the output).
+The table is read off the Fig. 5a curves (:func:`figures.fig5` on SIFT at
+16 bins) for USP (3-model ensemble), Neural LSH and K-means: interpolate |C|
+at the target accuracy and report the relative decrease. If every method
+clears the target at one probe the target is raised to the largest accuracy
+all methods bracket, so the comparison stays on the sloped part of the
+curves (recorded in the output).
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
-from repro.baselines.kmeans import KMeansPartitioner
-from repro.baselines.neural_lsh import NeuralLSHPartitioner
-from repro.core.ensemble import train_ensemble
-from repro.core.train import TrainConfig
-from repro.experiments.common import ground_truth, load_dataset
-from repro.index.search import candidate_size_at_accuracy, sweep_accuracy
-from repro.knn.exact import knn_matrix_numpy
+from repro.index.search import candidate_size_at_accuracy
 
 PAPER = {"Neural LSH": 0.33, "K-means": 0.38}
 
 
-def build_indexes(data: np.ndarray, *, m: int = 16, eta: float = 7.0,
-                  epochs: int = 30, e: int = 3, nlsh_hidden: int = 512,
-                  seed: int = 0) -> dict:
-    knn_idx = knn_matrix_numpy(data, 10)
-    usp = train_ensemble(
-        data, m=m, e=e, cfg=TrainConfig(m=m, eta=eta, epochs=epochs), knn_idx=knn_idx, seed=seed
-    )
-    nlsh = NeuralLSHPartitioner(m, hidden=nlsh_hidden, epochs=epochs, seed=seed).fit(
-        data, knn_idx=knn_idx
-    )
-    km = KMeansPartitioner(m, seed=seed).fit(data)
-    return {"Ours": usp, "Neural LSH": nlsh, "K-means": km}
-
-
 def run(
-    *, scale: str = "bench", m: int = 16, target: float = 0.85,
-    epochs: int = 30, k: int = 10, seed: int = 0,
+    fig5: pd.DataFrame, *, target: float = 0.85
 ) -> tuple[pd.DataFrame, dict[str, pd.DataFrame], float]:
-    """Returns (table, per-method sweep curves, target accuracy used)."""
-    data, queries = load_dataset("sift", scale)
-    gt = ground_truth(data, queries, k)
-    indexes = build_indexes(data, m=m, epochs=epochs, seed=seed)
-    probe_counts = list(range(1, m + 1))
+    """Returns (table, per-method sweep curves, target accuracy used) for a
+    ``figures.fig5`` frame."""
     curves = {
-        name: sweep_accuracy(idx, data, queries, gt, k=k, probe_counts=probe_counts)
-        for name, idx in indexes.items()
+        name: fig5.loc[fig5["method"] == name, ["n_probes", "mean_candidates", "accuracy"]]
+        .reset_index(drop=True)
+        for name in ("Ours", *PAPER)
     }
     # Keep the target on the sloped part of every curve.
     floor = max(c["accuracy"].iloc[0] for c in curves.values())
@@ -61,7 +38,7 @@ def run(
     }
     ours = sizes["Ours"]
     rows = []
-    for base in ("Neural LSH", "K-means"):
+    for base in PAPER:
         dec = None if (ours is None or sizes[base] in (None, 0)) else 1.0 - ours / sizes[base]
         rows.append(
             {

@@ -52,22 +52,23 @@ class TestFitContract:
 
 class TestBuildModel:
     def test_mlp_config(self):
-        m = build_model({"arch": "mlp", "d": 6, "m": 4, "hidden": 8, "dropout": 0.1, "seed": 0})
+        m = build_model("mlp", 6, 4, hidden=8, dropout=0.1, seed=0)
         assert m.predict_proba(np.zeros((2, 6))).shape == (2, 4)
 
     def test_logreg_config(self):
-        m = build_model({"arch": "logreg", "d": 6, "m": 2, "seed": 0})
+        m = build_model("logreg", 6, 2, seed=0)
         assert len(m.layers) == 1
 
     def test_unknown_arch(self):
         with pytest.raises(ValueError):
-            build_model({"arch": "tree", "d": 2, "m": 2})
+            build_model("tree", 2, 2)
 
     def test_same_seed_same_model(self):
-        cfg = {"arch": "mlp", "d": 5, "m": 3, "hidden": 8, "dropout": 0.0, "seed": 9}
+        kw = dict(hidden=8, dropout=0.0, seed=9)
         x = np.random.default_rng(0).normal(size=(4, 5))
         np.testing.assert_allclose(
-            build_model(cfg).predict_proba(x), build_model(cfg).predict_proba(x)
+            build_model("mlp", 5, 3, **kw).predict_proba(x),
+            build_model("mlp", 5, 3, **kw).predict_proba(x),
         )
 
 

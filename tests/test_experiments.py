@@ -1,11 +1,16 @@
 """Experiment-harness tests at test scale: each table runs, has the right
 schema, and preserves the paper's qualitative ordering."""
+import pathlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.experiments import table2, table3, table5
+from repro.experiments import figures, table2, table3, table4, table5
 from repro.experiments.common import ground_truth, load_dataset, markdown_table
+from repro.index.search import candidate_size_at_accuracy
+
+BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestCommon:
@@ -61,6 +66,49 @@ class TestTable3:
         from repro.experiments.table3 import PAPER
 
         assert [c["eta"] for c in PAPER] == [7.0, 30.0, 7.0, 10.0]
+
+
+class TestTable4:
+    @pytest.fixture(scope="class")
+    def fig5(self):
+        return figures.fig5("sift", 16, scale="test", epochs=3)
+
+    @pytest.fixture(scope="class")
+    def result(self, fig5):
+        return table4.run(fig5)
+
+    def test_curves_are_fig5_rows(self, fig5, result):
+        _, curves, _ = result
+        assert list(curves) == ["Ours", "Neural LSH", "K-means"]
+        for name, c in curves.items():
+            rows = fig5[fig5["method"] == name][["n_probes", "mean_candidates", "accuracy"]]
+            assert c.equals(rows.reset_index(drop=True))
+
+    def test_target_follows_bracket_rule(self, fig5, result):
+        """The target is raised above every curve's one-probe accuracy and
+        capped at the lowest accuracy every curve reaches."""
+        _, curves, used = result
+        floor = max(c["accuracy"].iloc[0] for c in curves.values())
+        ceil = min(c["accuracy"].iloc[-1] for c in curves.values())
+        assert used == min(max(0.85, floor + 1e-9), ceil)
+        assert table4.run(fig5, target=0.0)[2] == min(floor + 1e-9, ceil)
+        assert table4.run(fig5, target=2.0)[2] == ceil
+
+    def test_decrease_is_one_minus_ratio(self, result):
+        table, curves, used = result
+        ours = candidate_size_at_accuracy(curves["Ours"], used)
+        for row in table.itertuples():
+            base = candidate_size_at_accuracy(curves[row.method], used)
+            assert row.ours_candidates == ours and row.baseline_candidates == base
+            assert row.measured_decrease == 1.0 - ours / base
+
+
+def test_every_result_has_a_bench():
+    """Each file in benchmarks/results/ is written by some bench, so deleting
+    a bench cannot leave its results file behind."""
+    sources = "".join(p.read_text() for p in BENCHMARKS.glob("bench_*.py"))
+    orphans = [p.name for p in (BENCHMARKS / "results").iterdir() if p.name not in sources]
+    assert not orphans
 
 
 class TestTable5:
