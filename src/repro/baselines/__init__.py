@@ -2,14 +2,3 @@
 scratch: K-means, cross-polytope LSH, Neural LSH (with a KaHIP-substitute
 graph partitioner), Regression LSH, partition trees (2-means / PCA / RP /
 learned-KD), and Boosted Search Forest."""
-from repro.baselines.kmeans import KMeans, KMeansPartitioner
-from repro.baselines.lsh import CrossPolytopeLSH
-from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
-from repro.baselines.trees import BinaryPartitionTree
-from repro.baselines.boosted_forest import BoostedSearchForest
-
-__all__ = [
-    "KMeans", "KMeansPartitioner", "CrossPolytopeLSH",
-    "NeuralLSHPartitioner", "RegressionLSHTree",
-    "BinaryPartitionTree", "BoostedSearchForest",
-]

@@ -12,6 +12,7 @@ weighted neighbor pairs as possible (the same quantity BSF's similarity-
 preservation gain scores). Threshold at the median for balance. At query
 time the forest behaves as an ensemble: each tree routes the query softly
 (sigmoid margins), and the candidate set unions the trees' probed leaves.
+The forest is compiled once, so one ``tree.leaf_probs`` call scores it.
 
 Simplification vs. the original (documented per DESIGN.md): BSF's exact
 functional-gradient derivation is replaced by this spectral node solver; the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index import tree
-from repro.index.base import PartitionIndex, bin_ranks, probe_order
+from repro.index.base import PartitionIndex, bin_ranks, check_data, probe_order
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -76,10 +77,11 @@ class BoostedSearchForest(PartitionIndex):
         self.trees: list[tree.Node] = []
         self.tree_bins: list[np.ndarray] = []
         self.tree_n_bins: list[int] = []
+        self.plan: tree.Plan | None = None
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "BoostedSearchForest":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
         rng = np.random.default_rng(self.seed)
         knn_idx = knn_matrix_numpy(x, min(self.k_prime, len(x) - 1))
         weights = np.ones(len(x))
@@ -105,6 +107,7 @@ class BoostedSearchForest(PartitionIndex):
             weights = weights * (0.1 + sep)
             s = weights.sum()
             weights = np.ones(len(x)) if s <= 0 else weights * (len(x) / s)
+        self.plan = tree.compile_plan(self.trees)
         self.n_bins = self.tree_n_bins[0]
         self._data_bins = self.tree_bins[0]
         return self
@@ -112,17 +115,14 @@ class BoostedSearchForest(PartitionIndex):
     # -- query side --------------------------------------------------------
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Ranking over the *first* tree's leaves (PartitionIndex contract)."""
-        q = np.asarray(queries, dtype=np.float64)
-        return probe_order(tree.leaf_probs(self.trees[0], self.tree_n_bins[0], q))
+        return probe_order(tree.leaf_probs(self.trees[0].plan, queries)[0])
 
     def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
         """A point is in the forest's C(q) iff some tree probes its leaf, so
-        its rank is the minimum of its leaf's rank over the trees."""
-        q = np.asarray(queries, dtype=np.float64)
-        return np.minimum.reduce([
-            bin_ranks(probe_order(tree.leaf_probs(r, nb, q)))[:, bins]
-            for r, nb, bins in zip(self.trees, self.tree_n_bins, self.tree_bins)
-        ])
+        its rank is the minimum of its leaf's rank over the trees. A tree's
+        padded leaves rank after its own and hold no points."""
+        ranks = bin_ranks(probe_order(tree.leaf_probs(self.plan, queries)))
+        return np.minimum.reduce([r[:, bins] for r, bins in zip(ranks, self.tree_bins)])
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_queries
+from repro.index.base import PartitionIndex, check_data, check_queries
 from repro.knn.exact import sqdist
 
 
@@ -38,7 +38,7 @@ class KMeans:
         return np.stack(centers)
 
     def fit(self, x: np.ndarray) -> "KMeans":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
         rng = np.random.default_rng(self.seed)
         c = self._init_pp(x, rng)
         for _ in range(self.n_iter):
@@ -79,7 +79,7 @@ class KMeansPartitioner(PartitionIndex):
         self.km = KMeans(m, n_iter=n_iter, seed=seed)
 
     def fit(self, x: np.ndarray) -> "KMeansPartitioner":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
         self.km.fit(x)
         self._data_bins = self.km.predict(x)
         return self

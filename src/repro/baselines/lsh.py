@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_queries, probe_order
+from repro.index.base import PartitionIndex, check_data, check_queries, probe_order
 
 
 class CrossPolytopeLSH(PartitionIndex):
@@ -24,7 +24,7 @@ class CrossPolytopeLSH(PartitionIndex):
         self.rotation: np.ndarray | None = None
 
     def fit(self, x: np.ndarray) -> "CrossPolytopeLSH":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
         d = x.shape[1]
         if self.n_bins > 2 * d:
             raise ValueError(f"m={self.n_bins} > 2d={2*d} unsupported for one CP hash")

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
-from repro.index.base import PartitionIndex, check_queries, probe_order
+from repro.index.base import check_data, check_knn
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
@@ -56,11 +56,11 @@ def train_supervised(
     return history
 
 
-class NeuralLSHPartitioner(PartitionIndex):
+class NeuralLSHPartitioner(tree.TreeIndex):
     """Neural LSH: graph-partition labels + supervised MLP query router.
 
     ``hidden`` defaults to 512 as in the original paper (Table 2 contrasts
-    its 729k parameters against USP's 183k).
+    its 729k parameters against USP's 183k). ``root`` is the MLP's stump.
     """
 
     def __init__(
@@ -84,26 +84,23 @@ class NeuralLSHPartitioner(PartitionIndex):
     def fit(
         self, x: np.ndarray, *, knn_idx: np.ndarray | None = None
     ) -> "NeuralLSHPartitioner":
-        x = np.asarray(x, dtype=np.float64)
-        if knn_idx is None:
-            knn_idx = knn_matrix_numpy(x, self.k_prime)
+        x = check_data(x)
+        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
+                   else check_knn(knn_idx, len(x)))
         labels = balanced_graph_partition(knn_idx, self.n_bins, eps=self.eps, seed=self.seed)
         self.model = mlp_partitioner(
             x.shape[1], self.n_bins, hidden=self.hidden, seed=self.seed
         )
         train_supervised(self.model, x, labels, epochs=self.epochs, seed=self.seed)
+        self.root = tree.stump(self.model, self.n_bins, x.shape[1])
         self._data_bins = labels  # data points keep their graph-partition bins
         return self
-
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        d = self.model.layers[0].W.value.shape[0]
-        return probe_order(self.model.predict_proba(check_queries(queries, d)))
 
     def n_parameters(self) -> int:
         return int(sum(p.value.size for p in self.model.params()))
 
 
-class RegressionLSHTree(PartitionIndex):
+class RegressionLSHTree(tree.TreeIndex):
     """Regression LSH: binary tree; each node 2-way graph-partitions its
     subset and trains logistic regression on those labels (§5.2)."""
 
@@ -121,11 +118,10 @@ class RegressionLSHTree(PartitionIndex):
         self.epochs = epochs
         self.min_split = min_split
         self.seed = seed
-        self.root: tree.Node | None = None
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "RegressionLSHTree":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
 
         def split(idx: np.ndarray, level: int):
             if level >= self.depth or len(idx) < self.min_split:
@@ -140,9 +136,3 @@ class RegressionLSHTree(PartitionIndex):
 
         self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
         return self
-
-    def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
-        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
-
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self.leaf_probs(queries))

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.baselines.kmeans import KMeans
 from repro.index import tree
-from repro.index.base import PartitionIndex, probe_order
+from repro.index.base import check_data
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -94,7 +94,7 @@ SPLIT_RULES = {
 }
 
 
-class BinaryPartitionTree(PartitionIndex):
+class BinaryPartitionTree(tree.TreeIndex):
     """Generic hyperplane binary tree driven by a named split rule."""
 
     def __init__(
@@ -113,11 +113,10 @@ class BinaryPartitionTree(PartitionIndex):
         self.min_split = min_split
         self.k_prime = k_prime
         self.seed = seed
-        self.root: tree.Node | None = None
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "BinaryPartitionTree":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
         rng = np.random.default_rng(self.seed)
         rule = SPLIT_RULES[self.rule]
 
@@ -134,9 +133,3 @@ class BinaryPartitionTree(PartitionIndex):
 
         self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
         return self
-
-    def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
-        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
-
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self.leaf_probs(queries))

@@ -2,8 +2,3 @@
 DBSCAN, spectral clustering, and agreement metrics (ARI/NMI). Figures are out
 of scope, so the comparison is quantitative: agreement with the generating
 labels of the sklearn-style toy datasets."""
-from repro.cluster.dbscan import dbscan
-from repro.cluster.spectral import spectral_clustering
-from repro.cluster.metrics import adjusted_rand_index, normalized_mutual_info
-
-__all__ = ["dbscan", "spectral_clustering", "adjusted_rand_index", "normalized_mutual_info"]

@@ -6,13 +6,3 @@
 - :mod:`repro.core.ensemble` — AdaBoost-style ensembling (Algorithms 3–4)
 - :mod:`repro.core.hierarchy` — recursive m1×m2 partitioning (§4.4.2)
 """
-from repro.core.partitioner import UnsupervisedSpacePartitioner
-from repro.core.ensemble import EnsemblePartitioner, train_ensemble
-from repro.core.hierarchy import HierarchicalPartitioner
-
-__all__ = [
-    "UnsupervisedSpacePartitioner",
-    "EnsemblePartitioner",
-    "train_ensemble",
-    "HierarchicalPartitioner",
-]

@@ -5,10 +5,12 @@ multiplied by the number of its k' neighbors that model j separated from it
 (Eq. 14's weight update), so later models specialize on "difficult" points.
 At query time every model scores the query; the candidate set of the model
 with the highest confidence (max bin probability) is used (Algorithm 4).
-Members that are all flat USP models are scored by one stacked forward
-(:class:`~repro.nn.model.StackedMLP`), cached until a refit replaces a
-member's model; each query's probe order is then one selection out of the
-(members, n_q, n_bins) scores, whichever member serves it.
+Each member is a tree (a flat USP model is a one-depth stump), so the
+ensemble is a forest: one :func:`~repro.index.tree.leaf_probs` call over
+the members' roots scores every member one depth at a time, from a plan
+cached until a refit replaces a member's root. Each query's probe order is
+then one selection out of the (members, n_q, n_bins) scores, whichever
+member serves it.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ import numpy as np
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
-from repro.index.base import PartitionIndex, bin_ranks, check_queries, probe_order
+from repro.index import tree
+from repro.index.base import PartitionIndex, bin_ranks, check_data, check_knn, probe_order
 from repro.knn.exact import knn_matrix_numpy
-from repro.nn.model import MLP, StackedMLP
 
 
 def separation_counts(data_bins: np.ndarray, knn_idx: np.ndarray) -> np.ndarray:
@@ -46,14 +48,14 @@ def update_weights(
 class EnsemblePartitioner(PartitionIndex):
     """An ensemble of complementary USP partitions with confidence routing.
 
-    Members are USP models or hierarchies (anything with ``predict_proba``).
-    They may have different bin counts (hierarchies pruned to different leaf
-    counts); ``n_bins`` is the largest, so probing that many bins searches
-    every point whichever member a query is routed to.
+    Members are tree indexes (USP models, hierarchies, anything with a
+    ``root``) over points of one dimension. They may have different bin
+    counts (hierarchies pruned to different leaf counts); ``n_bins`` is the
+    largest, so probing that many bins searches every point whichever member
+    a query is routed to.
     """
 
-    # (the members' models the stack was built from, the stack or None)
-    _stack: tuple[tuple, StackedMLP | None] | None = None
+    _plan: tree.Plan | None = None  # of the members' roots, recompiled when one changes
 
     def __init__(self, models: list[PartitionIndex]):
         if not models:
@@ -71,33 +73,14 @@ class EnsemblePartitioner(PartitionIndex):
         """The first member's partition, as the representative one."""
         return self.models[0].data_bins()
 
-    def _stacked(self) -> StackedMLP | None:
-        """One stacked forward over the members' MLPs when every member is a
-        flat USP model and their MLPs share one shape, else None; rebuilt when
-        a refit replaces a member's model."""
-        models = tuple(getattr(m, "model", None) for m in self.models)
-        if self._stack is None or self._stack[0] != models:  # MLPs compare by identity
-            stack = None
-            if all(isinstance(m, UnsupervisedSpacePartitioner) for m in self.models):
-                try:
-                    stack = MLP.stack(list(models))
-                except ValueError:  # members of different architectures or bin counts
-                    pass
-            self._stack = (models, stack)
-        return self._stack[1]
-
     def _probs(self, queries: np.ndarray) -> np.ndarray:
         """(members, n_q, n_bins): every member's bin probabilities. A member
         with fewer bins is padded with -1, which ranks after every real bin
         and is never the max."""
-        q = np.asarray(queries, dtype=np.float64)
-        stack = self._stacked()
-        if stack is not None:
-            return stack.predict_proba(check_queries(q, stack.d_in))
-        out = np.full((len(self.models), len(q), self.n_bins), -1.0)
-        for o, m in zip(out, self.models):
-            o[:, :m.n_bins] = m.predict_proba(q)
-        return out
+        roots = tuple(m.root for m in self.models)
+        if self._plan is None or self._plan.roots != roots:  # nodes compare by identity
+            self._plan = tree.compile_plan(roots)
+        return tree.leaf_probs(self._plan, queries)
 
     def _route(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 4 over one (members, n_q, n_bins) score array: the
@@ -156,9 +139,8 @@ def train_ensemble(
     """Algorithm 3: sequentially train ``e`` USP models with boosted weights,
     on ``knn_idx`` when given (e.g. the Spark build's) and on
     ``knn_matrix_numpy(x, k_prime)`` otherwise."""
-    x = np.asarray(x, dtype=np.float64)
-    if knn_idx is None:
-        knn_idx = knn_matrix_numpy(x, k_prime)
+    x = check_data(x)
+    knn_idx = knn_matrix_numpy(x, k_prime) if knn_idx is None else check_knn(knn_idx, len(x))
     weights = np.ones(len(x))
     base = cfg or TrainConfig(m=m)
     models = []

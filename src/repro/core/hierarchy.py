@@ -14,11 +14,11 @@ import numpy as np
 from repro.core.partitioner import build_model
 from repro.core.train import TrainConfig, train_usp_model
 from repro.index import tree
-from repro.index.base import PartitionIndex, probe_order
+from repro.index.base import check_data
 from repro.knn.exact import knn_matrix_numpy
 
 
-class HierarchicalPartitioner(PartitionIndex):
+class HierarchicalPartitioner(tree.TreeIndex):
     """Tree of USP models; leaves are the final bins."""
 
     def __init__(
@@ -39,12 +39,11 @@ class HierarchicalPartitioner(PartitionIndex):
         self.min_split = min_split
         self.seed = seed
         self.cfg_factory = cfg_factory or (lambda level, m: TrainConfig(m=m))
-        self.root: tree.Node | None = None
         self.n_bins = 0
 
     # -- offline -----------------------------------------------------------
     def fit(self, x: np.ndarray) -> "HierarchicalPartitioner":
-        x = np.asarray(x, dtype=np.float64)
+        x = check_data(x)
 
         def split(idx: np.ndarray, level: int):
             # Leaf: out of levels, or too few points to split meaningfully.
@@ -66,16 +65,13 @@ class HierarchicalPartitioner(PartitionIndex):
         return self
 
     # -- online ------------------------------------------------------------
+    # Defined on this class itself: perfbench's tracer wraps them here.
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
         """(n_q, n_leaves): product of per-level probabilities per leaf."""
-        return tree.leaf_probs(self.root, self.n_bins, np.asarray(queries, dtype=np.float64))
-
-    def predict_proba(self, queries: np.ndarray) -> np.ndarray:
-        """Leaf probabilities: what an ensemble routes on (Algorithm 4)."""
-        return self.leaf_probs(queries)
+        return super().leaf_probs(queries)
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self.leaf_probs(queries))
+        return super().probe_matrix(queries)
 
     def n_parameters(self) -> int:
         """Total learnable parameters over all node models (Table 2)."""

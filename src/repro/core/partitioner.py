@@ -1,5 +1,5 @@
 """USP index wrapper: fit (Algorithm 1), assign, multiprobe ranking
-(Algorithm 2).
+(Algorithm 2) through the one leaf scorer of :mod:`repro.index.tree`.
 """
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 
 from repro.core.train import TrainConfig, train_usp_model
-from repro.index.base import PartitionIndex, check_queries, probe_order
+from repro.index import tree
+from repro.index.base import check_data, check_knn
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
@@ -24,13 +25,14 @@ def build_model(
     raise ValueError(f"unknown arch {arch!r}")
 
 
-class UnsupervisedSpacePartitioner(PartitionIndex):
+class UnsupervisedSpacePartitioner(tree.TreeIndex):
     """The paper's contribution as a fit/assign/probe index.
 
     ``fit`` builds the k'-NN matrix (or takes a given one, such as
     :func:`repro.spark.knn_matrix_spark_collect`'s), trains the model with
     the USP loss, and materializes the partition of X (Algorithm 1 Steps
-    1–3). A given ``cfg`` is copied with ``m`` set, never changed.
+    1–3). A given ``cfg`` is copied with ``m`` set, never changed. ``root``
+    is the trained model's stump.
     """
 
     def __init__(
@@ -52,7 +54,6 @@ class UnsupervisedSpacePartitioner(PartitionIndex):
         self.cfg = replace(cfg, m=m) if cfg else TrainConfig(m=m, seed=seed)
         self.seed = seed
         self.model: MLP | None = None
-        self._x: np.ndarray | None = None
 
     # -- offline phase -----------------------------------------------------
     def fit(
@@ -62,23 +63,19 @@ class UnsupervisedSpacePartitioner(PartitionIndex):
         knn_idx: np.ndarray | None = None,
         weights: np.ndarray | None = None,
     ) -> "UnsupervisedSpacePartitioner":
-        x = np.asarray(x, dtype=np.float64)
-        if knn_idx is None:
-            knn_idx = knn_matrix_numpy(x, self.k_prime)
+        x = check_data(x)
+        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
+                   else check_knn(knn_idx, len(x)))
         self.model = build_model(self.arch, x.shape[1], self.n_bins, hidden=self.hidden,
                                  dropout=self.dropout, seed=self.seed)
         train_usp_model(self.model, x, knn_idx, self.cfg, weights)
-        self._x = x
+        self.root = tree.stump(self.model, self.n_bins, x.shape[1])
         self._data_bins = self.model.predict_bin(x)
         return self
 
     # -- online phase ------------------------------------------------------
-    def predict_proba(self, queries: np.ndarray) -> np.ndarray:
-        """(n_q, m) bin probabilities; ValueError when the queries' dimension
-        is not the data's or they hold NaN or infinite values."""
-        return self.model.predict_proba(check_queries(queries, self._x.shape[1]))
-
+    # Defined on this class itself: perfbench's tracer wraps it here.
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bins ranked by assigned probability, most probable first (Alg. 2)."""
-        return probe_order(self.predict_proba(queries))
+        return super().probe_matrix(queries)
 

@@ -19,8 +19,8 @@ def members_by_bin(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
 
 
 def probe_order(scores: np.ndarray) -> np.ndarray:
-    """Bins ranked by score per row, highest first; ties keep bin order."""
-    return np.argsort(-scores, axis=1, kind="stable")
+    """Bins ranked by score along the last axis, highest first; ties keep bin order."""
+    return np.argsort(-scores, axis=-1, kind="stable")
 
 
 def check_queries(q: np.ndarray, d: int) -> np.ndarray:
@@ -34,11 +34,34 @@ def check_queries(q: np.ndarray, d: int) -> np.ndarray:
     return q
 
 
+def check_data(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 (n, d) array to fit on; ValueError when it is not
+    2-D or holds NaN or infinite values."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"data of shape {x.shape}; expected (n, d)")
+    if not np.isfinite(x).all():
+        raise ValueError("data hold NaN or infinite values")
+    return x
+
+
+def check_knn(knn: np.ndarray, n: int) -> np.ndarray:
+    """A given k'-NN matrix of ``n`` points; ValueError unless it is (n, k')
+    with 0 < k' < n and holds integer ids in [0, n)."""
+    knn = np.asarray(knn)
+    if knn.ndim != 2 or knn.shape[0] != n or not 0 < knn.shape[1] < n:
+        raise ValueError(f"k'-NN matrix of shape {knn.shape}; expected (n, k') "
+                         f"with n={n} and 0 < k' < n")
+    if not np.issubdtype(knn.dtype, np.integer) or knn.min() < 0 or knn.max() >= n:
+        raise ValueError(f"k'-NN matrix must hold integer ids in [0, {n})")
+    return knn
+
+
 def bin_ranks(order: np.ndarray) -> np.ndarray:
-    """Inverse of a probe matrix: ``ranks[i, b]`` is the position of bin ``b``
-    in row ``i`` of ``order``."""
+    """Inverse of a probe matrix along its last axis: ``ranks[..., i, b]`` is
+    the position of bin ``b`` in row ``i`` of ``order``."""
     ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(order.shape[1]), axis=1)
+    np.put_along_axis(ranks, order, np.arange(order.shape[-1]), axis=-1)
     return ranks
 
 

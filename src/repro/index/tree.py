@@ -1,13 +1,15 @@
-"""Partition trees: one node type, grower and per-depth leaf scoring.
+"""Partition trees and forests: one node type, one grower, one leaf scorer.
 
 The paper's hierarchical partition (§4.4.2) and every tree baseline of
 §5.4.2 share one mechanism: each internal node routes a point to one of its
 children, the leaves are the bins, and a query's probability of landing in a
-leaf is the product of the per-level routing probabilities along its root
-path. An index supplies only its own ``split(idx, level)`` rule; :func:`grow`
-numbers the leaves depth-first and compiles a per-depth plan onto the root,
-and :func:`leaf_probs` scores the leaves one depth at a time from that plan:
-one stacked router call per depth, path products by index arrays.
+leaf is the product of the routing probabilities along its root path. A flat
+model (Algorithm 2) is a one-depth :func:`stump`; an ensemble (Algorithm 4)
+and Boosted Search Forest are forests, lists of roots. :func:`grow` grows a
+tree from an index's ``split(idx, level)`` rule, :func:`compile_plan` compiles
+a forest per depth, and :func:`leaf_probs`, the one scorer of every learned
+index, scores all its trees a depth at a time: one stacked router call per
+(router type, fan-out) group of a depth, path products by index arrays.
 """
 from __future__ import annotations
 
@@ -15,13 +17,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.index.base import check_queries
+from repro.index.base import PartitionIndex, check_queries, probe_order
 
 
 class Node:
     """A tree node: ``model`` routes queries (``predict_proba`` gives one
     column per child) at an internal node; a leaf has ``leaf_id`` instead.
-    The root of a grown tree also holds its per-depth ``plan`` and the
+    The root of a grown tree also holds its one-tree ``plan`` and the
     dimension ``d`` of the points it was grown over."""
 
     __slots__ = ("model", "children", "leaf_id", "plan", "d")
@@ -30,7 +32,7 @@ class Node:
         self.model = model
         self.children = children or []
         self.leaf_id = leaf_id
-        self.plan: list[Depth] | None = None
+        self.plan: Plan | None = None
         self.d: int | None = None
 
 
@@ -85,44 +87,72 @@ def hyperplane_split(
 
 
 class Depth(NamedTuple):
-    """One depth of a tree's plan. ``routers`` stacks the depth's internal
-    nodes; ``parent`` holds each node's column in the previous depth's path
-    products (the root's is column 0 of a column of ones). The depth's
-    children get the columns ``node * m + child``; ``leaf_cols`` are those
-    that are leaves, with their ``leaf_ids``."""
+    """One depth of a plan. ``groups`` pairs the stacked routers of each
+    (type, fan-out) with each router's column in the previous depth's path
+    products (a root's is its tree's number). The children get consecutive
+    columns, group by group, node by node; ``leaf_cols`` are the leaves and
+    ``leaf_slots`` their places ``tree * width + leaf_id`` in the output."""
 
-    routers: object
-    parent: np.ndarray
-    leaf_cols: np.ndarray
-    leaf_ids: np.ndarray
+    groups: list[tuple[object, np.ndarray | slice]]
+    leaf_cols: np.ndarray | slice
+    leaf_slots: np.ndarray | slice
 
 
-def _compile_plan(root: Node, d: int) -> list[Depth]:
-    """The per-depth plan of the tree under ``root``; ValueError when a depth
-    mixes router types or router shapes, or its routers take a dimension
-    other than ``d``."""
-    plan = []
-    nodes, parent = ([] if root.leaf_id is not None else [root]), [0]
-    while nodes:
-        kinds = {type(node.model) for node in nodes}
-        if len(kinds) > 1:
-            raise ValueError(f"depth {len(plan)} mixes router types "
-                             f"{sorted(k.__name__ for k in kinds)}")
-        try:
-            routers = kinds.pop().stack([node.model for node in nodes])
-        except ValueError as e:
-            raise ValueError(f"depth {len(plan)}: {e}") from e
-        if routers.d_in != d:
-            raise ValueError(f"depth {len(plan)} routes dimension {routers.d_in}; "
-                             f"the points have dimension {d}")
-        children = [child for node in nodes for child in node.children]
-        leaf_cols = [i for i, child in enumerate(children) if child.leaf_id is not None]
-        plan.append(Depth(routers, np.array(parent, dtype=np.intp),
-                          np.array(leaf_cols, dtype=np.intp),
-                          np.array([children[i].leaf_id for i in leaf_cols], dtype=np.intp)))
-        parent = [i for i, child in enumerate(children) if child.leaf_id is None]
-        nodes = [children[i] for i in parent]
-    return plan
+class Plan(NamedTuple):
+    """A forest compiled for :func:`leaf_probs`; ``root_leaves`` are the
+    output slots of roots that are themselves leaves, None when there are
+    none."""
+
+    roots: tuple[Node, ...]
+    d: int
+    n_leaves: tuple[int, ...]
+    root_leaves: np.ndarray | slice | None
+    depths: list[Depth]
+
+
+def _n_leaves(node: Node) -> int:
+    return 1 if node.leaf_id is not None else sum(_n_leaves(c) for c in node.children)
+
+
+def _index(ids: list[int]) -> np.ndarray | slice:
+    """``ids`` as a slice when they are consecutive, so numpy copies a block
+    where it would gather, and as an index array otherwise."""
+    lo = ids[0] if ids else 0
+    return slice(lo, lo + len(ids)) if ids == list(range(lo, lo + len(ids))) else np.array(ids)
+
+
+def compile_plan(roots: list[Node]) -> Plan:
+    """The per-depth plan of the forest of ``roots``; ValueError when the
+    roots were grown over different dimensions, or the routers of one type
+    and fan-out at a depth cannot be stacked (architectures or widths
+    differ), or take a dimension other than the points'."""
+    roots, dims = tuple(roots), {root.d for root in roots}
+    if len(dims) != 1:
+        raise ValueError(f"trees of dimensions {sorted(dims)} cannot be scored together")
+    d, n_leaves = dims.pop(), tuple(_n_leaves(root) for root in roots)
+    width, depths = max(n_leaves), []
+    # (tree, node, column of its path product) of the depth being compiled
+    level = [(t, root, t) for t, root in enumerate(roots) if root.leaf_id is None]
+    while level:
+        groups, children = [], []
+        keys = [(type(node.model), len(node.children)) for _, node, _ in level]
+        for key in dict.fromkeys(keys):
+            nodes = [entry for entry, k in zip(level, keys) if k == key]
+            try:
+                routers = key[0].stack([node.model for _, node, _ in nodes])
+            except ValueError as e:
+                raise ValueError(f"depth {len(depths)}: {e}") from e
+            if routers.d_in != d:
+                raise ValueError(f"depth {len(depths)} routes dimension {routers.d_in}; "
+                                 f"the points have dimension {d}")
+            groups.append((routers, _index([col for *_, col in nodes])))
+            children += [(t, child) for t, node, _ in nodes for child in node.children]
+        leaves = [(i, t * width + child.leaf_id) for i, (t, child) in enumerate(children)
+                  if child.leaf_id is not None]
+        depths.append(Depth(groups, _index([i for i, _ in leaves]), _index([s for _, s in leaves])))
+        level = [(t, child, i) for i, (t, child) in enumerate(children) if child.leaf_id is None]
+    root_leaves = [t * width for t, root in enumerate(roots) if root.leaf_id is not None]
+    return Plan(roots, d, n_leaves, _index(root_leaves) if root_leaves else None, depths)
 
 
 def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int]:
@@ -134,9 +164,9 @@ def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int
 
     ``split(idx, level)`` gets the point ids routed to a node and returns None
     to make it a leaf, or ``(router, masks)``: one boolean mask over ``idx``
-    per child, in the order of ``router.predict_proba``'s columns. The routers
-    of one depth must be of one type and shape, with a ``stack(routers)`` whose
-    ``predict_proba(q)`` is (nodes, n_q, children).
+    per child, in the order of ``router.predict_proba``'s columns. A router's
+    type has a ``stack(routers)`` whose ``predict_proba(q)`` is (nodes, n_q,
+    children); the routers of one type and fan-out at a depth share a shape.
     """
     n, d = shape
     bins = np.zeros(n, dtype=np.int64)
@@ -153,24 +183,58 @@ def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int
         return Node(router, [node(idx[mask], level + 1) for mask in masks])
 
     root = node(np.arange(n), 0)
-    root.plan = _compile_plan(root, d)
     root.d = d
+    root.plan = compile_plan([root])
     return root, bins, n_leaves
 
 
-def leaf_probs(root: Node, n_leaves: int, q: np.ndarray) -> np.ndarray:
-    """(n_q, n_leaves): product of the routing probabilities down each leaf's
-    path, one stacked router call per depth of the root's plan.
+def stump(model, m: int, d: int) -> Node:
+    """The one-depth tree of a flat model: ``model`` routes points of
+    dimension ``d`` straight to leaves ``0 .. m-1``, one per grown point."""
+    return grow((m, d), lambda idx, level: None if level else (model, [idx == b for b in idx]))[0]
 
-    ValueError when ``q`` is not (n_q, d) with the tree's ``d``, or holds
+
+def leaf_probs(plan: Plan, q: np.ndarray) -> np.ndarray:
+    """(trees, n_q, width): for each tree of ``plan``, the product of the
+    routing probabilities down each leaf's path, ``width`` the largest leaf
+    count. A tree with fewer leaves is padded with -1, which ranks after
+    every real leaf and is never the max; a root that is a leaf scores 1.
+    One stacked router call per group of each depth.
+
+    ValueError when ``q`` is not (n_q, d) with the trees' ``d``, or holds
     NaN or infinite values.
     """
-    q = check_queries(q, root.d)
-    plan = root.plan
-    out = np.ones((len(q), n_leaves))  # a root that is a leaf: probability one
-    acc = np.ones((len(q), 1))
-    for step in plan:
-        probs = step.routers.predict_proba(q)  # (nodes, n_q, m)
-        acc = (probs * acc.T[step.parent, :, None]).transpose(1, 0, 2).reshape(len(q), -1)
-        out[:, step.leaf_ids] = acc[:, step.leaf_cols]
-    return out
+    q = check_queries(q, plan.d)
+    n_trees, width = len(plan.roots), max(plan.n_leaves)
+    out = np.full((len(q), n_trees * width), -1.0)
+    if plan.root_leaves is not None:
+        out[:, plan.root_leaves] = 1.0
+    acc = None  # the roots' path products are ones, which multiply as the identity
+    for depth in plan.depths:
+        blocks = []
+        for routers, parent in depth.groups:
+            probs = routers.predict_proba(q)  # (nodes, n_q, fan-out)
+            if acc is not None:
+                probs = probs * acc.T[parent, :, None]
+            blocks.append(probs.transpose(1, 0, 2).reshape(len(q), -1))
+        acc = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        out[:, depth.leaf_slots] = acc[:, depth.leaf_cols]
+    return out.reshape(len(q), n_trees, width).transpose(1, 0, 2)
+
+
+class TreeIndex(PartitionIndex):
+    """A partition index whose bins are the leaves of the tree under
+    ``root`` (a :func:`stump` for a flat model)."""
+
+    root: Node | None = None
+
+    def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
+        """(n_q, n_leaves) leaf probabilities (Algorithm 2's bin distribution
+        for a flat model); ValueError on queries :func:`leaf_probs` rejects."""
+        return leaf_probs(self.root.plan, queries)[0]
+
+    predict_proba = leaf_probs
+
+    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
+        """Leaves ranked by probability, most probable first."""
+        return probe_order(self.leaf_probs(queries))

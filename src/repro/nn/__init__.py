@@ -3,15 +3,5 @@
 The paper trains its partitioning models with PyTorch; no deep-learning
 framework is installed offline, so this package implements the exact pieces
 the paper's architectures need — Linear, BatchNorm1d, ReLU, Dropout, softmax,
-Glorot init, manual backprop, and Adam — on numpy. Models serialize to flat
-weight lists so Spark executors can run inference from a broadcast variable.
+Glorot init, manual backprop, and Adam — on numpy.
 """
-from repro.nn.layers import BatchNorm1d, Dropout, Linear, ReLU, softmax
-from repro.nn.model import MLP, logistic_regression, mlp_partitioner, n_parameters
-from repro.nn.optim import Adam, SGD
-
-__all__ = [
-    "BatchNorm1d", "Dropout", "Linear", "ReLU", "softmax",
-    "MLP", "logistic_regression", "mlp_partitioner", "n_parameters",
-    "Adam", "SGD",
-]

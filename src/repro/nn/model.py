@@ -5,10 +5,10 @@
 - ``logistic_regression``: a single Linear(d, m) → softmax (m=2 in the
   paper's binary-tree setting).
 
-``predict_proba`` runs an eval-mode forward pass.
-:class:`StackedMLP` runs the eval forward of several models of one
-architecture at once, one batched matmul per linear layer; partition trees
-score each depth's node models with it.
+``predict_proba`` runs an eval-mode forward pass. Queries are scored by
+:class:`StackedMLP`, the eval forward of several models of one architecture
+at once, one batched matmul per linear layer: :func:`repro.index.tree.leaf_probs`
+runs one per group of model routers at each depth of a forest.
 """
 from __future__ import annotations
 
@@ -60,7 +60,8 @@ class StackedMLP:
     ``BatchNorm1d`` its eval-mode scale and shift, ``Dropout`` the identity.
     numpy runs the same gemm on every slice of a batched matmul as on the
     single model's ``x @ W``, so each slice of the output is bit-identical to
-    that model's own ``predict_proba``.
+    that model's own ``predict_proba``. The forward runs in place on the
+    first layer's output, which must be a ``Linear``.
     """
 
     def __init__(self, models: list[MLP]):
@@ -78,19 +79,26 @@ class StackedMLP:
             elif isinstance(layers[0], ReLU):
                 self.ops.append(("relu", None, None))
             # Dropout is the identity in eval mode.
+        if self.ops[0][0] != "linear":
+            raise ValueError("a stacked model must start with a Linear layer")
         self.d_in = self.ops[0][1].shape[1]
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """(models, n, m): each model's bin distribution for the rows of ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        for kind, a, b in self.ops:
+        for kind, a, b in self.ops:  # a linear layer's matmul allocates; the rest runs in place
             if kind == "linear":
-                x = np.matmul(x, a) + b
+                x = np.matmul(x, a)
+                x += b
             elif kind == "affine":
-                x = x * a + b
+                x *= a
+                x += b
             else:
-                x = np.maximum(x, 0.0)
-        return softmax(x)
+                np.maximum(x, 0.0, out=x)
+        x -= x.max(axis=-1, keepdims=True)  # softmax, the same steps as layers.softmax
+        np.exp(x, out=x)
+        x /= x.sum(axis=-1, keepdims=True)
+        return x
 
 
 def mlp_partitioner(

@@ -112,6 +112,37 @@ def small_indexes(small_data, small_knn, trained_usp):
 
 
 @pytest.fixture(scope="session")
+def unequal_ensemble(small_data):
+    """Hierarchy members that ``min_split`` prunes to different leaf counts."""
+    data, _ = small_data
+    return EnsemblePartitioner([_hierarchy([4, 4], min_split=min_split, seed=seed).fit(data)
+                                for seed, min_split in ((1, 40), (2, 300))])
+
+
+@pytest.fixture(scope="session")
+def flat_unequal_ensemble(small_data, small_knn, trained_usp):
+    """Flat USP members of 8 and 4 bins: routers of two fan-outs at depth 0."""
+    data, _ = small_data
+    four = UnsupervisedSpacePartitioner(4, cfg=TrainConfig(m=4, eta=7.0, epochs=5), seed=1)
+    return EnsemblePartitioner([trained_usp, four.fit(data, knn_idx=small_knn)])
+
+
+@pytest.fixture(scope="session")
+def mixed_ensemble(small_indexes):
+    """A flat USP member and a hierarchy: a stump and a two-depth tree."""
+    return EnsemblePartitioner([small_indexes["usp"], small_indexes["hierarchy"]])
+
+
+@pytest.fixture(scope="session")
+def ensembles(small_indexes, unequal_ensemble, flat_unequal_ensemble, mixed_ensemble):
+    """name -> every ensemble fixture, flat, of hierarchies and mixed."""
+    return {"ensemble": small_indexes["ensemble"],
+            "ensemble-of-hierarchies": small_indexes["ensemble-of-hierarchies"],
+            "unequal": unequal_ensemble, "flat-unequal": flat_unequal_ensemble,
+            "mixed": mixed_ensemble}
+
+
+@pytest.fixture(scope="session")
 def duplicate_indexes(duplicates):
     """The index types that ``duplicates`` drives into degenerate splits."""
     data, _ = duplicates

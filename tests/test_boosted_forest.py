@@ -1,5 +1,6 @@
 """Boosted Search Forest tests: spectral hyperplane quality, boosting
-weights produce diverse trees, union candidate sets."""
+weights produce diverse trees, union candidate sets, and forest scoring
+against the per-tree ranking it replaced (``per_tree_probe_ranks``)."""
 import numpy as np
 import pytest
 
@@ -7,9 +8,19 @@ from repro.baselines.boosted_forest import (
     BoostedSearchForest,
     similarity_preserving_hyperplane,
 )
-from repro.index.base import members_by_bin
+from repro.index import tree
+from repro.index.base import bin_ranks, members_by_bin, probe_order
 from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
+
+
+def per_tree_probe_ranks(forest, q):
+    """One ``leaf_probs`` and one ranking per tree through the tree's own
+    plan, then the minimum rank over the trees."""
+    return np.minimum.reduce([
+        bin_ranks(probe_order(tree.leaf_probs(root.plan, q)[0]))[:, bins]
+        for root, bins in zip(forest.trees, forest.tree_bins)
+    ])
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +98,14 @@ class TestForest:
             for bins, nb in zip(forest.tree_bins, forest.tree_n_bins):
                 ids = np.sort(np.concatenate(members_by_bin(bins, nb)))
                 np.testing.assert_array_equal(ids, np.arange(len(d)))
+
+    def test_probe_ranks_equal_per_tree(self, forests, small_indexes, small_data):
+        """On clustered data, duplicate-heavy data (whose trees prune to
+        unequal leaf counts) and the three-tree forest of the shared
+        fixtures; for 1, 16 and all queries."""
+        cases = forests + [(small_indexes["bsf"], *small_data)]
+        assert len(set(cases[1][0].tree_n_bins)) > 1
+        for forest, _, q in cases:
+            for block in (q[:1], q[:16], q):
+                assert np.array_equal(forest.probe_ranks(block),
+                                      per_tree_probe_ranks(forest, block))

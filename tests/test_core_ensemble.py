@@ -3,8 +3,8 @@ and the boost in candidate-set quality.
 
 ``grouped_route`` is the routing the ensemble used to run: one
 ``predict_proba`` per member, queries grouped by selected member, one probe
-order per group. The one-selection routing over stacked scores must give
-exactly its member choice, probe matrix, candidates and probe ranks."""
+order per group. The one-selection routing over the forest's scores must
+give exactly its member choice, probe matrix, candidates and probe ranks."""
 import copy
 
 import numpy as np
@@ -16,11 +16,10 @@ from repro.core.ensemble import (
     train_ensemble,
     update_weights,
 )
-from repro.core.hierarchy import HierarchicalPartitioner
-from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.index.base import bin_ranks, gather, probe_order
 from repro.index.search import sweep_accuracy
+from repro.nn.model import StackedMLP
 
 
 def grouped_route(ens, q):
@@ -69,19 +68,6 @@ def assert_routes_like_oracle(ens, q):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     assert np.array_equal(ens.probe_ranks(q), grouped_probe_ranks(ens, q))
-
-
-@pytest.fixture(scope="module")
-def unequal_ensemble(small_data):
-    """Hierarchy members that ``min_split`` prunes to different leaf counts."""
-    data, _ = small_data
-    return EnsemblePartitioner([
-        HierarchicalPartitioner(
-            [4, 4], cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
-            min_split=min_split, seed=seed,
-        ).fit(data)
-        for seed, min_split in ((1, 40), (2, 300))
-    ])
 
 
 class TestWeightUpdate:
@@ -169,14 +155,6 @@ class TestEnsemble:
             assert sorted(row) == list(range(trained_ensemble.n_bins))
 
 
-@pytest.fixture(scope="module")
-def flat_unequal_ensemble(small_data, small_knn, trained_usp):
-    """Flat USP members of 8 and 4 bins: they cannot share one stack."""
-    data, _ = small_data
-    four = UnsupervisedSpacePartitioner(4, cfg=TrainConfig(m=4, eta=7.0, epochs=5), seed=1)
-    return EnsemblePartitioner([trained_usp, four.fit(data, knn_idx=small_knn)])
-
-
 class TestUnequalLeafCounts:
     """Hierarchy members that ``min_split`` prunes to different leaf counts."""
 
@@ -211,14 +189,13 @@ class TestUnequalLeafCounts:
 
 
 class TestRoutingOracle:
-    """One stacked scoring and one probe order per request, against the
+    """One forest scoring and one probe order per request, against the
     per-member grouped routing, on blocks of 1, 16 and all queries."""
 
-    @pytest.fixture(params=["ensemble", "ensemble-of-hierarchies", "unequal", "flat-unequal"])
-    def ens(self, request, small_indexes, unequal_ensemble, flat_unequal_ensemble):
-        indexes = {**small_indexes, "unequal": unequal_ensemble,
-                   "flat-unequal": flat_unequal_ensemble}
-        return indexes[request.param]
+    @pytest.fixture(params=["ensemble", "ensemble-of-hierarchies", "unequal", "flat-unequal",
+                            "mixed"])
+    def ens(self, request, ensembles):
+        return ensembles[request.param]
 
     def test_equal_to_grouped_route(self, ens, small_data):
         _, queries = small_data
@@ -226,10 +203,20 @@ class TestRoutingOracle:
         for q in (queries[:1], queries[:16], queries):
             assert_routes_like_oracle(ens, q)
 
-    def test_flat_members_scored_by_one_stack(self, small_indexes, flat_unequal_ensemble):
-        assert small_indexes["ensemble"]._stacked() is not None
-        assert small_indexes["ensemble-of-hierarchies"]._stacked() is None
-        assert flat_unequal_ensemble._stacked() is None
+    def test_flat_members_scored_by_one_stack(self, ensembles, small_data, monkeypatch):
+        """A request makes one stacked router call per depth and fan-out:
+        flat members of one bin count share one call at depth 0, and the
+        routers of both hierarchies share one per depth. Each call is
+        recorded by the number of routers it stacks."""
+        calls = []
+        forward = StackedMLP.predict_proba
+        monkeypatch.setattr(StackedMLP, "predict_proba",
+                            lambda self, x: calls.append(len(self.ops[0][1])) or forward(self, x))
+        for name, want in (("ensemble", [3]), ("flat-unequal", [1, 1]), ("mixed", [1, 1, 4]),
+                           ("ensemble-of-hierarchies", [2, 6])):
+            calls.clear()
+            ensembles[name].candidate_ids(small_data[1][:1], 2)
+            assert calls == want, name
 
     def test_refit_member_reroutes(self, small_indexes, small_data, small_knn):
         """A refit replaces a member's model; the stack is rebuilt from it."""

@@ -1,0 +1,68 @@
+"""Bad training data fails loudly in every index's fit: data that is not
+(n, d) or holds NaN or infinite values, and a given k'-NN matrix of the
+wrong shape, with k' outside (0, n), or with ids outside [0, n)."""
+import numpy as np
+import pytest
+
+from repro.baselines.boosted_forest import BoostedSearchForest
+from repro.baselines.kmeans import KMeansPartitioner
+from repro.baselines.lsh import CrossPolytopeLSH
+from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
+from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
+from repro.core.ensemble import train_ensemble
+from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.partitioner import UnsupervisedSpacePartitioner
+from repro.core.train import TrainConfig
+from repro.knn.exact import knn_matrix_numpy
+
+CFG = TrainConfig(m=4, epochs=1)
+
+# name -> fit(x, knn_idx=None), for every index type
+FITS = {
+    "usp": lambda x, **kw: UnsupervisedSpacePartitioner(4, cfg=CFG).fit(x, **kw),
+    "ensemble": lambda x, **kw: train_ensemble(x, m=4, e=2, cfg=CFG, **kw),
+    "neural-lsh": lambda x, **kw: NeuralLSHPartitioner(4, hidden=8, epochs=1).fit(x, **kw),
+    "hierarchy": lambda x: HierarchicalPartitioner(
+        [2, 2], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x),
+    "kmeans": lambda x: KMeansPartitioner(4).fit(x),
+    "cp-lsh": lambda x: CrossPolytopeLSH(4).fit(x),
+    "regression-lsh": lambda x: RegressionLSHTree(2, epochs=1).fit(x),
+    "bsf": lambda x: BoostedSearchForest(2, n_trees=2).fit(x),
+    **{f"tree-{r}": (lambda x, r=r: BinaryPartitionTree(r, 2).fit(x)) for r in sorted(SPLIT_RULES)},
+}
+KNN_FITS = ["usp", "ensemble", "neural-lsh"]
+
+
+@pytest.fixture(scope="module")
+def data():
+    return np.random.default_rng(0).normal(size=(200, 6))
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_rejects_bad_data(name, data):
+    fit = FITS[name]
+    fit(data)  # the good data fits
+    for bad in (np.nan, np.inf, -np.inf):
+        x = data.copy()
+        x[7, 3] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            fit(x)
+    with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+        fit(data[:, 0])
+
+
+@pytest.mark.parametrize("name", KNN_FITS)
+def test_fit_rejects_bad_knn(name, data):
+    fit, n = FITS[name], len(data)
+    knn = knn_matrix_numpy(data, 5)
+    fit(data, knn_idx=knn)
+    for bad in (knn[:-1], knn[:, :0], knn[:, 0], np.zeros((n, n), dtype=np.int64)):
+        with pytest.raises(ValueError, match="0 < k' < n"):
+            fit(data, knn_idx=bad)
+    for value in (-1, n):
+        bad = knn.copy()
+        bad[3, 2] = value
+        with pytest.raises(ValueError, match="integer ids"):
+            fit(data, knn_idx=bad)
+    with pytest.raises(ValueError, match="integer ids"):
+        fit(data, knn_idx=knn.astype(np.float64))

@@ -3,9 +3,12 @@
 ``walk_leaf_probs`` is the recursive walk ``tree.leaf_probs`` used to run:
 one router call per internal node, each path product multiplied down from
 the root. The per-depth plan must give exactly its leaf probabilities and
-probe order on every tree index, for one query, a 16-query block and every
-query. Also: a depth whose routers cannot be stacked fails at grow time, and
-bad queries fail on every tree index, a tree whose root is a leaf included."""
+probe order on every tree index, and a forest's plan exactly each tree's
+walk (padded with -1) on every ensemble and forest, for one query, a
+16-query block and every query. Also: routers of one depth that share a type
+and fan-out but cannot be stacked fail at grow time, routers of different
+types or fan-outs at one depth are scored as separate groups, and bad queries
+fail on every tree index, a tree whose root is a leaf included."""
 import numpy as np
 import pytest
 
@@ -39,6 +42,14 @@ def walk_leaf_probs(root, n_leaves, q):
             walk(child, acc * probs[:, b])
 
     walk(root, np.ones(len(q)))
+    return out
+
+
+def walk_forest(plan, q):
+    """``tree.leaf_probs`` by one walk per tree, padded with -1."""
+    out = np.full((len(plan.roots), len(q), max(plan.n_leaves)), -1.0)
+    for o, root, n_leaves in zip(out, plan.roots, plan.n_leaves):
+        o[:, :n_leaves] = walk_leaf_probs(root, n_leaves, q)
     return out
 
 
@@ -91,12 +102,13 @@ def _blocks(queries):
 def test_fixture_shapes(tree_indexes, small_data):
     """The extra trees have the shapes they are there for."""
     h, _ = tree_indexes["hierarchy-4x4x4"]
-    assert len(h.root.plan) == 3
+    assert len(h.root.plan.depths) == 3
     h, _ = tree_indexes["hierarchy-two-leaf-depths"]
-    assert [len(step.leaf_ids) > 0 for step in h.root.plan] == [True, True]
+    slots = np.arange(h.n_bins)
+    assert [slots[step.leaf_slots].size > 0 for step in h.root.plan.depths] == [True, True]
     assert (np.bincount(h.data_bins(), minlength=h.n_bins) == 0).any()
     single, _ = tree_indexes["single-leaf"]
-    assert single.n_bins == 1 and single.root.plan == []
+    assert single.n_bins == 1 and single.root.plan.depths == []
     assert single.root.d == small_data[0].shape[1]
 
 
@@ -105,8 +117,36 @@ def test_leaf_probs_equal_walk(name, tree_indexes):
     index, queries = tree_indexes[name]
     for root, n_leaves in roots(index):
         for q in _blocks(queries):
-            assert np.array_equal(tree.leaf_probs(root, n_leaves, q),
+            assert np.array_equal(tree.leaf_probs(root.plan, q)[0],
                                   walk_leaf_probs(root, n_leaves, q))
+
+
+@pytest.fixture(scope="module")
+def forests(ensembles, tree_indexes, small_data):
+    """name -> (the plan an index scores all its trees with, queries)."""
+    queries = small_data[1]
+    out = {}
+    for name, ens in ensembles.items():
+        ens.model_choice(queries[:1])  # compiles the plan over the members' roots
+        out[name] = (ens._plan, queries)
+    for name in ("bsf", "bsf-duplicates"):
+        index, q = tree_indexes[name]
+        out[name] = (index.plan, q)
+    return out
+
+
+FORESTS = ["ensemble", "ensemble-of-hierarchies", "unequal", "flat-unequal", "mixed",
+           "bsf", "bsf-duplicates"]
+
+
+@pytest.mark.parametrize("name", FORESTS)
+def test_forest_equal_walk(name, forests):
+    """Member by member: each tree's scores equal its own walk, and its
+    padded leaves hold -1."""
+    plan, queries = forests[name]
+    assert len(plan.roots) > 1
+    for q in _blocks(queries):
+        assert np.array_equal(tree.leaf_probs(plan, q), walk_forest(plan, q))
 
 
 def probe_outputs(index, q):
@@ -119,7 +159,7 @@ def probe_outputs(index, q):
 def test_probe_order_equal_walk(name, tree_indexes, monkeypatch):
     index, queries = tree_indexes[name]
     got = [probe_outputs(index, q) for q in _blocks(queries)]
-    monkeypatch.setattr(tree, "leaf_probs", walk_leaf_probs)
+    monkeypatch.setattr(tree, "leaf_probs", walk_forest)
     for outputs, q in zip(got, _blocks(queries)):
         for a, b in zip(outputs, probe_outputs(index, q), strict=True):
             assert np.array_equal(a, b)
@@ -139,9 +179,6 @@ def _grow_with(first, second, fanouts, d=4):
 
 
 @pytest.mark.parametrize("first, second, fanouts", [
-    pytest.param(tree.Hyperplane(np.ones(4), 0.0, 1.0), logistic_regression(4, 2), (2, 2),
-                 id="router-types"),
-    pytest.param(logistic_regression(4, 2), logistic_regression(4, 3), (2, 3), id="child-counts"),
     pytest.param(logistic_regression(4, 2), mlp_partitioner(4, 2, hidden=8), (2, 2),
                  id="architectures"),
     pytest.param(mlp_partitioner(4, 2, hidden=8), mlp_partitioner(4, 2, hidden=16), (2, 2),
@@ -156,11 +193,24 @@ def test_mixed_depth_fails_at_grow(first, second, fanouts):
         _grow_with(first, second, fanouts)
 
 
+@pytest.mark.parametrize("first, second, fanouts", [
+    pytest.param(tree.Hyperplane(np.ones(4), 0.0, 1.0), logistic_regression(4, 2), (2, 2),
+                 id="router-types"),
+    pytest.param(logistic_regression(4, 2), logistic_regression(4, 3), (2, 3), id="child-counts"),
+])
+def test_mixed_depth_grows_equal_to_walk(first, second, fanouts):
+    """Routers of two types or two fan-outs at one depth form two groups."""
+    root, _, n_leaves = _grow_with(first, second, fanouts)
+    assert [len(step.groups) for step in root.plan.depths] == [1, 2]
+    q = np.random.default_rng(0).normal(size=(5, 4))
+    assert np.array_equal(tree.leaf_probs(root.plan, q)[0], walk_leaf_probs(root, n_leaves, q))
+
+
 def test_one_router_kind_per_depth_grows():
     root, _, n_leaves = _grow_with(logistic_regression(4, 2, seed=1),
                                    logistic_regression(4, 2, seed=2), (2, 2))
     q = np.random.default_rng(0).normal(size=(5, 4))
-    assert np.array_equal(tree.leaf_probs(root, n_leaves, q), walk_leaf_probs(root, n_leaves, q))
+    assert np.array_equal(tree.leaf_probs(root.plan, q)[0], walk_leaf_probs(root, n_leaves, q))
 
 
 def _assert_rejected(index, queries):
