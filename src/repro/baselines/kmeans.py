@@ -89,7 +89,3 @@ class KMeansPartitioner(PartitionIndex):
         q = check_queries(queries, c.shape[1])
         return np.argsort(sqdist(q, c), axis=1, kind="stable")
 
-    def n_parameters(self) -> int:
-        """Centroid table size — Table 2's K-means parameter count."""
-        return int(self.km.centroids.size)
-

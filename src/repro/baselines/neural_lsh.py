@@ -96,9 +96,6 @@ class NeuralLSHPartitioner(tree.TreeIndex):
         self._data_bins = labels  # data points keep their graph-partition bins
         return self
 
-    def n_parameters(self) -> int:
-        return int(sum(p.value.size for p in self.model.params()))
-
 
 class RegressionLSHTree(tree.TreeIndex):
     """Regression LSH: binary tree; each node 2-way graph-partitions its

@@ -1,4 +1,4 @@
 """Clustering baselines + metrics for the §5.5 comparison (Table 5):
-DBSCAN, spectral clustering, and agreement metrics (ARI/NMI). Figures are out
+DBSCAN, spectral clustering, and the adjusted Rand index (ARI). Figures are out
 of scope, so the comparison is quantitative: agreement with the generating
 labels of the sklearn-style toy datasets."""

@@ -1,4 +1,4 @@
-"""Clustering agreement metrics (sklearn stand-ins): ARI and NMI.
+"""Clustering agreement metric (sklearn stand-in): the adjusted Rand index.
 
 Noise labels (-1, from DBSCAN) are treated as their own cluster, the same
 convention sklearn's ARI uses when fed raw DBSCAN output.
@@ -32,17 +32,3 @@ def adjusted_rand_index(labels_true: np.ndarray, labels_pred: np.ndarray) -> flo
         return 1.0
     return float((sum_comb - expected) / (max_index - expected))
 
-
-def normalized_mutual_info(labels_true: np.ndarray, labels_pred: np.ndarray) -> float:
-    """NMI with arithmetic normalization, in [0, 1]."""
-    m = _contingency(np.asarray(labels_true), np.asarray(labels_pred)).astype(np.float64)
-    n = m.sum()
-    pij = m / n
-    pi = pij.sum(axis=1)
-    pj = pij.sum(axis=0)
-    nz = pij > 0
-    mi = (pij[nz] * np.log(pij[nz] / (pi[:, None] * pj[None, :])[nz])).sum()
-    hi = -(pi[pi > 0] * np.log(pi[pi > 0])).sum()
-    hj = -(pj[pj > 0] * np.log(pj[pj > 0])).sum()
-    denom = (hi + hj) / 2.0
-    return float(mi / denom) if denom > 0 else 1.0

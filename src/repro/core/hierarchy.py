@@ -72,14 +72,3 @@ class HierarchicalPartitioner(tree.TreeIndex):
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         return super().probe_matrix(queries)
-
-    def n_parameters(self) -> int:
-        """Total learnable parameters over all node models (Table 2)."""
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.model is not None:
-                total += sum(p.value.size for p in node.model.params())
-            stack.extend(node.children)
-        return total

@@ -45,6 +45,12 @@ def check_data(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def check_k(k: int, n: int) -> None:
+    """ValueError unless 0 < k < n, the k' of a k'-NN matrix of ``n`` points."""
+    if not 0 < k < n:
+        raise ValueError(f"k'={k} for {n} points; expected 0 < k' < n")
+
+
 def check_knn(knn: np.ndarray, n: int) -> np.ndarray:
     """A given k'-NN matrix of ``n`` points; ValueError unless it is (n, k')
     with 0 < k' < n and holds integer ids in [0, n)."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.index.base import check_data, check_k, check_queries
+
 # Rows per k'-NN block: one (256, n) float64 distance buffer (12 MB at
 # n = 6000) plus a (256, n) bool mask for the row cut.
 KNN_BLOCK = 256
@@ -61,11 +63,6 @@ def _smallest_per_row(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[pick], vals[pick]
 
 
-def _check_finite(x: np.ndarray, name: str) -> None:
-    if not np.isfinite(x).all():
-        raise ValueError(f"{name} hold NaN or infinite values")
-
-
 def topk_neighbors(
     queries: np.ndarray, data: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,12 +70,11 @@ def topk_neighbors(
 
     Returns ``(indices, distances)`` each of shape (n_queries, k), neighbors
     sorted by increasing Euclidean distance, exact ties by data row.
-    ValueError when the queries or the data hold NaN or infinite values.
+    ValueError when the data are not (n, d), the queries not (n_q, d), or
+    either holds NaN or infinite values.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    _check_finite(queries, "queries")
-    _check_finite(data, "data")
+    data = check_data(data)
+    queries = check_queries(queries, data.shape[1])
     d2 = sqdist(queries, data)
     np.maximum(d2, 0.0, out=d2)
     idx, part = _smallest_per_row(d2, min(k, d2.shape[1]))
@@ -98,14 +94,15 @@ def knn_block(data: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
     """k'-NN matrix (n, k) of neighbor *indices*, self excluded, nearest
-    first and exact ties by index; ValueError when ``data`` holds NaN or
-    infinite values. Built by :func:`knn_block` over blocks of ``block``
-    rows, which bounds peak memory. The block does not change the result,
-    except that a one-row block rounds differently and may swap exact
-    duplicates."""
-    _check_finite(data, "data")
+    first and exact ties by index; ValueError when ``data`` is not (n, d) or
+    holds NaN or infinite values, or k is outside (0, n). Built by
+    :func:`knn_block` over blocks of ``block`` rows, which bounds peak
+    memory. The block does not change the result, except that a one-row
+    block rounds differently and may swap exact duplicates."""
+    data = check_data(data)
     n = len(data)
-    out = np.empty((n, min(k, n - 1)), dtype=np.int64)
+    check_k(k, n)
+    out = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         out[lo:hi] = knn_block(data, lo, hi, out.shape[1])

@@ -1,9 +1,10 @@
-"""Layers with manual forward/backward passes.
+"""Layers with manual forward/backward passes, for training only.
 
-Every layer caches what its backward pass needs during a train-mode
-``forward`` (eval mode caches nothing and has no backward) and exposes
-trainable tensors as :class:`Param` objects (value + grad), which the
-optimizers in :mod:`repro.nn.optim` update in place.
+Every layer's ``forward`` is the train-mode pass: it caches what its
+backward pass needs, and exposes trainable tensors as :class:`Param` objects
+(value + grad), which the optimizers in :mod:`repro.nn.optim` update in
+place. Eval mode lives in one place, :class:`repro.nn.model.StackedMLP`,
+which reads each layer's weights (and :meth:`BatchNorm1d.eval_affine`).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ class Layer:
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:  # pragma: no cover
+    def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def backward(self, g: np.ndarray) -> np.ndarray:  # pragma: no cover
@@ -56,9 +57,8 @@ class Linear(Layer):
     def params(self) -> list[Param]:
         return [self.W, self.b]
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if train:
-            self._x = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
         return x @ self.W.value + self.b.value
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -68,9 +68,7 @@ class Linear(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if not train:
-            return np.maximum(x, 0.0)
+    def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return x * self._mask
 
@@ -79,7 +77,7 @@ class ReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: active only in train mode (paper uses p=0.1)."""
+    """Inverted dropout (paper uses p=0.1); the identity in eval mode."""
 
     def __init__(self, p: float, rng: np.random.Generator):
         assert 0.0 <= p < 1.0
@@ -87,8 +85,8 @@ class Dropout(Layer):
         self.rng = rng
         self._mask: np.ndarray | float = 1.0
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if not train or self.p == 0.0:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.p == 0.0:
             self._mask = 1.0
             return x
         self._mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
@@ -118,10 +116,7 @@ class BatchNorm1d(Layer):
         scale = self.gamma.value / np.sqrt(self.running_var + self.eps)
         return scale, self.beta.value - self.running_mean * scale
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if not train:
-            scale, shift = self.eval_affine()
-            return x * scale + shift
+    def forward(self, x: np.ndarray) -> np.ndarray:
         mu = x.mean(axis=0)
         var = x.var(axis=0)
         self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu

@@ -5,10 +5,12 @@
 - ``logistic_regression``: a single Linear(d, m) → softmax (m=2 in the
   paper's binary-tree setting).
 
-``predict_proba`` runs an eval-mode forward pass. Queries are scored by
-:class:`StackedMLP`, the eval forward of several models of one architecture
-at once, one batched matmul per linear layer: :func:`repro.index.tree.leaf_probs`
-runs one per group of model routers at each depth of a forest.
+The layers of :mod:`repro.nn.layers` train; :class:`StackedMLP` is the one
+eval-mode forward, for one model or many of one architecture at once, one
+batched matmul per linear layer. ``MLP.forward(x, train=False)``,
+``predict_proba`` and ``predict_bin`` run the model as a stack of one, and
+:func:`repro.index.tree.leaf_probs` runs one stack per group of model
+routers at each depth of a forest.
 """
 from __future__ import annotations
 
@@ -25,8 +27,13 @@ class MLP:
 
     # -- forward / backward ------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        """Logits of the rows of ``x``: the layers' train-mode pass, which
+        caches what :meth:`backward` needs, or with ``train=False`` the eval
+        forward of the model as a stack of one."""
+        if not train:
+            return StackedMLP([self]).logits(x)[0]
         for layer in self.layers:
-            x = layer.forward(x, train)
+            x = layer.forward(x)
         return x
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -36,12 +43,12 @@ class MLP:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode bin probability distribution M(p) (Eq. 6)."""
-        return softmax(self.forward(np.asarray(x, dtype=np.float64), train=False))
+        return softmax(self.forward(x, train=False))
 
     def predict_bin(self, x: np.ndarray) -> np.ndarray:
-        """Hard bin assignment: the argmax of the eval-mode logits (softmax
-        keeps their order, so it is skipped)."""
-        return np.argmax(self.forward(np.asarray(x, dtype=np.float64), train=False), axis=1)
+        """Hard bin assignment: the argmax of the eval-mode logits, not of
+        their softmax, which can round distinct logits to a tie."""
+        return np.argmax(self.forward(x, train=False), axis=1)
 
     @staticmethod
     def stack(models: list[MLP]) -> StackedMLP:
@@ -53,14 +60,14 @@ class MLP:
 
 
 class StackedMLP:
-    """Eval-mode ``predict_proba`` of several MLPs of one architecture at once.
+    """The eval-mode forward of one MLP or several of one architecture.
 
     Built from the layers' current weights: each ``Linear`` becomes a batched
     ``np.matmul`` over weights of shape (models, d_in, d_out), each
-    ``BatchNorm1d`` its eval-mode scale and shift, ``Dropout`` the identity.
-    numpy runs the same gemm on every slice of a batched matmul as on the
-    single model's ``x @ W``, so each slice of the output is bit-identical to
-    that model's own ``predict_proba``. The forward runs in place on the
+    ``BatchNorm1d`` its eval-mode scale and shift, ``ReLU`` a clamp at 0,
+    ``Dropout`` the identity. numpy runs the same gemm on every slice of a
+    batched matmul, so each slice of the output is bit-identical to that
+    model's forward as a stack of one. The forward runs in place on the
     first layer's output, which must be a ``Linear``.
     """
 
@@ -83,8 +90,8 @@ class StackedMLP:
             raise ValueError("a stacked model must start with a Linear layer")
         self.d_in = self.ops[0][1].shape[1]
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """(models, n, m): each model's bin distribution for the rows of ``x``."""
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """(models, n, m): each model's eval-mode logits for the rows of ``x``."""
         x = np.asarray(x, dtype=np.float64)
         for kind, a, b in self.ops:  # a linear layer's matmul allocates; the rest runs in place
             if kind == "linear":
@@ -95,6 +102,11 @@ class StackedMLP:
                 x += b
             else:
                 np.maximum(x, 0.0, out=x)
+        return x
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """(models, n, m): each model's bin distribution for the rows of ``x``."""
+        x = self.logits(x)
         x -= x.max(axis=-1, keepdims=True)  # softmax, the same steps as layers.softmax
         np.exp(x, out=x)
         x /= x.sum(axis=-1, keepdims=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import check_queries
+from repro.index.base import check_data, check_queries
 from repro.index.search import topk_within
 from repro.knn.exact import sqdist
 
@@ -94,7 +94,9 @@ class AnisotropicPQ:
         return out
 
     def fit(self, x: np.ndarray) -> "AnisotropicPQ":
-        x = np.asarray(x, dtype=np.float64)
+        """Train the codebooks on ``x`` and encode it; ValueError when ``x``
+        is not (n, d) or holds NaN or infinite values."""
+        x = check_data(x)
         n, d = x.shape
         rng = np.random.default_rng(self.seed)
         edges = np.linspace(0, d, self.n_sub + 1).astype(int)

@@ -13,6 +13,8 @@ import heapq
 
 import numpy as np
 
+from repro.index.base import check_data, check_queries
+
 
 class HNSW:
     def __init__(
@@ -79,7 +81,9 @@ class HNSW:
         return sorted((-d, u) for d, u in best)
 
     def fit(self, x: np.ndarray) -> "HNSW":
-        self._x = np.asarray(x, dtype=np.float64)
+        """Insert the rows of ``x`` one by one; ValueError when ``x`` is not
+        (n, d) or holds NaN or infinite values."""
+        self._x = check_data(x)
         n = len(self._x)
         rng = np.random.default_rng(self.seed)
         ml = 1.0 / np.log(self.M)
@@ -124,7 +128,10 @@ class HNSW:
         return self
 
     def search(self, query: np.ndarray, k: int, *, ef: int = 50) -> np.ndarray:
-        q = np.asarray(query, dtype=np.float64)
+        """Ids of the ``k`` nearest rows found for one query (d,), nearest
+        first; ValueError when it has another dimension or holds NaN or
+        infinite values."""
+        q = check_queries(np.reshape(query, (1, -1)), self._x.shape[1])[0]
         ep = self.entry
         for layer in range(len(self.graphs) - 1, 0, -1):
             if ep in self.graphs[layer]:

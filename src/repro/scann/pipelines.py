@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import pandas as pd
 
-from repro.index.base import PartitionIndex, check_queries
+from repro.index.base import PartitionIndex
 from repro.index.search import cost_at_quality
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
@@ -34,7 +34,7 @@ class ScannPipeline:
         self.partitioner = partitioner
 
     def fit(self, x: np.ndarray) -> "ScannPipeline":
-        self.pq.fit(np.asarray(x, dtype=np.float64))
+        self.pq.fit(x)
         if self.partitioner is not None:  # build the lookup table offline
             self.partitioner.bin_members()
         return self
@@ -46,10 +46,10 @@ class ScannPipeline:
         call for the block (how a serving system amortizes model
         inference), then one ``AnisotropicPQ.search`` over the block's
         candidate sets, or over every row when there is no partitioner.
-        Returns (n_q, k) ids padded with -1. Raises ValueError when the
-        queries' dimension differs from the data's or a value is not
-        finite."""
-        queries = check_queries(queries, self.pq._x.shape[1])
+        Returns (n_q, k) ids padded with -1. ValueError when the queries'
+        dimension differs from the data's or a value is not finite, from
+        the partitioner's ``candidate_ids`` or from ``AnisotropicPQ.search``,
+        which both check the queries."""
         subsets = (None if self.partitioner is None
                    else self.partitioner.candidate_ids(queries, n_probes))
         return self.pq.search(queries, k, subset=subsets, rerank=rerank)

@@ -22,7 +22,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.knn.exact import KNN_BLOCK, _check_finite, knn_block
+from repro.index.base import check_data, check_k
+from repro.knn.exact import KNN_BLOCK, knn_block
 
 
 def vectors_df(spark: SparkSession, x: np.ndarray) -> DataFrame:
@@ -36,13 +37,12 @@ def knn_matrix_spark(spark: SparkSession, data: np.ndarray, k: int) -> DataFrame
     The dataset is broadcast once; each executor takes blocks of
     ``KNN_BLOCK`` rows, the numpy build's blocks, and computes each with
     :func:`knn_block`. Returns a DataFrame (id: long, neighbors: array<long>)
-    whose rows equal those of ``knn_matrix_numpy(data, k)``. ValueError when
-    ``data`` holds NaN or infinite values.
+    whose rows equal those of ``knn_matrix_numpy(data, k)``; ValueError in
+    the same cases.
     """
-    data = np.asarray(data, dtype=np.float64)
-    _check_finite(data, "data")
+    data = check_data(data)
     n = len(data)
-    kk = min(k, n - 1)
+    check_k(k, n)
     bc = spark.sparkContext.broadcast(data)
     n_blocks = -(-n // KNN_BLOCK)
     starts = spark.range(0, n, KNN_BLOCK, min(spark.sparkContext.defaultParallelism, n_blocks))
@@ -52,7 +52,7 @@ def knn_matrix_spark(spark: SparkSession, data: np.ndarray, k: int) -> DataFrame
         for pdf in batches:
             for lo in pdf["id"].tolist():
                 hi = min(lo + KNN_BLOCK, n)
-                neigh = knn_block(x, lo, hi, kk)
+                neigh = knn_block(x, lo, hi, k)
                 yield pd.DataFrame({"id": np.arange(lo, hi), "neighbors": list(neigh)})
 
     return starts.mapInPandas(compute, schema="id long, neighbors array<long>")

@@ -34,10 +34,6 @@ class TestStructure:
         h, data, _ = hier
         assert h.data_bins().shape == (len(data),)
 
-    def test_n_parameters_positive(self, hier):
-        h, _, _ = hier
-        assert h.n_parameters() > 0
-
 
 class TestLeafProbs:
     def test_rows_sum_to_one(self, hier):

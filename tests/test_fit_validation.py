@@ -1,6 +1,7 @@
 """Bad training data fails loudly in every index's fit: data that is not
-(n, d) or holds NaN or infinite values, and a given k'-NN matrix of the
-wrong shape, with k' outside (0, n), or with ids outside [0, n)."""
+(n, d) or holds NaN or infinite values, a given k'-NN matrix of the
+wrong shape, with k' outside (0, n), or with ids outside [0, n), and a k'
+outside (0, n) for the matrix the fit builds."""
 import numpy as np
 import pytest
 
@@ -66,3 +67,14 @@ def test_fit_rejects_bad_knn(name, data):
             fit(data, knn_idx=bad)
     with pytest.raises(ValueError, match="integer ids"):
         fit(data, knn_idx=knn.astype(np.float64))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, k: UnsupervisedSpacePartitioner(4, k_prime=k, cfg=CFG).fit(x),
+    lambda x, k: train_ensemble(x, m=4, e=2, k_prime=k, cfg=CFG),
+], ids=["usp", "ensemble"])
+def test_fit_rejects_k_prime_outside_0_n(fit, data):
+    """A k' the built k'-NN matrix cannot have fails instead of being clamped."""
+    for k in (0, len(data), len(data) + 5):
+        with pytest.raises(ValueError, match="0 < k' < n"):
+            fit(data, k)

@@ -64,10 +64,6 @@ class TestKMeansPartitioner:
         for i in range(5):
             assert (np.diff(d[i][pm[i]]) >= -1e-12).all()
 
-    def test_n_parameters(self, blob_data):
-        p = KMeansPartitioner(6, seed=0).fit(blob_data)
-        assert p.n_parameters() == 6 * blob_data.shape[1]
-
     def test_data_bins_match_predict(self, blob_data):
         p = KMeansPartitioner(4, seed=1).fit(blob_data)
         np.testing.assert_array_equal(p.data_bins(), p.km.predict(blob_data))

@@ -139,6 +139,16 @@ class TestTopkNumpy:
         with pytest.raises(ValueError, match=f"{where} hold NaN or infinite"):
             topk_neighbors(queries, data, 5)
 
+    def test_rejects_bad_shapes(self):
+        """1-D data and queries of another dimension fail with the fits'
+        messages, before any distance is computed."""
+        data = np.random.default_rng(9).normal(size=(50, 4))
+        with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+            topk_neighbors(data[:5], data[:, 0], 5)
+        for q in (data[:5, :3], data[0]):
+            with pytest.raises(ValueError, match="dimension 4"):
+                topk_neighbors(q, data, 5)
+
 
 class TestKnnMatrixNumpy:
     def test_matches_naive(self):
@@ -198,9 +208,18 @@ class TestKnnMatrixNumpy:
         with pytest.raises(ValueError, match="data hold NaN or infinite"):
             knn_matrix_numpy(data, 5)
 
-    def test_shape_caps_at_n_minus_1(self):
+    def test_k_outside_0_n_raises(self):
+        """k' must leave each of the n points k' other points: k' = n - 1 is
+        the largest matrix, and 0, n or more fail instead of being clamped."""
         data = np.random.default_rng(6).normal(size=(6, 3))
-        assert knn_matrix_numpy(data, 10).shape == (6, 5)
+        assert knn_matrix_numpy(data, 5).shape == (6, 5)
+        for k in (0, 6, 11):
+            with pytest.raises(ValueError, match="0 < k' < n"):
+                knn_matrix_numpy(data, k)
+
+    def test_rejects_one_dimensional_data(self):
+        with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+            knn_matrix_numpy(np.arange(10.0), 3)
 
 
 class TestKnnMatrixSpark:
@@ -219,6 +238,18 @@ class TestKnnMatrixSpark:
         got = knn_matrix_spark_collect(spark, data, 10)
         assert not (got == np.arange(len(data))[:, None]).any()
         np.testing.assert_array_equal(got, knn_matrix_numpy(data, 10))
+
+    def test_rejects_what_numpy_rejects(self, spark):
+        data = np.random.default_rng(7).normal(size=(20, 4))
+        for k in (0, 20):
+            with pytest.raises(ValueError, match="0 < k' < n"):
+                knn_matrix_spark(spark, data, k)
+        bad = data.copy()
+        bad[4, 1] = np.nan
+        with pytest.raises(ValueError, match="data hold NaN or infinite"):
+            knn_matrix_spark(spark, bad, 3)
+        with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+            knn_matrix_spark(spark, data[:, 0], 3)
 
     def test_ids_cover_range(self, spark):
         data = np.random.default_rng(7).normal(size=(600, 4))  # blocks of 256, 256, 88

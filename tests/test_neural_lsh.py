@@ -60,9 +60,6 @@ class TestNeuralLSH:
         for row in pm:
             assert sorted(row) == list(range(4))
 
-    def test_n_parameters(self, fitted):
-        assert fitted.n_parameters() > 0
-
 
 class TestRegressionLSHTree:
     @pytest.fixture(scope="class")

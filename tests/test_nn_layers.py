@@ -1,8 +1,21 @@
-"""Numerical-gradient checks and behavior tests for the NN substrate layers."""
+"""Numerical-gradient checks and behavior tests for the NN substrate layers.
+
+The layers' ``forward`` is the train-mode pass; their eval-mode behaviour is
+checked through the one eval forward, ``MLP.forward(x, train=False)``, of a
+model whose first layer is an identity ``Linear``."""
 import numpy as np
 import pytest
 
 from repro.nn.layers import BatchNorm1d, Dropout, Linear, Param, ReLU, glorot, softmax
+from repro.nn.model import MLP
+
+
+def eval_forward(layer, x):
+    """``layer`` in eval mode: the eval forward of an identity ``Linear``
+    (``x @ I`` is exact) followed by ``layer``."""
+    lin = Linear(x.shape[1], x.shape[1], np.random.default_rng(0))
+    lin.W.value = np.eye(x.shape[1])
+    return MLP([lin, layer]).forward(x, train=False)
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -53,7 +66,7 @@ class TestLinear:
         rng = np.random.default_rng(1)
         lin = Linear(din, dout, rng)
         x = rng.normal(size=(nb, din))
-        y = lin.forward(x, train=True)
+        y = lin.forward(x)
         np.testing.assert_allclose(y, x @ lin.W.value + lin.b.value)
 
     def test_gradients_numeric(self):
@@ -63,7 +76,7 @@ class TestLinear:
         g_out = rng.normal(size=(6, 3))
 
         def loss():
-            return float((lin.forward(x, True) * g_out).sum())
+            return float((lin.forward(x) * g_out).sum())
 
         loss()
         lin.W.grad[...] = 0
@@ -78,10 +91,10 @@ class TestLinear:
         lin = Linear(2, 2, rng)
         x = rng.normal(size=(3, 2))
         g = rng.normal(size=(3, 2))
-        lin.forward(x, True)
+        lin.forward(x)
         lin.backward(g)
         once = lin.W.grad.copy()
-        lin.forward(x, True)
+        lin.forward(x)
         lin.backward(g)
         np.testing.assert_allclose(lin.W.grad, 2 * once)
 
@@ -90,7 +103,7 @@ class TestReLU:
     def test_forward_backward(self):
         r = ReLU()
         x = np.array([[-1.0, 2.0], [3.0, -4.0]])
-        y = r.forward(x, True)
+        y = r.forward(x)
         np.testing.assert_array_equal(y, [[0, 2], [3, 0]])
         g = r.backward(np.ones_like(x))
         np.testing.assert_array_equal(g, [[0, 1], [1, 0]])
@@ -98,7 +111,7 @@ class TestReLU:
     def test_eval_matches_train(self):
         x = np.random.default_rng(12).normal(size=(30, 6))
         x[0, 0] = 0.0
-        np.testing.assert_array_equal(ReLU().forward(x, False), ReLU().forward(x, True))
+        np.testing.assert_array_equal(eval_forward(ReLU(), x), ReLU().forward(x))
 
 
 class TestDropout:
@@ -106,13 +119,13 @@ class TestDropout:
         rng = np.random.default_rng(4)
         d = Dropout(0.5, rng)
         x = rng.normal(size=(10, 10))
-        np.testing.assert_array_equal(d.forward(x, train=False), x)
+        np.testing.assert_array_equal(eval_forward(d, x), x)
 
     def test_train_mode_scales(self):
         rng = np.random.default_rng(5)
         d = Dropout(0.5, rng)
         x = np.ones((2000, 10))
-        y = d.forward(x, train=True)
+        y = d.forward(x)
         kept = y[y > 0]
         np.testing.assert_allclose(kept, 2.0)  # inverted scaling 1/(1-p)
         assert abs((y > 0).mean() - 0.5) < 0.05
@@ -121,13 +134,13 @@ class TestDropout:
         rng = np.random.default_rng(6)
         d = Dropout(0.0, rng)
         x = rng.normal(size=(4, 4))
-        np.testing.assert_array_equal(d.forward(x, train=True), x)
+        np.testing.assert_array_equal(d.forward(x), x)
 
     def test_backward_uses_same_mask(self):
         rng = np.random.default_rng(7)
         d = Dropout(0.3, rng)
         x = np.ones((5, 5))
-        y = d.forward(x, True)
+        y = d.forward(x)
         g = d.backward(np.ones_like(x))
         np.testing.assert_array_equal((y > 0), (g > 0))
 
@@ -137,7 +150,7 @@ class TestBatchNorm:
         bn = BatchNorm1d(4)
         rng = np.random.default_rng(8)
         x = rng.normal(5.0, 3.0, size=(200, 4))
-        y = bn.forward(x, train=True)
+        y = bn.forward(x)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-7)
         np.testing.assert_allclose(y.std(axis=0), 1.0, atol=1e-2)
 
@@ -145,8 +158,8 @@ class TestBatchNorm:
         bn = BatchNorm1d(3, momentum=0.0)  # running stats = last batch
         rng = np.random.default_rng(9)
         x = rng.normal(2.0, 2.0, size=(500, 3))
-        bn.forward(x, train=True)
-        y = bn.forward(x, train=False)
+        bn.forward(x)
+        y = eval_forward(bn, x)
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-2)
 
     def test_eval_is_affine_of_running_stats(self):
@@ -159,7 +172,7 @@ class TestBatchNorm:
         x = rng.normal(3.0, 2.0, size=(40, 5))
         expect = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma.value
         np.testing.assert_allclose(
-            bn.forward(x, train=False), expect + bn.beta.value, rtol=1e-12
+            eval_forward(bn, x), expect + bn.beta.value, rtol=1e-12
         )
 
     def test_gradient_numeric(self):
@@ -169,7 +182,7 @@ class TestBatchNorm:
         g_out = rng.normal(size=(12, 3))
 
         def loss():
-            return float((bn.forward(x, True) * g_out).sum())
+            return float((bn.forward(x) * g_out).sum())
 
         loss()
         bn.gamma.grad[...] = 0

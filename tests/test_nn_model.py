@@ -1,10 +1,71 @@
-"""Tests for model containers: architectures, pickle round trips, counts."""
+"""Tests for model containers: architectures, pickle round trips, counts, and
+the one eval forward against a reference written out layer by layer."""
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.nn.model import MLP, logistic_regression, mlp_partitioner, n_parameters
+from repro.nn.layers import BatchNorm1d, Linear, ReLU, softmax
+from repro.nn.model import MLP, StackedMLP, logistic_regression, mlp_partitioner, n_parameters
+
+
+def reference_logits(model: MLP, x: np.ndarray) -> np.ndarray:
+    """Eval-mode logits, one layer at a time: Linear ``x @ W + b``, BatchNorm
+    ``x * scale + shift`` from the running stats, ReLU, Dropout the identity."""
+    for layer in model.layers:
+        if isinstance(layer, Linear):
+            x = x @ layer.W.value + layer.b.value
+        elif isinstance(layer, BatchNorm1d):
+            scale = layer.gamma.value / np.sqrt(layer.running_var + layer.eps)
+            x = x * scale + (layer.beta.value - layer.running_mean * scale)
+        elif isinstance(layer, ReLU):
+            x = np.maximum(x, 0.0)
+    return x
+
+
+def trained_mlp(seed: int) -> MLP:
+    """A 128-hidden MLP with dropout 0.5 whose BatchNorm has running stats
+    from train-mode passes and a non-trivial gamma and beta."""
+    rng = np.random.default_rng(seed)
+    model = mlp_partitioner(8, 16, hidden=128, dropout=0.5, seed=seed)
+    for _ in range(3):
+        model.forward(rng.normal(2.0, 3.0, size=(64, 8)), train=True)
+    bn = model.layers[1]
+    bn.gamma.value = rng.normal(size=128)
+    bn.beta.value = rng.normal(size=128)
+    return model
+
+
+class TestEvalForward:
+    """``MLP.forward(x, train=False)``, ``predict_bin``, ``predict_proba`` and
+    every slice of a multi-model ``StackedMLP`` are bit-identical to the
+    reference forward."""
+
+    MODELS = {"mlp": trained_mlp, "logreg": lambda seed: logistic_regression(8, 16, seed=seed)}
+
+    @pytest.mark.parametrize("arch", sorted(MODELS))
+    @pytest.mark.parametrize("n", [1, 16, 4000])
+    def test_matches_reference(self, arch, n):
+        models = [self.MODELS[arch](seed) for seed in range(3)]
+        x = np.random.default_rng(n).normal(2.0, 3.0, size=(n, 8))
+        stacked = StackedMLP(models)
+        logits, probs = stacked.logits(x), stacked.predict_proba(x)
+        for i, model in enumerate(models):
+            ref = reference_logits(model, x)
+            assert np.array_equal(model.forward(x, train=False), ref)
+            assert np.array_equal(model.predict_bin(x), ref.argmax(axis=1))
+            assert np.array_equal(model.predict_proba(x), softmax(ref))
+            assert np.array_equal(logits[i], ref)
+            assert np.array_equal(probs[i], softmax(ref))
+
+    def test_eval_forward_leaves_training_state(self):
+        """The eval forward reads the weights and running stats and writes
+        nothing back, so a train-mode step after it is unchanged."""
+        model, twin = trained_mlp(0), trained_mlp(0)
+        x = np.random.default_rng(1).normal(size=(32, 8))
+        model.predict_proba(x)
+        assert np.array_equal(model.forward(x, train=True), twin.forward(x, train=True))
+        assert np.array_equal(model.layers[1].running_mean, twin.layers[1].running_mean)
 
 
 class TestArchitectures:

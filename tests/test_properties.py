@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cluster.metrics import adjusted_rand_index, normalized_mutual_info
+from repro.cluster.metrics import adjusted_rand_index
 from repro.core.train import sinkhorn_balance
 from repro.knn.exact import topk_neighbors
 from repro.nn.layers import softmax
@@ -69,12 +69,6 @@ class TestMetricProperties:
     @settings(max_examples=50, deadline=None)
     def test_ari_symmetric(self, a, b):
         assert adjusted_rand_index(a, b) == adjusted_rand_index(b, a)
-
-    @given(labels, labels)
-    @settings(max_examples=50, deadline=None)
-    def test_nmi_bounds(self, a, b):
-        v = normalized_mutual_info(a, b)
-        assert -1e-9 <= v <= 1 + 1e-9
 
     @given(labels, st.permutations(list(range(5))))
     @settings(max_examples=30, deadline=None)

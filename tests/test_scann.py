@@ -108,6 +108,17 @@ class TestAnisotropicPQ:
         with pytest.raises(ValueError, match="256"):
             AnisotropicPQ(4, 300)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects_non_finite(self, data, bad):
+        d = data[0][:100].copy()
+        d[5, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            AnisotropicPQ(4, 16, seed=0).fit(d)
+
+    def test_fit_rejects_one_dimensional(self, data):
+        with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+            AnisotropicPQ(4, 16, seed=0).fit(data[0][:, 0])
+
 
 class TestHNSW:
     @pytest.fixture(scope="class")
@@ -135,6 +146,23 @@ class TestHNSW:
     def test_returns_k(self, index, data):
         _, q = data
         assert len(index.search(q[0], 10, ef=50)) == 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fit_rejects_non_finite(self, data, bad):
+        d = data[0][:50].copy()
+        d[5, 2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            HNSW(M=4, ef_construction=8).fit(d)
+
+    def test_search_rejects_bad_query(self, index, data):
+        _, q = data
+        with pytest.raises(ValueError, match="dimension"):
+            index.search(q[0, :-1], 10)
+        for bad in (np.nan, np.inf, -np.inf):
+            qq = q[0].copy()
+            qq[3] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                index.search(qq, 10)
 
 
 class TestIVF:
@@ -404,6 +432,17 @@ class TestQueryValidation:
     def pipe(self, data):
         d, _ = data
         return ScannPipeline(AnisotropicPQ(4, 16, seed=0), KMeansPartitioner(4, seed=0).fit(d)).fit(d)
+
+    def test_checked_without_partitioner(self, pipe, data):
+        """With no partitioner, ``AnisotropicPQ.search`` checks the queries."""
+        _, q = data
+        alone = ScannPipeline(pipe.pq)
+        with pytest.raises(ValueError, match="dimension"):
+            alone.batch_search(q[:4, :-1], 10)
+        qq = q[:4].copy()
+        qq[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            alone.batch_search(qq, 10)
 
     def test_dimension_mismatch_rejected(self, pipe, data):
         _, q = data
