@@ -12,9 +12,14 @@ runs, one JSON object per line, all of one workload:
         --workload hier64-scann-batch --seeds 3101-3110 \\
         --change change.jsonl --parent parent.jsonl
 
+Per-layer metrics come from ``--trace 1`` runs of the same seeds, whose
+lines carry the per-layer metrics and ``host.ref_ms`` in place of the
+end-to-end ones; pass them with ``--change-trace`` and ``--parent-trace``.
+
 The entry gives, for each side and metric, the median and quartiles
 [Q1, Q3] over the side's runs, with its run count and how many runs reported
-a failed request or check. Run from the repository root.
+a failed request or check; the traced runs' summary sits under the side's
+``layers``. Run from the repository root.
 """
 from __future__ import annotations
 
@@ -43,6 +48,15 @@ def summarize(lines: list[str]) -> dict:
             "metrics": metrics}
 
 
+def side(runs: Path, traced: Path | None = None) -> dict:
+    """One side of an entry: the summary of its end-to-end runs and, under
+    ``layers``, that of its ``--trace 1`` runs when given."""
+    out = summarize(runs.read_text().splitlines())
+    if traced is not None:
+        out["layers"] = summarize(traced.read_text().splitlines())
+    return out
+
+
 def append(path: Path, entry: dict) -> None:
     """Add ``entry`` at the end of the trajectory file's ``entries``."""
     doc = json.loads(path.read_text())
@@ -59,12 +73,16 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path, help="JSON lines of the change")
     ap.add_argument("--parent", required=True, type=Path,
                     help="JSON lines of the parent commit")
+    ap.add_argument("--change-trace", type=Path, help="JSON lines of the change's --trace 1 runs")
+    ap.add_argument("--parent-trace", type=Path, help="JSON lines of the parent's --trace 1 runs")
     args = ap.parse_args(argv)
+    if (args.change_trace is None) != (args.parent_trace is None):
+        ap.error("--change-trace and --parent-trace go together")
     append(TRAJECTORY, {
         "label": args.label, "parent_commit": args.parent_commit,
         "workload": args.workload, "seeds": args.seeds, "backfilled": False,
-        "parent": summarize(args.parent.read_text().splitlines()),
-        "change": summarize(args.change.read_text().splitlines()),
+        "parent": side(args.parent, args.parent_trace),
+        "change": side(args.change, args.change_trace),
     })
     return 0
 

@@ -20,6 +20,7 @@ import numpy as np
 import pandas as pd
 
 from repro.index.base import PartitionIndex
+from repro.knn.exact import shortlist_scores
 
 # Queries per probe_ranks call: the sweep holds one (block, n) rank matrix.
 SWEEP_BLOCK = 256
@@ -28,34 +29,49 @@ SWEEP_BLOCK = 256
 def topk_within(
     query: np.ndarray, data: np.ndarray, cand: np.ndarray, k: int
 ) -> np.ndarray:
-    """Exact top-k point ids among candidate ids, nearest first.
+    """Exact top-k point ids among candidate ids, nearest first, exact
+    distance ties by candidate position: the first k of a stable sort of
+    ``cand`` by difference-form distance.
 
     One query (d,) with candidate ids ``cand`` (r,) returns up to k ids. A
     block of queries (b, d) with ``cand`` (b, r), rows padded with -1,
     returns (b, k) ids padded with -1; the one-query form is its one-row
-    case. The block holds a (b, r, d) difference array, so callers bound
-    b × r.
+    case. Each row keeps the candidates whose dot-product score is within
+    the certified margin of :func:`repro.knn.exact.shortlist_scores` of the
+    row's k-th smallest score, and only those get the difference form. The
+    block gathers a (b, r, d) array, so callers bound b × r.
     """
     query, cand = np.asarray(query), np.asarray(cand)
     one = query.ndim == 1
+    kk = min(k, cand.shape[-1])
+    if not kk:
+        return np.empty(0, np.int64) if one else np.full((len(cand), k), -1, np.int64)
+    x = np.take(data, cand, axis=0)
+    score, margin = shortlist_scores(x, query)
+    score[cand < 0] = np.inf
+    cut = np.partition(score, kk - 1, axis=-1)[..., kk - 1] + margin
+    # Keep every real candidate whose score is not above the cut; a NaN from
+    # an overflow keeps it too. A cut is only finite with k real candidates
+    # below it, so the one-row form drops padding by that test alone.
     if one:
-        query, cand = query[None], cand[None]
-    kk = min(k, cand.shape[1])
-    ids = np.empty((len(cand), 0), dtype=np.int64)
-    if kk:
-        diff = np.take(data, cand, axis=0)  # the one (b, r, d) temporary
-        diff -= query[:, None]
-        diff *= diff
-        d = np.sqrt(diff.sum(axis=2))
-        d[cand < 0] = np.inf
-        rows = np.arange(len(cand))[:, None]
-        top = (np.argpartition(d, kk - 1, axis=1)[:, :kk] if kk < cand.shape[1]
-               else np.broadcast_to(np.arange(kk), cand.shape))
-        ids = cand[rows, top[rows, np.argsort(d[rows, top], axis=1, kind="stable")]]
+        keep = np.flatnonzero(~(score > cut) if cut < np.inf else cand >= 0)
+        diff, q = x[keep], query
+    else:
+        rows, cols = np.nonzero(~(score > cut[:, None]) & (cand >= 0))
+        ids = cand[rows, cols]
+        diff, q = x[rows, cols], query[rows]
+    diff -= q
+    diff *= diff
+    dist = np.sqrt(diff.sum(axis=1))
     if one:
-        return ids[0][ids[0] >= 0]
+        return cand[keep[np.argsort(dist, kind="stable")[:kk]]]
+    # Survivors come row by row in candidate order, so a stable sort by
+    # (row, distance) leaves ties in candidate order.
+    order = np.lexsort((dist, rows))
+    rows, ids = rows[order], ids[order]
+    pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
     out = np.full((len(cand), k), -1, dtype=np.int64)
-    out[:, :kk] = ids
+    out[rows[pos < k], pos[pos < k]] = ids[pos < k]
     return out
 
 

@@ -15,6 +15,11 @@ from repro.index.base import check_data, check_k, check_queries
 # n = 6000) plus a (256, n) bool mask for the row cut.
 KNN_BLOCK = 256
 
+# Unit roundoff and smallest normal number of float64, for the error bound
+# of ``shortlist_scores``.
+_U = 2.0**-53
+_TINY = np.finfo(np.float64).tiny
+
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the expansion
@@ -30,6 +35,47 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d2 += (a**2).sum(axis=1, keepdims=True)
     d2 += (b**2).sum(axis=1)
     return d2
+
+
+def shortlist_scores(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scores ‖x‖² − 2x·q of gathered rows x (..., r, d) against their
+    queries q (..., d), and per query a margin E such that no row whose
+    score exceeds the k-th smallest score τ by more than E is among the k
+    nearest by the difference form, exact ties after the square root
+    included. The difference form is dist = fl(√fl(Σ fl(fl(x_j − q_j)²))),
+    what :func:`repro.index.search.topk_within` orders by.
+
+    Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    §3.1; u = 2⁻⁵³, γ_n = nu / (1 − nu), any summation order). For one
+    query let R = max ‖x‖ + ‖q‖ over its rows, D = ‖x − q‖² ≤ R² and
+    A = ‖x‖² − 2x·q = D − ‖q‖².
+
+    1. fl(‖x‖²) and fl(x·(−2q)) err by at most γ_d‖x‖² and 2γ_d‖x‖‖q‖,
+       and their sum rounds once more, so the score S has
+       |S − A| ≤ γ_(d+1)(‖x‖² + 2‖x‖‖q‖) ≤ γ_(d+1)R² =: e.
+    2. Each term of the difference form rounds three times and the sum
+       d − 1 more times; the square root rounds once. So
+       (1 − γ_(d+2))(1 − u)² D ≤ dist² ≤ (1 + γ_(d+2))(1 + u)² D.
+    3. The k rows with S ≤ τ have D ≤ τ + ‖q‖² + e, so the k-th smallest
+       dist t has t² ≤ (1 + γ_(d+2))(1 + u)²(τ + ‖q‖² + e). A row of the
+       answer has dist ≤ t, hence D ≤ ρ(τ + ‖q‖² + e) with
+       ρ = (1 + γ_(d+2))(1 + u)² / ((1 − γ_(d+2))(1 − u)²) ≤ 1 + γ_(2d+8),
+       and S ≤ D − ‖q‖² + e. As τ + ‖q‖² ≤ R² + e, S − τ ≤ 2e +
+       γ_(2d+8)(1 + 2γ_(d+1))R² ≤ γ_(4d+10)R².
+    4. R² ≤ 2P with P = max ‖x‖² + ‖q‖², so E = 4γ_(4d+10)P̂ + λ from the
+       computed P̂. The factor 2 covers the relative O(du) rounding of P̂, of
+       E and of τ + E; λ, the smallest normal number, covers the absolute
+       error of results that underflow.
+
+    Where ‖x‖² or ‖x‖‖q‖ overflows, E is inf and τ + E inf or NaN; callers
+    keep every row whose score is not above τ + E, which then keeps all.
+    """
+    norms = np.einsum("...d,...d->...", rows, rows)
+    score = np.matmul(rows, (-2.0 * queries)[..., None])[..., 0]
+    score += norms
+    n = 4 * rows.shape[-1] + 10
+    p = norms.max(axis=-1) + np.einsum("...d,...d->...", queries, queries)
+    return score, 4.0 * n * _U / (1.0 - n * _U) * p + _TINY
 
 
 def _row_cut(d2: np.ndarray, k: int) -> np.ndarray:

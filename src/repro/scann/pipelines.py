@@ -4,9 +4,10 @@
 the anisotropic-PQ sketch: the partitioner produces a candidate set for
 each query of a block, and ScaNN's ADC scan + exact re-rank search inside
 them, once for the whole block (``AnisotropicPQ.search``, as ScaNN and FAISS
-scan a query batch). ``recall_time_curve`` turns
-any ``search(queries, k, param)`` function into a (param, recall, ms/query)
-curve, and ``speedup_at_recall`` interpolates the relative query-time saving
+scan a query batch). ``run_pipeline_sweep`` turns named
+``search(queries, k, param)`` functions into (param, recall, ms/query)
+curves, timing them in interleaved rounds, and ``speedup_at_recall``
+interpolates the relative query-time saving
 at a fixed recall — the paper's "40% speedup over K-means+ScaNN" claim.
 """
 from __future__ import annotations
@@ -22,7 +23,8 @@ from repro.index.search import cost_at_quality
 from repro.knn.metrics import knn_accuracy
 from repro.scann.avq import AnisotropicPQ
 
-# Timed calls per parameter in ``recall_time_curve``; the fastest is reported.
+# Timed rounds in ``run_pipeline_sweep``, each one call per (method, param);
+# the fastest call of each is reported.
 TIMED_REPEATS = 3
 
 
@@ -55,42 +57,6 @@ class ScannPipeline:
         return self.pq.search(queries, k, subset=subsets, rerank=rerank)
 
 
-def recall_time_curve(
-    search_fn: Callable[[np.ndarray, int, object], list[np.ndarray] | np.ndarray],
-    params: list,
-    queries: np.ndarray,
-    gt_idx: np.ndarray,
-    *,
-    k: int = 10,
-) -> pd.DataFrame:
-    """(param, recall, ms_per_query) rows; recall is the paper's Eq. 1.
-
-    ``search_fn(queries, k, param)`` takes the whole query block and returns
-    one id row per query; rows shorter than ``k`` are padded with -1. A
-    short untimed warmup precedes the timed calls so first-touch costs
-    (codebook tables, cache fill) don't land on the first parameter; each
-    parameter is then timed ``TIMED_REPEATS`` times and the fastest counts,
-    since a shared host only ever adds time.
-    """
-    rows = []
-    for p in params:
-        search_fn(queries[: min(20, len(queries))], k, p)
-        best = np.inf
-        for _ in range(TIMED_REPEATS):
-            t0 = time.perf_counter()
-            result = search_fn(queries, k, p)
-            best = min(best, time.perf_counter() - t0)
-        ms = best * 1000.0 / len(queries)
-        returned = np.full((len(queries), k), -1, dtype=np.int64)
-        for i, res in enumerate(result):
-            res = res[:k]
-            returned[i, : len(res)] = res
-        rows.append(
-            {"param": p, "recall": knn_accuracy(returned, gt_idx[:, :k]), "ms_per_query": ms}
-        )
-    return pd.DataFrame(rows)
-
-
 def time_at_recall(curve: pd.DataFrame, target: float) -> float | None:
     """Interpolated ms/query at which the curve reaches ``target`` recall."""
     return cost_at_quality(curve, "ms_per_query", "recall", target)
@@ -113,10 +79,34 @@ def run_pipeline_sweep(
     k: int = 10,
 ) -> pd.DataFrame:
     """Sweep several named methods; returns long-format rows
-    (method, param, recall, ms_per_query) — the Fig. 7 data."""
-    frames = []
-    for name, (fn, params) in pipelines.items():
-        c = recall_time_curve(fn, params, queries, gt_idx, k=k)
-        c.insert(0, "method", name)
-        frames.append(c)
-    return pd.concat(frames, ignore_index=True)
+    (method, param, recall, ms_per_query) — the Fig. 7 data. Recall is the
+    paper's Eq. 1.
+
+    Each ``search_fn(queries, k, param)`` takes the whole query block and
+    returns one id row per query; rows shorter than ``k`` are padded with
+    -1. Every (method, param) first makes a short untimed warm-up call, so
+    first-touch costs (codebook tables, cache fill) don't land on a timed
+    call. Then each of ``TIMED_REPEATS`` rounds times one call per
+    (method, param), and the fastest call counts: a shared host only ever
+    adds time, and interleaving the rounds makes its drift hit every method
+    alike.
+    """
+    cells = [(name, fn, p) for name, (fn, params) in pipelines.items() for p in params]
+    for _, fn, p in cells:
+        fn(queries[: min(20, len(queries))], k, p)
+    best = [np.inf] * len(cells)
+    results = [None] * len(cells)
+    for _ in range(TIMED_REPEATS):
+        for i, (_, fn, p) in enumerate(cells):
+            t0 = time.perf_counter()
+            results[i] = fn(queries, k, p)
+            best[i] = min(best[i], time.perf_counter() - t0)
+    rows = []
+    for (name, _, p), result, t in zip(cells, results, best):
+        returned = np.full((len(queries), k), -1, dtype=np.int64)
+        for i, res in enumerate(result):
+            res = res[:k]
+            returned[i, : len(res)] = res
+        rows.append({"method": name, "param": p, "ms_per_query": t * 1000.0 / len(queries),
+                     "recall": knn_accuracy(returned, gt_idx[:, :k])})
+    return pd.DataFrame(rows, columns=["method", "param", "recall", "ms_per_query"])

@@ -41,6 +41,33 @@ def duplicates() -> tuple[np.ndarray, np.ndarray]:
     return data, base[1:] + 0.01 * rng.normal(size=(7, 8))
 
 
+def stable_topk(query: np.ndarray, data: np.ndarray, cand: np.ndarray, k: int) -> np.ndarray:
+    """Oracle for ``topk_within``: the first k of a stable sort of the real
+    candidate ids (those >= 0) by difference-form distance, so exact ties
+    fall by candidate position."""
+    cand = np.asarray(cand)
+    cand = cand[cand >= 0]
+    dist = np.sqrt(((data[cand] - query) ** 2).sum(axis=1))
+    return cand[np.argsort(dist, kind="stable")[:k]]
+
+
+@pytest.fixture(scope="session")
+def topk_oracle():
+    """:func:`stable_topk`, for test modules."""
+    return stable_topk
+
+
+@pytest.fixture(scope="session")
+def copies() -> tuple[np.ndarray, np.ndarray]:
+    """(data, queries): 60 points in R^8, each repeated 100 times, and 32
+    queries next to base points, so every query's top 10 is decided among
+    exact ties."""
+    rng = np.random.default_rng(17)
+    base = rng.normal(size=(60, 8))
+    data = np.repeat(base, 100, axis=0)
+    return data, base[rng.integers(0, 60, 32)] + 1e-3 * rng.normal(size=(32, 8))
+
+
 @pytest.fixture(scope="session")
 def small_gt(small_data) -> np.ndarray:
     data, queries = small_data

@@ -55,22 +55,37 @@ class TestPartitionIndexContract:
 
 
 class TestTopkWithin:
-    def test_exact(self):
+    """The one-query form against a stable sort of C by difference-form
+    distance (``topk_oracle``)."""
+
+    def test_exact(self, topk_oracle):
         rng = np.random.default_rng(0)
         data = rng.normal(size=(50, 4))
         q = rng.normal(size=4)
-        cand = np.arange(50)
-        got = topk_within(q, data, cand, 5)
-        d = np.linalg.norm(data - q, axis=1)
-        np.testing.assert_array_equal(np.sort(d[got]), np.sort(np.sort(d)[:5]))
+        cand = rng.permutation(50)
+        np.testing.assert_array_equal(topk_within(q, data, cand, 5),
+                                      topk_oracle(q, data, cand, 5))
 
     def test_empty_candidates(self):
-        assert len(topk_within(np.zeros(3), np.zeros((5, 3)), np.empty(0, int), 4)) == 0
+        got = topk_within(np.zeros(3), np.zeros((5, 3)), np.empty(0, int), 4)
+        assert len(got) == 0 and got.dtype == np.int64
 
-    def test_fewer_candidates_than_k(self):
+    def test_fewer_candidates_than_k(self, topk_oracle):
         data = np.random.default_rng(1).normal(size=(3, 2))
-        got = topk_within(np.zeros(2), data, np.array([0, 2]), 10)
-        assert set(got) == {0, 2}
+        cand = np.array([2, 0])
+        np.testing.assert_array_equal(topk_within(np.zeros(2), data, cand, 10),
+                                      topk_oracle(np.zeros(2), data, cand, 10))
+
+    def test_exact_ties_fall_by_candidate_position(self, copies, topk_oracle):
+        """60 points × 100 copies, 900 random candidates per query: the
+        answer is mostly copies of one point, which must come in the order
+        they appear in C."""
+        data, queries = copies
+        rng = np.random.default_rng(3)
+        for q in queries:
+            cand = rng.choice(len(data), 900, replace=False)
+            np.testing.assert_array_equal(topk_within(q, data, cand, 10),
+                                          topk_oracle(q, data, cand, 10))
 
 
 class TestSweep:

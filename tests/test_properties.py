@@ -1,4 +1,6 @@
 """Property-based tests (hypothesis) for the numeric kernels."""
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from repro.cluster.metrics import adjusted_rand_index
 from repro.core.train import sinkhorn_balance
-from repro.knn.exact import topk_neighbors
+from repro.index.search import topk_within
+from repro.knn.exact import shortlist_scores, topk_neighbors
 from repro.nn.layers import softmax
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -55,6 +58,87 @@ class TestTopkProperties:
         excluded = np.setdiff1d(np.arange(n), idx[0])
         if len(excluded):
             assert dist[0][-1] <= all_d[excluded].min() + 1e-9
+
+
+def _shortlist(rows: np.ndarray, query: np.ndarray, k: int) -> np.ndarray:
+    """Whether each row passes ``topk_within``'s cut for its k nearest."""
+    score, margin = shortlist_scores(rows, query)
+    return score <= np.partition(score, k - 1)[k - 1] + margin
+
+
+class TestTopkWithinProperties:
+    """``topk_within`` against the stable-sort oracle where the dot-product
+    shortlist is hardest to certify: exact copies, copies 1e-8 or one ulp
+    apart, and data far from the origin, where the expansion loses digits."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 30),
+           st.integers(1, 16), st.integers(1, 15), st.sampled_from([0.0, 1e4, 1e8]),
+           st.sampled_from(["none", "1e-8", "ulp"]), st.integers(0, 120), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stable_sort(self, topk_oracle, seed, n_base, n_copies, d, k, offset,
+                                jitter, width, b):
+        rng = np.random.default_rng(seed)
+        data = np.repeat(rng.normal(size=(n_base, d)), n_copies, axis=0) + offset
+        if jitter == "1e-8":
+            data += 1e-8 * rng.normal(size=data.shape)
+        elif jitter == "ulp":
+            data = np.where(rng.random(data.shape) < 0.5, np.nextafter(data, np.inf), data)
+        # Half the queries sit on a data point, half next to one.
+        q = data[rng.integers(0, len(data), b)]
+        q = q + (rng.random(b) < 0.5)[:, None] * 1e-3 * rng.normal(size=(b, d))
+        # Rows of random length (0 for an all-padding row, often below k),
+        # ids drawn with repeats, padded with -1.
+        lengths = rng.integers(0, width + 1, b)
+        cand = np.full((b, width), -1, dtype=np.int64)
+        for i, n in enumerate(lengths):
+            cand[i, :n] = rng.integers(0, len(data), n)
+        block = topk_within(q, data, cand, k)
+        assert block.shape == (b, k)
+        for i, n in enumerate(lengths):
+            want = topk_oracle(q[i], data, cand[i], k)
+            np.testing.assert_array_equal(block[i, :len(want)], want)
+            assert (block[i, len(want):] == -1).all()
+            np.testing.assert_array_equal(topk_within(q[i], data, cand[i, :n], k), want)
+            np.testing.assert_array_equal(topk_within(q[i], data, cand[i], k), want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 10))
+    @settings(max_examples=30, deadline=None)
+    def test_duplicates_fixture(self, duplicates, topk_oracle, seed, k):
+        data, queries = duplicates
+        rng = np.random.default_rng(seed)
+        cand = np.stack([rng.permutation(len(data))[:60] for _ in queries])
+        block = topk_within(queries, data, cand, k)
+        for q, c, got in zip(queries, cand, block):
+            want = topk_oracle(q, data, c, k)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(topk_within(q, data, c, k), want)
+
+    def test_offset_widens_the_shortlist_to_every_row(self, topk_oracle):
+        """At 1e8 from the origin the margin outgrows every score gap, so
+        each row gets the difference form; near the origin few do."""
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(200, 8))
+        q = base[5] + 1e-3 * rng.normal(size=8)
+        cand = rng.permutation(200)
+        assert _shortlist(base[cand], q, 10).sum() < 20
+        far = base + 1e8
+        assert _shortlist(far[cand], q + 1e8, 10).all()
+        np.testing.assert_array_equal(topk_within(q + 1e8, far, cand, 10),
+                                      topk_oracle(q + 1e8, far, cand, 10))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([0.0, 1e4, 1e8]))
+    @settings(max_examples=30, deadline=None)
+    def test_margin_covers_the_expansion_error(self, seed, d, offset):
+        """|score − (‖x‖² − 2x·q)| in exact rational arithmetic stays within
+        the margin."""
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(6, d)) + offset
+        q = rng.normal(size=d) + offset
+        score, margin = shortlist_scores(rows, q)
+        for x, s in zip(rows, score):
+            exact = sum(Fraction(v) * Fraction(v) - 2 * Fraction(v) * Fraction(w)
+                        for v, w in zip(x, q))
+            assert abs(Fraction(s) - exact) <= Fraction(margin)
 
 
 class TestMetricProperties:

@@ -13,8 +13,9 @@ from repro.scann import avq
 from repro.scann.avq import AnisotropicPQ
 from repro.scann.hnsw import HNSW
 from repro.scann.pipelines import (
+    TIMED_REPEATS,
     ScannPipeline,
-    recall_time_curve,
+    run_pipeline_sweep,
     speedup_at_recall,
     time_at_recall,
 )
@@ -211,10 +212,10 @@ class TestPipelines:
     def test_recall_time_curve_shape(self, data, gt):
         d, q = data
         pipe = ScannPipeline(AnisotropicPQ(4, 32, seed=0)).fit(d)
-        curve = recall_time_curve(
-            lambda qs, k, p: pipe.batch_search(qs, k, rerank=p), [20, 100], q[:30], gt[:30]
-        )
-        assert list(curve.columns) == ["param", "recall", "ms_per_query"]
+        curve = run_pipeline_sweep(
+            {"vanilla": (lambda qs, k, p: pipe.batch_search(qs, k, rerank=p), [20, 100])},
+            q[:30], gt[:30])
+        assert list(curve.columns) == ["method", "param", "recall", "ms_per_query"]
         assert curve["recall"].iloc[1] >= curve["recall"].iloc[0]
 
     def test_batch_search_matches_per_query(self, data, gt):
@@ -247,7 +248,7 @@ class TestPipelines:
             # Re-rank budget grows with probes so recall is monotone.
             return pipe.batch_search(qs, k, n_probes=p, rerank=80 * p)
 
-        curve = recall_time_curve(fn, [1, 4], q[:40], gt[:40])
+        curve = run_pipeline_sweep({"k-means": (fn, [1, 4])}, q[:40], gt[:40])
         assert len(curve) == 2
         assert curve["recall"].iloc[1] >= curve["recall"].iloc[0]
 
@@ -255,9 +256,29 @@ class TestPipelines:
         """Rows shorter than k count as misses; a row of the first 5 true
         neighbours scores 0.5 at k = 10."""
         _, q = data
-        curve = recall_time_curve(lambda qs, k, p: [g[:p] for g in gt[: len(qs)]],
-                                  [5, 10], q, gt)
+        curve = run_pipeline_sweep(
+            {"truth": (lambda qs, k, p: [g[:p] for g in gt[: len(qs)]], [5, 10])}, q, gt)
         assert curve["recall"].tolist() == [0.5, 1.0]
+
+    def test_sweep_interleaves_timed_rounds(self, data, gt):
+        """Warm-ups first, then TIMED_REPEATS rounds that each time one
+        full-block call per (method, param), in the same order."""
+        _, q = data
+        calls = []
+
+        def method(name):
+            def fn(qs, k, p):
+                calls.append((name, p, len(qs)))
+                return gt[: len(qs)]
+            return fn
+
+        out = run_pipeline_sweep({"a": (method("a"), [1, 2]), "b": (method("b"), [3])}, q, gt)
+        cells = [("a", 1), ("a", 2), ("b", 3)]
+        assert [(n, p) for n, p, _ in calls] == cells * (1 + TIMED_REPEATS)
+        assert all(m < len(q) for *_, m in calls[:3]) and all(m == len(q) for *_, m in calls[3:])
+        assert out[["method", "param"]].values.tolist() == [list(c) for c in cells]
+        assert list(out.columns) == ["method", "param", "recall", "ms_per_query"]
+        assert (out["recall"] == 1.0).all()
 
     def test_time_at_recall_interp(self):
         c = pd.DataFrame({"param": [1, 2], "recall": [0.5, 1.0], "ms_per_query": [1.0, 3.0]})
@@ -402,10 +423,10 @@ class TestBlockSearch:
 
 
 class TestTopkWithinBlock:
-    def test_block_rows_equal_one_query_form(self, data):
+    def test_block_rows_equal_one_query_form(self, data, topk_oracle):
         """Row by row, the block form equals the one-query form on the row's
-        candidates; padded rows, an all-padding row and rows shorter than
-        k included."""
+        candidates and the stable-sort oracle; padded rows, an all-padding
+        row and rows shorter than k included."""
         d, q = data
         rng = np.random.default_rng(6)
         lengths = [0, 3, 10, 57, 200, 200, 1]
@@ -417,6 +438,7 @@ class TestTopkWithinBlock:
         assert block.shape == (len(lengths), 10) and block.dtype == np.int64
         for i, n in enumerate(lengths):
             one = topk_within(qq[i], d, cand[i, :n], 10)
+            np.testing.assert_array_equal(one, topk_oracle(qq[i], d, cand[i], 10))
             np.testing.assert_array_equal(block[i, : len(one)], one)
             assert len(one) == min(n, 10) and (block[i, len(one):] == -1).all()
             np.testing.assert_array_equal(topk_within(qq[i], d, cand[i], 10), one)
@@ -425,6 +447,17 @@ class TestTopkWithinBlock:
         d, q = data
         got = topk_within(q[:3], d, np.empty((3, 0), dtype=np.int64), 5)
         assert got.shape == (3, 5) and (got == -1).all()
+
+    def test_exact_ties_fall_by_candidate_position(self, copies, topk_oracle):
+        """60 points × 100 copies, (16, 900) random candidates, the last rows
+        padded: each row equals the stable-sort oracle."""
+        d, q = copies
+        rng = np.random.default_rng(4)
+        cand = np.stack([rng.choice(len(d), 900, replace=False) for _ in range(16)])
+        cand[12:, 700:] = -1
+        block = topk_within(q[:16], d, cand, 10)
+        for i in range(16):
+            np.testing.assert_array_equal(block[i], topk_oracle(q[i], d, cand[i], 10))
 
 
 class TestQueryValidation:
