@@ -47,9 +47,7 @@ def train_supervised(
             onehot[np.arange(len(idx)), labels[idx]] = 1.0
             loss = float(-np.log(probs[np.arange(len(idx)), labels[idx]] + 1e-12).mean())
             grad = (probs - onehot) / len(idx)
-            opt.zero_grad()
-            model.backward(grad)
-            opt.step()
+            opt.step(model.backward(grad))
             total += loss
             nb += 1
         history.append(total / max(nb, 1))

@@ -83,9 +83,7 @@ def train_usp_cluster_model(
         t = t / t.sum(axis=1, keepdims=True)
         logits = model.forward(x, train=True)
         _, _, grad = usp_loss_and_grad(logits, t, eta)
-        opt.zero_grad()
-        model.backward(grad)
-        opt.step()
+        opt.step(model.backward(grad))
 
 
 @dataclass
@@ -144,9 +142,7 @@ def train_usp_model(
             w = None if weights is None else weights[idx]
             logits = model.forward(xb, train=True)
             u, s, grad = usp_loss_and_grad(logits, targets, cfg.eta, w)
-            opt.zero_grad()
-            model.backward(grad)
-            opt.step()
+            opt.step(model.backward(grad))
             us += u
             ss += s
             nb += 1

@@ -21,8 +21,8 @@ from repro.index.base import PartitionIndex, check_queries, probe_order
 
 
 class Node:
-    """A tree node: ``model`` routes queries (``predict_proba`` gives one
-    column per child) at an internal node; a leaf has ``leaf_id`` instead.
+    """A tree node: ``model`` routes queries (one column per child of its
+    stack's ``stacked_proba``) at an internal node; a leaf has ``leaf_id`` instead.
     The root of a grown tree also holds its one-tree ``plan`` and the
     dimension ``d`` of the points it was grown over."""
 
@@ -37,31 +37,29 @@ class Node:
 
 
 class Hyperplane:
-    """Soft router of a hyperplane node: a point goes right when w·x ≥ t, with
+    """Soft routers of hyperplane nodes: a point goes right when w·x ≥ t, with
     probability the sigmoid of its margin scaled by the node's margin spread.
-    Routers are scored a depth at a time, through :meth:`stack`."""
+    Built from one node's ``w`` (d,) and scalars ``t`` and ``scale``, or from
+    arrays with the node axis: ``w`` (nodes, d, 1), ``t`` and ``scale``
+    (nodes, 1, 1). :meth:`stack` concatenates nodes, and one batched matmul
+    runs the same matrix-vector product per node as ``q @ w``."""
 
     __slots__ = ("w", "t", "scale")
 
-    def __init__(self, w: np.ndarray, t: float, scale: float):
-        self.w, self.t, self.scale = w, t, scale
+    def __init__(self, w: np.ndarray, t: float | np.ndarray, scale: float | np.ndarray):
+        self.w = w if w.ndim == 3 else w[None, :, None]
+        self.t, self.scale = (np.asarray(a, dtype=np.float64).reshape(-1, 1, 1) for a in (t, scale))
+
+    @property
+    def d_in(self) -> int:
+        return self.w.shape[1]
 
     @staticmethod
-    def stack(planes: list[Hyperplane]) -> StackedHyperplanes:
-        return StackedHyperplanes(planes)
+    def stack(planes: list[Hyperplane]) -> Hyperplane:
+        return Hyperplane(*(np.concatenate([getattr(h, name) for h in planes])
+                            for name in Hyperplane.__slots__))
 
-
-class StackedHyperplanes:
-    """Several hyperplane routers at once; ``w`` is (nodes, d, 1), so one
-    batched matmul runs the same matrix-vector product per node as ``q @ w``."""
-
-    def __init__(self, planes: list[Hyperplane]):
-        self.w = np.stack([h.w for h in planes])[:, :, None]
-        self.t = np.array([h.t for h in planes], dtype=np.float64)[:, None, None]
-        self.scale = np.array([h.scale for h in planes], dtype=np.float64)[:, None, None]
-        self.d_in = self.w.shape[1]
-
-    def predict_proba(self, q: np.ndarray) -> np.ndarray:
+    def stacked_proba(self, q: np.ndarray) -> np.ndarray:
         """(nodes, n_q, 2): [left, right] probabilities per node and query."""
         z = (np.matmul(q, self.w) - self.t) / self.scale
         p_right = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
@@ -164,8 +162,8 @@ def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int
 
     ``split(idx, level)`` gets the point ids routed to a node and returns None
     to make it a leaf, or ``(router, masks)``: one boolean mask over ``idx``
-    per child, in the order of ``router.predict_proba``'s columns. A router's
-    type has a ``stack(routers)`` whose ``predict_proba(q)`` is (nodes, n_q,
+    per child, in the order of the router's probability columns. A router's
+    type has a ``stack(routers)`` whose ``stacked_proba(q)`` is (nodes, n_q,
     children); the routers of one type and fan-out at a depth share a shape.
     """
     n, d = shape
@@ -213,7 +211,7 @@ def leaf_probs(plan: Plan, q: np.ndarray) -> np.ndarray:
     for depth in plan.depths:
         blocks = []
         for routers, parent in depth.groups:
-            probs = routers.predict_proba(q)  # (nodes, n_q, fan-out)
+            probs = routers.stacked_proba(q)  # (nodes, n_q, fan-out)
             if acc is not None:
                 probs = probs * acc.T[parent, :, None]
             blocks.append(probs.transpose(1, 0, 2).reshape(len(q), -1))

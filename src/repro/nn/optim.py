@@ -1,33 +1,16 @@
-"""Optimizers for the numpy NN substrate. The paper trains with Adam (§5.2)."""
+"""The optimizer of the numpy NN substrate. The paper trains with Adam (§5.2)."""
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Param
-
-
-class SGD:
-    """Plain SGD — used in tests as a reference optimizer."""
-
-    def __init__(self, params: list[Param], lr: float = 0.01):
-        self.params = params
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0.0
-
-    def step(self) -> None:
-        for p in self.params:
-            p.value -= self.lr * p.grad
-
 
 class Adam:
-    """Adam (Kingma & Ba) with bias correction, matching PyTorch defaults."""
+    """Adam (Kingma & Ba) with bias correction, matching PyTorch defaults.
+    Updates the arrays of ``params`` in place."""
 
     def __init__(
         self,
-        params: list[Param],
+        params: list[np.ndarray],
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
@@ -37,18 +20,15 @@ class Adam:
         self.b1, self.b2 = betas
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in params]
-        self.v = [np.zeros_like(p.value) for p in params]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad[...] = 0.0
-
-    def step(self) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
+        """One update from ``grads``, one gradient per parameter, in order."""
         self.t += 1
-        for i, p in enumerate(self.params):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * p.grad
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * p.grad**2
+        for i, (p, g) in enumerate(zip(self.params, grads, strict=True)):
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g**2
             mhat = self.m[i] / (1 - self.b1**self.t)
             vhat = self.v[i] / (1 - self.b2**self.t)
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)

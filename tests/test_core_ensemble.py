@@ -19,7 +19,7 @@ from repro.core.ensemble import (
 from repro.core.train import TrainConfig
 from repro.index.base import bin_ranks, gather, probe_order
 from repro.index.search import sweep_accuracy
-from repro.nn.model import StackedMLP
+from repro.nn.model import MLP
 
 
 def grouped_route(ens, q):
@@ -209,9 +209,9 @@ class TestRoutingOracle:
         routers of both hierarchies share one per depth. Each call is
         recorded by the number of routers it stacks."""
         calls = []
-        forward = StackedMLP.predict_proba
-        monkeypatch.setattr(StackedMLP, "predict_proba",
-                            lambda self, x: calls.append(len(self.ops[0][1])) or forward(self, x))
+        forward = MLP.stacked_proba
+        monkeypatch.setattr(MLP, "stacked_proba",
+                            lambda self, x: calls.append(len(self.W[0])) or forward(self, x))
         for name, want in (("ensemble", [3]), ("flat-unequal", [1, 1]), ("mixed", [1, 1, 4]),
                            ("ensemble-of-hierarchies", [2, 6])):
             calls.clear()

@@ -57,7 +57,7 @@ class TestBuildModel:
 
     def test_logreg_config(self):
         m = build_model("logreg", 6, 2, seed=0)
-        assert len(m.layers) == 1
+        assert len(m.W) == 1
 
     def test_unknown_arch(self):
         with pytest.raises(ValueError):

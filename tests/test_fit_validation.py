@@ -78,3 +78,9 @@ def test_fit_rejects_k_prime_outside_0_n(fit, data):
     for k in (0, len(data), len(data) + 5):
         with pytest.raises(ValueError, match="0 < k' < n"):
             fit(data, k)
+
+
+@pytest.mark.parametrize("dropout", [1.0, 1.5, -0.1, np.nan])
+def test_fit_rejects_bad_dropout(dropout, data):
+    with pytest.raises(ValueError, match="dropout"):
+        UnsupervisedSpacePartitioner(4, cfg=CFG, dropout=dropout).fit(data)

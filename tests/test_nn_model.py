@@ -1,26 +1,77 @@
 """Tests for model containers: architectures, pickle round trips, counts, and
-the one eval forward against a reference written out layer by layer."""
+the eval forward and the train step against references written out layer
+by layer."""
+import copy
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.nn.layers import BatchNorm1d, Linear, ReLU, softmax
-from repro.nn.model import MLP, StackedMLP, logistic_regression, mlp_partitioner, n_parameters
+from repro.nn.layers import softmax
+from repro.nn.model import MLP, logistic_regression, mlp_partitioner, n_parameters
+from repro.nn.optim import Adam
 
 
 def reference_logits(model: MLP, x: np.ndarray) -> np.ndarray:
-    """Eval-mode logits, one layer at a time: Linear ``x @ W + b``, BatchNorm
-    ``x * scale + shift`` from the running stats, ReLU, Dropout the identity."""
-    for layer in model.layers:
-        if isinstance(layer, Linear):
-            x = x @ layer.W.value + layer.b.value
-        elif isinstance(layer, BatchNorm1d):
-            scale = layer.gamma.value / np.sqrt(layer.running_var + layer.eps)
-            x = x * scale + (layer.beta.value - layer.running_mean * scale)
-        elif isinstance(layer, ReLU):
-            x = np.maximum(x, 0.0)
-    return x
+    """Eval-mode logits of a stack of one, one layer at a time: Linear
+    ``x @ W + b``, BatchNorm ``x * scale + shift`` from the running stats,
+    ReLU, Dropout the identity."""
+    for W, b, gamma, beta, mean, var in zip(model.W, model.b, model.gamma, model.beta,
+                                            model.mean, model.var):
+        x = x @ W[0] + b[0, 0]
+        scale = gamma[0, 0] / np.sqrt(var[0, 0] + model.eps)
+        x = x * scale + (beta[0, 0] - mean[0, 0] * scale)
+        x = np.maximum(x, 0.0)
+    return x @ model.W[-1][0] + model.b[-1][0, 0]
+
+
+def reference_train(model: MLP, xs, gs, lr: float) -> tuple[list, list, list]:
+    """Adam steps on the logit gradients ``gs`` of the batches ``xs``, one
+    layer at a time on 2-D arrays, from a copy of ``model``'s weights and
+    rng: the train forward of Linear, BatchNorm (batch stats, running stats
+    updated), ReLU and inverted Dropout, their backward in reverse, then
+    Adam. Returns each step's logits, the parameters in ``params()`` order
+    and the running (mean, var) of each BatchNorm."""
+    n_hidden, p = len(model.gamma), model.dropout
+    W = [a[0].copy() for a in model.W]
+    b = [a[0, 0].copy() for a in model.b]
+    gamma, beta, mean, var = ([a[0, 0].copy() for a in arrays] for arrays in
+                              (model.gamma, model.beta, model.mean, model.var))
+    rng = copy.deepcopy(model.rng)
+
+    def params():
+        return [a for i in range(n_hidden) for a in (W[i], b[i], gamma[i], beta[i])] + [W[-1], b[-1]]
+
+    m1, m2 = [np.zeros_like(a) for a in params()], [np.zeros_like(a) for a in params()]
+    logits = []
+    for t, (x, g) in enumerate(zip(xs, gs), start=1):
+        saved = []
+        for i in range(n_hidden):
+            z = x @ W[i] + b[i]
+            mu, sigma2 = z.mean(axis=0), z.var(axis=0)
+            mean[i] = 0.9 * mean[i] + (1 - 0.9) * mu
+            var[i] = 0.9 * var[i] + (1 - 0.9) * sigma2
+            std = np.sqrt(sigma2 + 1e-5)
+            xhat = (z - mu) / std
+            y = gamma[i] * xhat + beta[i]
+            relu = y > 0
+            drop = (rng.random(y.shape) >= p) / (1.0 - p)
+            saved.append((x, xhat, std, relu, drop))
+            x = y * relu * drop
+        logits.append(x @ W[-1] + b[-1])
+        grads = [x.T @ g, g.sum(axis=0)]
+        for i in reversed(range(n_hidden)):
+            x, xhat, std, relu, drop = saved[i]
+            g = g @ W[i + 1].T * drop * relu
+            grads_bn = [(g * xhat).sum(axis=0), g.sum(axis=0)]
+            g = g * gamma[i]
+            g = (g - g.mean(axis=0) - xhat * (g * xhat).mean(axis=0)) / std
+            grads[:0] = [x.T @ g, g.sum(axis=0)] + grads_bn
+        for j, (a, grad) in enumerate(zip(params(), grads)):
+            m1[j] = 0.9 * m1[j] + (1 - 0.9) * grad
+            m2[j] = 0.999 * m2[j] + (1 - 0.999) * grad**2
+            a -= lr * (m1[j] / (1 - 0.9**t)) / (np.sqrt(m2[j] / (1 - 0.999**t)) + 1e-8)
+    return logits, params(), list(zip(mean, var))
 
 
 def trained_mlp(seed: int) -> MLP:
@@ -30,15 +81,14 @@ def trained_mlp(seed: int) -> MLP:
     model = mlp_partitioner(8, 16, hidden=128, dropout=0.5, seed=seed)
     for _ in range(3):
         model.forward(rng.normal(2.0, 3.0, size=(64, 8)), train=True)
-    bn = model.layers[1]
-    bn.gamma.value = rng.normal(size=128)
-    bn.beta.value = rng.normal(size=128)
+    model.gamma[0][...] = rng.normal(size=128)
+    model.beta[0][...] = rng.normal(size=128)
     return model
 
 
 class TestEvalForward:
     """``MLP.forward(x, train=False)``, ``predict_bin``, ``predict_proba`` and
-    every slice of a multi-model ``StackedMLP`` are bit-identical to the
+    every slice of a multi-model ``MLP.stack`` are bit-identical to the
     reference forward."""
 
     MODELS = {"mlp": trained_mlp, "logreg": lambda seed: logistic_regression(8, 16, seed=seed)}
@@ -48,8 +98,8 @@ class TestEvalForward:
     def test_matches_reference(self, arch, n):
         models = [self.MODELS[arch](seed) for seed in range(3)]
         x = np.random.default_rng(n).normal(2.0, 3.0, size=(n, 8))
-        stacked = StackedMLP(models)
-        logits, probs = stacked.logits(x), stacked.predict_proba(x)
+        stacked = MLP.stack(models)
+        logits, probs = stacked.logits(x), stacked.stacked_proba(x)
         for i, model in enumerate(models):
             ref = reference_logits(model, x)
             assert np.array_equal(model.forward(x, train=False), ref)
@@ -65,7 +115,29 @@ class TestEvalForward:
         x = np.random.default_rng(1).normal(size=(32, 8))
         model.predict_proba(x)
         assert np.array_equal(model.forward(x, train=True), twin.forward(x, train=True))
-        assert np.array_equal(model.layers[1].running_mean, twin.layers[1].running_mean)
+        assert np.array_equal(model.mean[0], twin.mean[0])
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("n_hidden, dropout", [(0, 0.0), (1, 0.1), (2, 0.5)])
+    def test_adam_steps_match_reference(self, n_hidden, dropout):
+        """Several ``opt.step(model.backward(g))`` steps give bit for bit the
+        reference's logits, parameters and running stats, and an eval
+        forward between steps reads the current weights."""
+        model = mlp_partitioner(8, 4, hidden=16, n_hidden=n_hidden, dropout=dropout, seed=3)
+        rng = np.random.default_rng(4)
+        xs = [rng.normal(1.0, 2.0, size=(32, 8)) for _ in range(4)]
+        gs = [rng.normal(size=(32, 4)) for _ in range(4)]
+        logits, params, stats = reference_train(model, xs, gs, lr=0.01)
+        opt = Adam(model.params(), lr=0.01)
+        for x, g, want in zip(xs, gs, logits):
+            assert np.array_equal(model.forward(x, train=True), want)
+            opt.step(model.backward(g))
+            assert np.array_equal(model.forward(x, train=False), reference_logits(model, x))
+        for got, ref in zip(model.params(), params):
+            assert np.array_equal(got.reshape(ref.shape), ref)
+        for mean, var, (ref_mean, ref_var) in zip(model.mean, model.var, stats):
+            assert np.array_equal(mean[0, 0], ref_mean) and np.array_equal(var[0, 0], ref_var)
 
 
 class TestArchitectures:
@@ -79,14 +151,14 @@ class TestArchitectures:
 
     def test_logreg_single_layer(self):
         model = logistic_regression(5, 2)
-        assert len(model.layers) == 1
+        assert len(model.W) == 1 and not model.gamma
         assert n_parameters(model) == 5 * 2 + 2
 
     @pytest.mark.parametrize("n_hidden", [1, 2, 3])
     def test_depth(self, n_hidden):
         model = mlp_partitioner(6, 4, hidden=8, n_hidden=n_hidden)
-        # Each hidden block: Linear + BN + ReLU + Dropout; plus output Linear.
-        assert len(model.layers) == 4 * n_hidden + 1
+        # Each hidden block: Linear + BN (+ ReLU + Dropout); plus output Linear.
+        assert len(model.W) == n_hidden + 1 and len(model.gamma) == n_hidden
 
     def test_param_count_formula(self):
         d, h, m = 10, 16, 4
@@ -118,6 +190,15 @@ class TestPickle:
         np.testing.assert_array_equal(pickle.loads(pickle.dumps(m.predict_bin))(x), m.predict_bin(x))
         np.testing.assert_array_equal(
             pickle.loads(pickle.dumps(m)).predict_proba(x), m.predict_proba(x))
+
+    def test_trained_model_pickles_without_activations(self, trained_usp):
+        """The trained model's ``predict_bin``, which the Spark bin assignment
+        broadcasts, pickles to its parameters plus a few KB (running stats,
+        their eval affine, the rng): backward released the last batch's
+        activations."""
+        model = trained_usp.model
+        size = sum(p.nbytes for p in model.params())
+        assert len(pickle.dumps(model.predict_bin)) < size + 8192
 
 
 class TestEvalDeterminism:

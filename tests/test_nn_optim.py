@@ -1,48 +1,31 @@
-"""Optimizer tests: both optimizers minimize simple objectives; Adam matches
-its reference update on a hand-computed step."""
+"""Optimizer tests: Adam minimizes a simple objective and matches its
+reference update on hand-computed steps."""
 import numpy as np
 import pytest
 
-from repro.nn.layers import Param
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 
 
-def quadratic_steps(opt_cls, lr, steps=200):
-    p = Param(np.array([5.0, -3.0]))
-    opt = opt_cls([p], lr=lr)
+def quadratic_steps(lr, steps):
+    p = np.array([5.0, -3.0])
+    opt = Adam([p], lr=lr)
     for _ in range(steps):
-        opt.zero_grad()
-        p.grad += 2 * p.value  # d/dp ||p||^2
-        opt.step()
-    return p.value
-
-
-class TestSGD:
-    def test_minimizes_quadratic(self):
-        assert np.abs(quadratic_steps(SGD, 0.1)).max() < 1e-6
-
-    def test_zero_grad(self):
-        p = Param(np.ones(3))
-        opt = SGD([p], lr=0.1)
-        p.grad += 5.0
-        opt.zero_grad()
-        assert (p.grad == 0).all()
+        opt.step([2 * p])  # d/dp ||p||^2
+    return p
 
 
 class TestAdam:
     def test_minimizes_quadratic(self):
-        assert np.abs(quadratic_steps(Adam, 0.1, steps=400)).max() < 1e-3
+        assert np.abs(quadratic_steps(0.1, 400)).max() < 1e-3
 
     def test_first_step_magnitude(self):
         """With bias correction, the first Adam step is ≈ lr·sign(grad)."""
-        p = Param(np.array([1.0]))
-        opt = Adam([p], lr=0.01)
-        p.grad += 7.0
-        opt.step()
-        np.testing.assert_allclose(p.value, 1.0 - 0.01, atol=1e-6)
+        p = np.array([1.0])
+        Adam([p], lr=0.01).step([np.array([7.0])])
+        np.testing.assert_allclose(p, 1.0 - 0.01, atol=1e-6)
 
     def test_matches_reference_two_steps(self):
-        p = Param(np.array([2.0]))
+        p = np.array([2.0])
         opt = Adam([p], lr=0.1)
         grads = [3.0, -1.0]
         # Reference implementation.
@@ -53,13 +36,15 @@ class TestAdam:
             v = 0.999 * v + 0.001 * g * g
             ref -= 0.1 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         for g in grads:
-            opt.zero_grad()
-            p.grad += g
-            opt.step()
-        np.testing.assert_allclose(p.value, ref, atol=1e-12)
+            opt.step([np.array([g])])
+        np.testing.assert_allclose(p, ref, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4)])
     def test_state_shapes(self, shape):
-        p = Param(np.zeros(shape))
-        opt = Adam([p])
+        opt = Adam([np.zeros(shape)])
         assert opt.m[0].shape == shape and opt.v[0].shape == shape
+
+    def test_rejects_missing_gradient(self):
+        opt = Adam([np.zeros(2), np.zeros(3)])
+        with pytest.raises(ValueError):
+            opt.step([np.ones(2)])

@@ -24,7 +24,7 @@ from repro.nn.model import logistic_regression, mlp_partitioner
 def node_proba(router, q):
     """One router's (n_q, children) probabilities, as each node computed them."""
     if isinstance(router, tree.Hyperplane):
-        z = (q @ router.w - router.t) / router.scale
+        z = (q @ router.w[0, :, 0] - router.t.item()) / router.scale.item()
         p_right = 1.0 / (1.0 + np.exp(-np.clip(z, -60, 60)))
         return np.stack([1 - p_right, p_right], axis=1)
     return router.predict_proba(q)
