@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.partitioner import UnsupervisedSpacePartitioner
+from repro.core.partitioner import UnsupervisedSpacePartitioner, check_arch
 from repro.core.train import TrainConfig
 from repro.index import tree
 from repro.index.base import PartitionIndex, bin_ranks, check_data, check_knn, probe_order
@@ -140,6 +140,7 @@ def train_ensemble(
     on ``knn_idx`` when given (e.g. the Spark build's) and on
     ``knn_matrix_numpy(x, k_prime)`` otherwise."""
     x = check_data(x)
+    check_arch(arch)
     knn_idx = knn_matrix_numpy(x, k_prime) if knn_idx is None else check_knn(knn_idx, len(x))
     weights = np.ones(len(x))
     base = cfg or TrainConfig(m=m)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.partitioner import build_model
+from repro.core.partitioner import build_model, check_arch
 from repro.core.train import TrainConfig, train_usp_model
 from repro.index import tree
 from repro.index.base import check_data
@@ -44,6 +44,7 @@ class HierarchicalPartitioner(tree.TreeIndex):
     # -- offline -----------------------------------------------------------
     def fit(self, x: np.ndarray) -> "HierarchicalPartitioner":
         x = check_data(x)
+        check_arch(self.arch)
 
         def split(idx: np.ndarray, level: int):
             # Leaf: out of levels, or too few points to split meaningfully.

@@ -14,15 +14,20 @@ from repro.knn.exact import knn_matrix_numpy
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
 
+def check_arch(arch: str) -> None:
+    """ValueError unless ``arch`` is "mlp" or "logreg"."""
+    if arch not in ("mlp", "logreg"):
+        raise ValueError(f"unknown arch {arch!r}")
+
+
 def build_model(
     arch: str, d: int, m: int, *, hidden: int = 128, dropout: float = 0.1, seed: int = 0
 ) -> MLP:
     """A fresh, untrained ``arch`` model ("mlp" or "logreg") from d inputs to m bins."""
-    if arch == "mlp":
-        return mlp_partitioner(d, m, hidden=hidden, dropout=dropout, seed=seed)
+    check_arch(arch)
     if arch == "logreg":
         return logistic_regression(d, m, seed=seed)
-    raise ValueError(f"unknown arch {arch!r}")
+    return mlp_partitioner(d, m, hidden=hidden, dropout=dropout, seed=seed)
 
 
 class UnsupervisedSpacePartitioner(tree.TreeIndex):
@@ -64,10 +69,11 @@ class UnsupervisedSpacePartitioner(tree.TreeIndex):
         weights: np.ndarray | None = None,
     ) -> "UnsupervisedSpacePartitioner":
         x = check_data(x)
-        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
-                   else check_knn(knn_idx, len(x)))
+        # Built first: a bad arch or dropout fails before the k'-NN build.
         self.model = build_model(self.arch, x.shape[1], self.n_bins, hidden=self.hidden,
                                  dropout=self.dropout, seed=self.seed)
+        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
+                   else check_knn(knn_idx, len(x)))
         train_usp_model(self.model, x, knn_idx, self.cfg, weights)
         self.root = tree.stump(self.model, self.n_bins, x.shape[1])
         self._data_bins = self.model.predict_bin(x)

@@ -36,12 +36,16 @@ def check_queries(q: np.ndarray, d: int) -> np.ndarray:
 
 def check_data(x: np.ndarray) -> np.ndarray:
     """``x`` as a float64 (n, d) array to fit on; ValueError when it is not
-    2-D or holds NaN or infinite values."""
+    2-D, holds NaN or infinite values, or a squared norm above 1/8 of
+    float64's largest value. Squared distances ‖x − y‖² ≤ 2‖x‖² + 2‖y‖² and
+    scores ‖x‖² − 2x·y then stay finite, so no exact search overflows."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"data of shape {x.shape}; expected (n, d)")
     if not np.isfinite(x).all():
         raise ValueError("data hold NaN or infinite values")
+    if not np.einsum("ij,ij->i", x, x).max(initial=0.0) <= np.finfo(np.float64).max / 8:
+        raise ValueError("squared norms too large for float64")
     return x
 
 

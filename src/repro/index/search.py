@@ -20,7 +20,7 @@ import numpy as np
 import pandas as pd
 
 from repro.index.base import PartitionIndex
-from repro.knn.exact import shortlist_scores
+from repro.knn.exact import diff_distances, rank_rows, shortlist_scores
 
 # Queries per probe_ranks call: the sweep holds one (block, n) rank matrix.
 SWEEP_BLOCK = 256
@@ -38,8 +38,9 @@ def topk_within(
     returns (b, k) ids padded with -1; the one-query form is its one-row
     case. Each row keeps the candidates whose dot-product score is within
     the certified margin of :func:`repro.knn.exact.shortlist_scores` of the
-    row's k-th smallest score, and only those get the difference form. The
-    block gathers a (b, r, d) array, so callers bound b × r.
+    row's k-th smallest score, and only those get the difference form of
+    :func:`repro.knn.exact.diff_distances`, the k'-NN build's. The block
+    gathers a (b, r, d) array, so callers bound b × r.
     """
     query, cand = np.asarray(query), np.asarray(cand)
     one = query.ndim == 1
@@ -55,24 +56,13 @@ def topk_within(
     # below it, so the one-row form drops padding by that test alone.
     if one:
         keep = np.flatnonzero(~(score > cut) if cut < np.inf else cand >= 0)
-        diff, q = x[keep], query
-    else:
-        rows, cols = np.nonzero(~(score > cut[:, None]) & (cand >= 0))
-        ids = cand[rows, cols]
-        diff, q = x[rows, cols], query[rows]
-    diff -= q
-    diff *= diff
-    dist = np.sqrt(diff.sum(axis=1))
-    if one:
+        dist = diff_distances(x[keep], query)
         return cand[keep[np.argsort(dist, kind="stable")[:kk]]]
-    # Survivors come row by row in candidate order, so a stable sort by
-    # (row, distance) leaves ties in candidate order.
-    order = np.lexsort((dist, rows))
-    rows, ids = rows[order], ids[order]
-    pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    out = np.full((len(cand), k), -1, dtype=np.int64)
-    out[rows[pos < k], pos[pos < k]] = ids[pos < k]
-    return out
+    # Survivors come row by row in candidate order, so the ranker leaves
+    # ties in candidate order.
+    rows, cols = np.nonzero(~(score > cut[:, None]) & (cand >= 0))
+    dist = diff_distances(x[rows, cols], query[rows])
+    return rank_rows(rows, dist, cand[rows, cols], len(cand), k)[0]
 
 
 def sweep_accuracy(

@@ -1,9 +1,8 @@
-"""Exact (brute-force) k-NN: the numpy reference build of the k'-NN matrix
-(§4.2.1) and the top-k of queries against data.
-
-The matrix is built one block of rows at a time by :func:`knn_block`; the
-Spark build in :mod:`repro.spark` runs the same function on each executor's
-blocks, so both builds return the same ids.
+"""Exact (brute-force) k-NN: the k'-NN matrix (§4.2.1), also built by the
+Spark executors through :func:`knn_block`, and the top-k of queries against
+data. Like :func:`repro.index.search.topk_within`, both prune by
+:func:`shortlist_scores`' certified margin and return the first k survivors
+by :func:`diff_distances` (:func:`rank_rows`), exact ties by data index.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import numpy as np
 
 from repro.index.base import check_data, check_k, check_queries
 
-# Rows per k'-NN block: one (256, n) float64 distance buffer (12 MB at
+# Rows per k'-NN block: one (256, n) float64 score buffer (12 MB at
 # n = 6000) plus a (256, n) bool mask for the row cut.
 KNN_BLOCK = 256
 
@@ -24,8 +23,9 @@ _TINY = np.finfo(np.float64).tiny
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the expansion
     ‖a‖² − 2a·b + ‖b‖², built in the one (len(a), len(b)) buffer the
-    product returns. Floating-point error can leave tiny negatives;
-    callers that need non-negative values clamp them.
+    product returns, for the searches that need no exact order (K-means,
+    AVQ, DBSCAN, spectral clustering). Floating-point error can leave tiny
+    negatives; callers that need non-negative values clamp them.
 
     Bit-identical to ``(a**2).sum(1, keepdims=True) - 2.0 * a @ b.T +
     (b**2).sum(1)``: scaling by −2 is exact, and the product never takes the
@@ -43,7 +43,8 @@ def shortlist_scores(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray,
     score exceeds the k-th smallest score τ by more than E is among the k
     nearest by the difference form, exact ties after the square root
     included. The difference form is dist = fl(√fl(Σ fl(fl(x_j − q_j)²))),
-    what :func:`repro.index.search.topk_within` orders by.
+    what :func:`diff_distances` computes and every exact search orders by.
+    A cut above τ, such as :func:`_row_cut`'s, keeps a superset.
 
     Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
     §3.1; u = 2⁻⁵³, γ_n = nu / (1 − nu), any summation order). For one
@@ -69,13 +70,20 @@ def shortlist_scores(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray,
 
     Where ‖x‖² or ‖x‖‖q‖ overflows, E is inf and τ + E inf or NaN; callers
     keep every row whose score is not above τ + E, which then keeps all.
+    :func:`repro.index.base.check_data` keeps that from the k'-NN paths.
     """
     norms = np.einsum("...d,...d->...", rows, rows)
     score = np.matmul(rows, (-2.0 * queries)[..., None])[..., 0]
     score += norms
-    n = 4 * rows.shape[-1] + 10
-    p = norms.max(axis=-1) + np.einsum("...d,...d->...", queries, queries)
-    return score, 4.0 * n * _U / (1.0 - n * _U) * p + _TINY
+    return score, _margin(norms.max(axis=-1), queries)
+
+
+def _margin(max_norm: np.ndarray | float, queries: np.ndarray) -> np.ndarray:
+    """The margin E of :func:`shortlist_scores` per query q (..., d), for
+    rows whose largest squared norm is ``max_norm``."""
+    n = 4 * queries.shape[-1] + 10
+    p = max_norm + np.einsum("...d,...d->...", queries, queries)
+    return 4.0 * n * _U / (1.0 - n * _U) * p + _TINY
 
 
 def _row_cut(d2: np.ndarray, k: int) -> np.ndarray:
@@ -84,7 +92,8 @@ def _row_cut(d2: np.ndarray, k: int) -> np.ndarray:
     A row's columns form ``g`` groups by column index mod ``g``; the cut is
     the k-th smallest group minimum. k groups each hold an entry at or below
     it, so every one of the row's k smallest entries is at or below it too.
-    At k = 10 and n = 6000 about 10.3 entries per row pass it."""
+    At k = 11 (k' = 10 and the own column) and n = 6000 about 11.5 entries
+    per row pass it, the margin included."""
     n = d2.shape[1]
     g = min(n, max(k, 128))
     gmin = d2[:, :g].copy()
@@ -95,56 +104,80 @@ def _row_cut(d2: np.ndarray, k: int) -> np.ndarray:
     return np.partition(gmin, k - 1, axis=1)[:, [k - 1]]
 
 
-def _smallest_per_row(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Column ids of the ``k`` smallest entries of each row of ``d2`` and
-    those entries, in increasing order; exact ties fall by column, as in a
-    stable sort of the row. ``d2`` must hold no NaN. Only the entries at or
-    below :func:`_row_cut` are sorted, by (row, value, column)."""
+def diff_distances(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Difference-form distances of rows x (m, d) from q (m, d) or (d,), the
+    one order of every exact search; overwrites ``x``, a fresh gather."""
+    x -= q
+    x *= x
+    return np.sqrt(x.sum(axis=1))
+
+
+def rank_rows(
+    rows: np.ndarray, dist: np.ndarray, ids: np.ndarray, n_rows: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n_rows, k) ids and distances of each row's first k survivors by
+    (distance, input order), padded with -1 and inf; survivor j has row
+    ``rows[j]`` (non-decreasing), distance ``dist[j]`` and id ``ids[j]``."""
+    order = np.lexsort((dist, rows))
+    rows, dist, ids = rows[order], dist[order], ids[order]
+    pos = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    top = pos < k
+    out_ids = np.full((n_rows, k), -1, dtype=np.int64)
+    out_dist = np.full((n_rows, k), np.inf)
+    out_ids[rows[top], pos[top]] = ids[top]
+    out_dist[rows[top], pos[top]] = dist[top]
+    return out_ids, out_dist
+
+
+def _topk_block(q: np.ndarray, data: np.ndarray, k: int, lo: int | None = None):
+    """:func:`rank_rows` of the k nearest rows of ``data`` to each query of
+    ``q``; with ``lo``, ``q`` is ``data[lo:lo + len(q)]`` and row i skips its
+    own column lo + i. Scores are cut at :func:`_row_cut` (k + 1 with the own
+    column) plus :func:`shortlist_scores`' margin, valid for any gemm."""
+    norms = np.einsum("ij,ij->i", data, data)
+    score = (-2.0 * q) @ data.T
+    score += norms
+    cut = _row_cut(score, k + (lo is not None)) + _margin(norms.max(), q)[:, None]
     # flatnonzero, not the far slower 2-D nonzero, on the sparse mask.
-    rows, cols = np.divmod(np.flatnonzero(d2 <= _row_cut(d2, k)), d2.shape[1])
-    vals = d2[rows, cols]
-    order = np.lexsort((cols, vals, rows))
-    starts = np.searchsorted(rows, np.arange(len(d2)))
-    pick = order[starts[:, None] + np.arange(k)]
-    return cols[pick], vals[pick]
+    rows, cols = np.divmod(np.flatnonzero(score <= cut), len(data))
+    if lo is not None:
+        other = cols != rows + lo
+        rows, cols = rows[other], cols[other]
+    return rank_rows(rows, diff_distances(data[cols], q[rows]), cols, len(q), k)
 
 
 def topk_neighbors(
     queries: np.ndarray, data: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k nearest rows of ``data`` for each row of ``queries``.
-
-    Returns ``(indices, distances)`` each of shape (n_queries, k), neighbors
-    sorted by increasing Euclidean distance, exact ties by data row.
-    ValueError when the data are not (n, d), the queries not (n_q, d), or
-    either holds NaN or infinite values.
-    """
+    """Top-k nearest rows of ``data`` for each row of ``queries``, in blocks
+    of ``KNN_BLOCK`` queries: ``(indices, distances)``, each (n_q, min(k, n)),
+    the first k of a stable sort by difference-form distance, so exact ties
+    fall by data row. ValueError when the data or the queries fail
+    :func:`check_data`, or the queries are not (n_q, d)."""
     data = check_data(data)
-    queries = check_queries(queries, data.shape[1])
-    d2 = sqdist(queries, data)
-    np.maximum(d2, 0.0, out=d2)
-    idx, part = _smallest_per_row(d2, min(k, d2.shape[1]))
-    return idx, np.sqrt(part)
+    queries = check_data(check_queries(queries, data.shape[1]))
+    k = min(k, len(data))
+    idx = np.empty((len(queries), k), dtype=np.int64)
+    dist = np.empty((len(queries), k))
+    for lo in range(0, len(queries), KNN_BLOCK):
+        hi = lo + KNN_BLOCK
+        idx[lo:hi], dist[lo:hi] = _topk_block(queries[lo:hi], data, k)
+    return idx, dist
 
 
 def knn_block(data: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
-    """Rows ``lo:hi`` of the k'-NN matrix of ``data``: each row's ``k``
-    nearest other points, nearest first and exact ties by index. The row's
-    own column is set to inf, so a point is never its own neighbor while its
+    """Rows ``lo:hi`` of the k'-NN matrix of ``data`` (checked by
+    :func:`check_data`): each row's ``k`` nearest other points by the one
+    rule, exact ties by index. A point is never its own neighbor, while its
     exact duplicates still are."""
-    d2 = sqdist(data[lo:hi], data)
-    np.maximum(d2, 0.0, out=d2)
-    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-    return _smallest_per_row(d2, k)[0]
+    return _topk_block(data[lo:hi], data, k, lo)[0]
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
-    """k'-NN matrix (n, k) of neighbor *indices*, self excluded, nearest
-    first and exact ties by index; ValueError when ``data`` is not (n, d) or
-    holds NaN or infinite values, or k is outside (0, n). Built by
-    :func:`knn_block` over blocks of ``block`` rows, which bounds peak
-    memory. The block does not change the result, except that a one-row
-    block rounds differently and may swap exact duplicates."""
+    """k'-NN matrix (n, k) of neighbor *indices*, self excluded, built by
+    :func:`knn_block` over blocks of ``block`` rows, which bound peak memory
+    and do not change the result; ValueError when ``data`` fails
+    :func:`check_data` or k is outside (0, n)."""
     data = check_data(data)
     n = len(data)
     check_k(k, n)

@@ -1,7 +1,8 @@
 """Bad training data fails loudly in every index's fit: data that is not
-(n, d) or holds NaN or infinite values, a given k'-NN matrix of the
-wrong shape, with k' outside (0, n), or with ids outside [0, n), and a k'
-outside (0, n) for the matrix the fit builds."""
+(n, d), holds NaN or infinite values or squared norms that overflow, a given
+k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
+[0, n), and a k' outside (0, n) for the matrix the fit builds. A bad
+architecture or dropout fails before any k'-NN work."""
 import numpy as np
 import pytest
 
@@ -84,3 +85,29 @@ def test_fit_rejects_k_prime_outside_0_n(fit, data):
 def test_fit_rejects_bad_dropout(dropout, data):
     with pytest.raises(ValueError, match="dropout"):
         UnsupervisedSpacePartitioner(4, cfg=CFG, dropout=dropout).fit(data)
+
+
+def _no_knn_build(*args, **kwargs):
+    raise AssertionError("k'-NN matrix built before the arguments were checked")
+
+
+@pytest.mark.parametrize("fit,match", [
+    (lambda x: UnsupervisedSpacePartitioner(4, cfg=CFG, dropout=1.0).fit(x), "dropout"),
+    (lambda x: UnsupervisedSpacePartitioner(4, cfg=CFG, arch="cnn").fit(x), "unknown arch"),
+    (lambda x: HierarchicalPartitioner([2, 2], arch="cnn").fit(x), "unknown arch"),
+    (lambda x: train_ensemble(x, m=4, e=2, cfg=CFG, arch="cnn"), "unknown arch"),
+], ids=["usp-dropout", "usp-arch", "hierarchy-arch", "ensemble-arch"])
+def test_bad_arguments_fail_before_the_knn_build(fit, match, data, monkeypatch):
+    for module in ("partitioner", "hierarchy", "ensemble"):
+        monkeypatch.setattr(f"repro.core.{module}.knn_matrix_numpy", _no_knn_build)
+    with pytest.raises(ValueError, match=match):
+        fit(data)
+
+
+@pytest.mark.parametrize("name", sorted(FITS))
+def test_fit_rejects_overflowing_norms(name, data):
+    """Finite data whose squared norms overflow float64 fail in every fit."""
+    x = data.copy()
+    x[::2] *= 1e155
+    with pytest.raises(ValueError, match="squared norms too large"):
+        FITS[name](x)

@@ -1,14 +1,15 @@
-"""Exact k-NN substrate tests: numpy reference vs naive, the row selection
-vs a stable sort, the distance block vs the plain expansion, Spark build vs
-numpy id for id, and a DuckDB SQL oracle check of the neighbor sets."""
+"""Exact k-NN substrate tests: the k'-NN matrix and ``topk_neighbors`` vs
+a stable sort by difference-form distance, the row cut and ranker vs a
+stable sort, the distance block vs the plain expansion, Spark build vs numpy
+id for id, and a DuckDB SQL oracle check of the neighbor sets."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.knn.exact import (
     _row_cut,
-    _smallest_per_row,
     knn_matrix_numpy,
+    rank_rows,
     sqdist,
     topk_neighbors,
 )
@@ -18,13 +19,16 @@ from repro.spark import knn_matrix_spark, knn_matrix_spark_collect
 
 
 def naive_topk(queries, data, k, exclude_self=False):
-    out = []
+    """The one exact rule, query by query: ids and distances of the first k
+    of a stable sort by difference-form distance, so ties fall by index."""
+    ids, dists = [], []
     for i, q in enumerate(queries):
-        d = np.linalg.norm(data - q, axis=1)
+        d = np.sqrt(((data - q) ** 2).sum(axis=1))
         if exclude_self:
             d[i] = np.inf
-        out.append(np.argsort(d, kind="stable")[:k])
-    return np.array(out)
+        ids.append(np.argsort(d, kind="stable")[:k])
+        dists.append(d[ids[-1]])
+    return np.array(ids), np.array(dists)
 
 
 def plain_sqdist(a, b):
@@ -46,6 +50,14 @@ def grouped_cut(d2, k, g):
     return np.sort(gmin, axis=1)[:, [k - 1]]
 
 
+def smallest_per_row(d2, k):
+    """The k'-NN block's selection on a given matrix: :func:`rank_rows` over
+    the entries at or below :func:`_row_cut`, entries as distances and
+    columns as ids."""
+    rows, cols = np.divmod(np.flatnonzero(d2 <= _row_cut(d2, k)), d2.shape[1])
+    return rank_rows(rows, d2[rows, cols], cols, len(d2), k)
+
+
 def distance_rows(kind, r, n, seed=0):
     """(r, n) non-negative rows with the self diagonal at inf: random values,
     integer values with many exact ties, or all zeros but the diagonal."""
@@ -58,10 +70,11 @@ def distance_rows(kind, r, n, seed=0):
 
 
 class TestSmallestPerRow:
-    """The row selection equals a stable sort of each row (ties by column),
-    values and ids exactly, across the group layouts: one column per group
-    (n <= 128), n a multiple of the group count, a tail of n mod 128
-    columns, and k above 128, where the group count becomes k."""
+    """The row cut and the shared ranker together equal a stable sort of
+    each row (ties by column), values and ids exactly, across the group
+    layouts: one column per group (n <= 128), n a multiple of the group
+    count, a tail of n mod 128 columns, and k above 128, where the group
+    count becomes k."""
 
     @pytest.mark.parametrize("kind", ["random", "ties", "zeros"])
     @pytest.mark.parametrize(
@@ -71,7 +84,7 @@ class TestSmallestPerRow:
     )
     def test_equal_to_stable_sort(self, kind, n, k):
         d2 = distance_rows(kind, 40, n)
-        ids, vals = _smallest_per_row(d2, k)
+        ids, vals = smallest_per_row(d2, k)
         ref_ids, ref_vals = stable_smallest(d2, k)
         np.testing.assert_array_equal(ids, ref_ids)
         np.testing.assert_array_equal(vals, ref_vals)
@@ -84,8 +97,16 @@ class TestSmallestPerRow:
         np.testing.assert_array_equal(_row_cut(d2, k), grouped_cut(d2, k, min(n, max(k, 128))))
 
     def test_k_zero(self):
-        ids, vals = _smallest_per_row(distance_rows("random", 3, 20), 0)
+        ids, vals = smallest_per_row(distance_rows("random", 3, 20), 0)
         assert ids.shape == vals.shape == (3, 0)
+
+    def test_ranker_pads_short_rows(self):
+        """Rows with fewer than k survivors, none included, are padded with
+        -1 ids and inf distances; ties keep input order, not id order."""
+        rows = np.array([0, 0, 0, 2])
+        ids, dist = rank_rows(rows, np.array([2.0, 1.0, 1.0, 5.0]), np.array([9, 8, 3, 4]), 3, 2)
+        np.testing.assert_array_equal(ids, [[8, 3], [-1, -1], [4, -1]])
+        np.testing.assert_array_equal(dist, [[1.0, 1.0], [np.inf, np.inf], [5.0, np.inf]])
 
 
 class TestSqdist:
@@ -112,12 +133,22 @@ class TestTopkNumpy:
         data = rng.normal(size=(n, d))
         queries = rng.normal(size=(10, d))
         idx, dist = topk_neighbors(queries, data, k)
-        naive = naive_topk(queries, data, k)
-        # Compare distances (ids can differ under exact ties).
-        for i in range(len(queries)):
-            np.testing.assert_allclose(
-                dist[i], np.linalg.norm(data[naive[i]] - queries[i], axis=1), atol=1e-9
-            )
+        naive_idx, naive_dist = naive_topk(queries, data, k)
+        np.testing.assert_array_equal(idx, naive_idx)
+        np.testing.assert_array_equal(dist, naive_dist)
+
+    def test_blocks_of_queries(self, copies):
+        """More queries than one block of ``KNN_BLOCK``: the blocks split the
+        queries only, so each row equals the one-query call's."""
+        data, _ = copies
+        queries = data[::11] + 1e-3
+        idx, dist = topk_neighbors(queries, data, 10)
+        assert len(queries) > 256
+        for i in (0, 255, 256, len(queries) - 1):
+            one_idx, one_dist = topk_neighbors(queries[i:i + 1], data, 10)
+            np.testing.assert_array_equal(idx[i:i + 1], one_idx)
+            np.testing.assert_array_equal(dist[i:i + 1], one_dist)
+        np.testing.assert_array_equal(idx, naive_topk(queries, data, 10)[0])
 
     def test_sorted_ascending(self):
         rng = np.random.default_rng(1)
@@ -139,6 +170,16 @@ class TestTopkNumpy:
         with pytest.raises(ValueError, match=f"{where} hold NaN or infinite"):
             topk_neighbors(queries, data, 5)
 
+    @pytest.mark.parametrize("where", ["data", "queries"])
+    def test_rejects_overflowing_norms(self, where):
+        """Finite points whose squared norms overflow float64 fail, in the
+        data or in the queries, instead of returning an unordered top k."""
+        data = np.random.default_rng(9).normal(size=(50, 4))
+        queries = data[:5].copy()
+        (data if where == "data" else queries)[3] *= 1e155
+        with pytest.raises(ValueError, match="squared norms too large"):
+            topk_neighbors(queries, data, 5)
+
     def test_rejects_bad_shapes(self):
         """1-D data and queries of another dimension fail with the fits'
         messages, before any distance is computed."""
@@ -155,11 +196,7 @@ class TestKnnMatrixNumpy:
         rng = np.random.default_rng(4)
         data = rng.normal(size=(80, 5))
         mat = knn_matrix_numpy(data, 7)
-        naive = naive_topk(data, data, 7, exclude_self=True)
-        for i in range(80):
-            di = np.linalg.norm(data[mat[i]] - data[i], axis=1)
-            dn = np.linalg.norm(data[naive[i]] - data[i], axis=1)
-            np.testing.assert_allclose(di, dn, atol=1e-9)
+        np.testing.assert_array_equal(mat, naive_topk(data, data, 7, exclude_self=True)[0])
 
     @pytest.mark.parametrize("block", [7, 32, 1000])
     def test_blocking_invariant(self, block):
@@ -184,22 +221,39 @@ class TestKnnMatrixNumpy:
 
     def test_one_row_blocks_on_duplicates(self, duplicates):
         """A one-row block is a matrix-vector product in BLAS, which rounds
-        differently: copies of a point land at 0 or ~1e-15 and may swap
-        places, so the neighbors agree up to copies of the same point."""
+        its scores differently; the order comes from the difference form
+        alone, so the ids are equal, copies included."""
         data, _ = duplicates
         got = knn_matrix_numpy(data, 10, block=1)
-        ref = knn_matrix_numpy(data, 10, block=len(data))
-        np.testing.assert_array_equal(data[got], data[ref])
+        np.testing.assert_array_equal(got, knn_matrix_numpy(data, 10, block=len(data)))
 
     def test_ties_fall_by_index(self, duplicates):
         """Copies of a point tie at one distance; they come in index order,
-        as in a stable sort of each row of the whole distance matrix."""
+        as in a stable sort of each row of the whole difference-form
+        distance matrix."""
         data, _ = duplicates
-        d2 = np.maximum(sqdist(data, data), 0.0)
-        np.fill_diagonal(d2, np.inf)
+        dist = np.sqrt(((data[:, None] - data[None]) ** 2).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
         np.testing.assert_array_equal(
-            knn_matrix_numpy(data, 10, block=len(data)), stable_smallest(d2, 10)[0]
+            knn_matrix_numpy(data, 10, block=len(data)), stable_smallest(dist, 10)[0]
         )
+
+    def test_large_norms_below_the_bound(self):
+        """Far from the origin, up to the largest norms the data check lets
+        through, the matrix still equals the stable difference-form sort."""
+        data = np.random.default_rng(10).normal(size=(40, 4))
+        data *= 0.999 * np.sqrt(np.finfo(np.float64).max / 8) / np.linalg.norm(data, axis=1).max()
+        np.testing.assert_array_equal(
+            knn_matrix_numpy(data, 5), naive_topk(data, data, 5, exclude_self=True)[0])
+
+    def test_rejects_overflowing_norms(self):
+        """40 finite points scaled by 1e154, half by a further 10: their
+        squared norms overflow, and the build fails instead of listing
+        points as their own neighbors."""
+        data = np.random.default_rng(11).normal(size=(40, 4)) * 1e154
+        data[::2] *= 10
+        with pytest.raises(ValueError, match="squared norms too large"):
+            knn_matrix_numpy(data, 5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
@@ -238,6 +292,13 @@ class TestKnnMatrixSpark:
         got = knn_matrix_spark_collect(spark, data, 10)
         assert not (got == np.arange(len(data))[:, None]).any()
         np.testing.assert_array_equal(got, knn_matrix_numpy(data, 10))
+
+    def test_copies_match_numpy(self, spark, copies):
+        """On 60 points × 100 exact copies every row's top 10 is decided by
+        ties; the Spark build's blocks give the numpy build's ids."""
+        data, _ = copies
+        np.testing.assert_array_equal(
+            knn_matrix_spark_collect(spark, data, 10), knn_matrix_numpy(data, 10))
 
     def test_rejects_what_numpy_rejects(self, spark):
         data = np.random.default_rng(7).normal(size=(20, 4))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from repro.cluster.metrics import adjusted_rand_index
 from repro.core.train import sinkhorn_balance
 from repro.index.search import topk_within
-from repro.knn.exact import shortlist_scores, topk_neighbors
+from repro.knn.exact import knn_matrix_numpy, shortlist_scores, topk_neighbors
 from repro.nn.layers import softmax
 
 finite = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -139,6 +139,78 @@ class TestTopkWithinProperties:
             exact = sum(Fraction(v) * Fraction(v) - 2 * Fraction(v) * Fraction(w)
                         for v, w in zip(x, q))
             assert abs(Fraction(s) - exact) <= Fraction(margin)
+
+
+def _near_copies(seed: int, n_base: int, n_copies: int, d: int, offset: float,
+                 jitter: str) -> np.ndarray:
+    """``n_base`` points repeated ``n_copies`` times and moved ``offset``
+    from the origin, then left exact, jittered by 1e-8 or moved one ulp."""
+    rng = np.random.default_rng(seed)
+    data = np.repeat(rng.normal(size=(n_base, d)), n_copies, axis=0) + offset
+    if jitter == "1e-8":
+        data += 1e-8 * rng.normal(size=data.shape)
+    elif jitter == "ulp":
+        data = np.where(rng.random(data.shape) < 0.5, np.nextafter(data, np.inf), data)
+    return data
+
+
+def _stable_knn(queries: np.ndarray, data: np.ndarray, k: int, exclude_self: bool):
+    """Oracle of the one exact rule: ids and distances of the first k of a
+    stable sort of ``data`` by difference-form distance, ties by index; with
+    ``exclude_self`` query i is data row i and skips it."""
+    dist = np.stack([np.sqrt(((data - q) ** 2).sum(axis=1)) for q in queries])
+    if exclude_self:
+        np.fill_diagonal(dist, np.inf)
+    idx = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return idx, np.take_along_axis(dist, idx, axis=1)
+
+
+class TestExactKnnProperties:
+    """``knn_matrix_numpy`` and ``topk_neighbors`` against the stable-sort
+    oracle on the inputs of ``TestTopkWithinProperties``, where the
+    expansion cannot order copies: every block size gives the oracle's
+    matrix, and the ground truth's ids and distances equal it bit for bit."""
+
+    jitters = st.sampled_from(["none", "1e-8", "ulp"])
+    offsets = st.sampled_from([0.0, 1e4, 1e8])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 30),
+           st.integers(1, 16), st.integers(1, 15), offsets, jitters)
+    @settings(max_examples=100, deadline=None)
+    def test_knn_matrix_equals_stable_sort(self, seed, n_base, n_copies, d, k, offset,
+                                           jitter):
+        data = _near_copies(seed, n_base, n_copies, d, offset, jitter)
+        n = len(data)
+        k = min(k, n - 1)
+        want = _stable_knn(data, data, k, exclude_self=True)[0]
+        for block in (1, 7, 256, n):
+            np.testing.assert_array_equal(knn_matrix_numpy(data, k, block=block), want)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 30),
+           st.integers(1, 16), st.integers(1, 15), offsets, jitters, st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_topk_neighbors_equals_stable_sort(self, seed, n_base, n_copies, d, k, offset,
+                                               jitter, b):
+        data = _near_copies(seed, n_base, n_copies, d, offset, jitter)
+        # Half the queries sit on a data point, half next to one.
+        rng = np.random.default_rng(seed + 1)
+        q = data[rng.integers(0, len(data), b)]
+        q = q + (rng.random(b) < 0.5)[:, None] * 1e-3 * rng.normal(size=(b, d))
+        idx, dist = topk_neighbors(q, data, k)
+        want_idx, want_dist = _stable_knn(q, data, k, exclude_self=False)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+
+    def test_copies_fixture(self, copies):
+        """60 points × 100 exact copies: every row's top 10 is a tie."""
+        data, queries = copies
+        want = _stable_knn(data, data, 10, exclude_self=True)[0]
+        for block in (1, 7, 256, len(data)):
+            np.testing.assert_array_equal(knn_matrix_numpy(data, 10, block=block), want)
+        idx, dist = topk_neighbors(queries, data, 10)
+        want_idx, want_dist = _stable_knn(queries, data, 10, exclude_self=False)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
 
 
 class TestMetricProperties:
