@@ -21,6 +21,7 @@ import numpy as np
 from repro.nn.layers import softmax
 
 _EPS = 1e-12
+_LOG_BARRIER = 0.05  # β of balance_loss_and_grad's -β·log p term
 
 
 def neighbor_bin_distribution(hard: np.ndarray, m: int) -> np.ndarray:
@@ -40,8 +41,14 @@ def quality_loss_and_grad(
     ``targets`` are the (constant) neighbor-bin distributions; ``weights``
     are the per-point ensembling weights w_i (Eq. 14), defaulting to 1.
     """
-    n_b = logits.shape[0]
-    probs = softmax(logits)
+    return _quality(softmax(logits), targets, weights)
+
+
+def _quality(
+    probs: np.ndarray, targets: np.ndarray, weights: np.ndarray | None
+) -> tuple[float, np.ndarray]:
+    """:func:`quality_loss_and_grad` on ``probs`` = softmax(logits)."""
+    n_b = probs.shape[0]
     if weights is None:
         weights = np.ones(n_b)
     wsum = weights.sum() + _EPS
@@ -52,7 +59,7 @@ def quality_loss_and_grad(
 
 
 def balance_loss_and_grad(
-    logits: np.ndarray, m: int, *, log_barrier: float = 0.05
+    logits: np.ndarray, m: int, *, log_barrier: float = _LOG_BARRIER
 ) -> tuple[float, np.ndarray]:
     """S(R) (Eq. 13) over a batch + gradient w.r.t. logits.
 
@@ -68,8 +75,12 @@ def balance_loss_and_grad(
     which keeps a constant-magnitude pull on dying bins; at the balanced
     optimum (selected p → 1) it vanishes, so the optimum is unchanged.
     """
-    n_b = logits.shape[0]
-    probs = softmax(logits)
+    return _balance(softmax(logits), m, log_barrier)
+
+
+def _balance(probs: np.ndarray, m: int, log_barrier: float) -> tuple[float, np.ndarray]:
+    """:func:`balance_loss_and_grad` on ``probs`` = softmax(logits)."""
+    n_b = probs.shape[0]
     t = max(1, int(np.ceil(n_b / m)))
     # Indices of the top-t rows per column.
     sel_rows = np.argpartition(-probs, t - 1, axis=0)[:t]  # (t, m)
@@ -89,8 +100,9 @@ def usp_loss_and_grad(
     eta: float,
     weights: np.ndarray | None = None,
 ) -> tuple[float, float, np.ndarray]:
-    """Combined loss (Eq. 5): returns (U, S, dL/dlogits) for a batch."""
-    m = logits.shape[1]
-    u, gu = quality_loss_and_grad(logits, targets, weights)
-    s, gs = balance_loss_and_grad(logits, m)
+    """Combined loss (Eq. 5): returns (U, S, dL/dlogits) for a batch; both
+    terms read one softmax of ``logits``."""
+    probs = softmax(logits)
+    u, gu = _quality(probs, targets, weights)
+    s, gs = _balance(probs, logits.shape[1], _LOG_BARRIER)
     return u, s, gu + eta * gs

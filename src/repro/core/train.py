@@ -103,9 +103,15 @@ class TrainConfig:
 def neighbor_targets(model: MLP, x: np.ndarray, neigh: np.ndarray, m: int) -> np.ndarray:
     """Constant targets ``B_{k'}`` (Eq. 9) for a batch whose (b, k') neighbor
     indices are ``neigh``: the neighbors' eval-mode bins, each distinct
-    neighbor scored once (batches share many neighbors)."""
-    uniq, inv = np.unique(neigh, return_inverse=True)
-    hard = model.predict_bin(x[uniq])[inv.reshape(neigh.shape)]
+    neighbor scored once (batches share many neighbors), in ascending row
+    order. The distinct rows are marked in a mask over ``x`` rather than
+    sorted out of ``neigh``."""
+    mark = np.zeros(len(x), dtype=bool)
+    mark[neigh] = True
+    uniq = np.flatnonzero(mark)
+    pos = np.empty(len(x), dtype=np.intp)
+    pos[uniq] = np.arange(len(uniq))
+    hard = model.predict_bin(x[uniq])[pos[neigh]]
     return neighbor_bin_distribution(hard, m)
 
 

@@ -24,7 +24,8 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the expansion
     ‖a‖² − 2a·b + ‖b‖², built in the one (len(a), len(b)) buffer the
     product returns, for the searches that need no exact order (K-means,
-    AVQ, DBSCAN, spectral clustering). Floating-point error can leave tiny
+    DBSCAN, spectral clustering; AVQ's assignment repeats it with ‖a‖²
+    computed once per subspace). Floating-point error can leave tiny
     negatives; callers that need non-negative values clamp them.
 
     Bit-identical to ``(a**2).sum(1, keepdims=True) - 2.0 * a @ b.T +

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.index.base import check_data, check_queries
 from repro.index.search import topk_within
-from repro.knn.exact import sqdist
 
 # Candidate rows per piece of a query block in ``AnisotropicPQ.search``: a
 # piece's query count times its longest candidate list stays within this,
@@ -47,8 +46,12 @@ class AnisotropicPQ:
         n_iter: int = 10,
         seed: int = 0,
     ):
-        if n_centers > 256:
-            raise ValueError(f"n_centers={n_centers} > 256: codes are stored as uint8")
+        if n_sub < 1:
+            raise ValueError(f"n_sub={n_sub}: need at least one subspace")
+        if not 1 <= n_centers <= 256:
+            raise ValueError(f"n_centers={n_centers} outside [1, 256]: codes are stored as uint8")
+        if not (h_par > 0 and h_perp > 0):
+            raise ValueError(f"h_par={h_par}, h_perp={h_perp}: both weights must be positive")
         self.n_sub = n_sub
         self.n_centers = n_centers
         self.h_par = h_par
@@ -60,44 +63,68 @@ class AnisotropicPQ:
         self._bounds: list[tuple[int, int]] = []
 
     # -- training ----------------------------------------------------------
-    def _aniso_assign(self, xs: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        """Assign each subvector to the codeword minimizing ℓ(x, c)."""
+    def _aniso_assign(
+        self, xs: np.ndarray, cb: np.ndarray, sq: np.ndarray, norms: np.ndarray,
+        xhat: np.ndarray,
+    ) -> np.ndarray:
+        """Assign each subvector to the codeword minimizing ℓ(x, c).
+
+        ``sq`` = ‖x‖², ``norms`` = ‖x‖ + 1e-12 and ``xhat`` = x/``norms``
+        (all (n, 1) or (n, d_sub)) are fixed for a subspace, so ``fit``
+        computes them once. The loss is built in the buffers the two products
+        return: ``sqdist``'s expansion, clamped at 0, for ‖r‖²."""
         # ℓ = h⊥‖r‖² + (h∥−h⊥)⟨r, x̂⟩², r = x − c, x̂ = x/‖x‖.
-        norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
-        xhat = xs / norms
+        loss = (-2.0 * xs) @ cb.T                       # (n, k)
+        loss += sq
+        loss += (cb**2).sum(axis=1)
+        np.maximum(loss, 0.0, out=loss)
+        loss *= self.h_perp
         # r‖ component: ⟨x − c, x̂⟩ = ‖x‖ − ⟨c, x̂⟩
-        proj = norms - xhat @ cb.T                      # (n, k)
-        d2 = sqdist(xs, cb)
-        np.maximum(d2, 0.0, out=d2)
-        loss = self.h_perp * d2 + (self.h_par - self.h_perp) * proj**2
+        proj = xhat @ cb.T
+        np.subtract(norms, proj, out=proj)
+        np.square(proj, out=proj)
+        proj *= self.h_par - self.h_perp
+        loss += proj
         return loss.argmin(axis=1)
 
     def _update_centers(self, xs: np.ndarray, assign: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        """Exact minimizer c* = (Σ M_x)⁻¹ Σ M_x x per cluster."""
+        """Exact minimizer c* = (Σ M_x)⁻¹ Σ M_x x per cluster; an empty
+        cluster keeps its centre.
+
+        A stable argsort groups the rows once, so each cluster is a
+        contiguous slice in its original row order and its Σ x xᵀ/‖x‖²
+        product and Σ x are the same operations on the same operands as
+        with a boolean mask per cluster. The nonempty clusters' systems are
+        solved in one stacked call. Each is positive definite, as h∥, h⊥ > 0:
+        for a unit v and t = ⟨v, x̂⟩² ∈ [0, 1], vᵀM_x v = (1−t)h⊥ + t·h∥, so
+        vᵀ(Σ M_x)v ≥ n·min(h∥, h⊥) > 0 over a cluster of n rows."""
         d = xs.shape[1]
-        norms2 = (xs**2).sum(axis=1) + 1e-12
+        order = np.argsort(assign, kind="stable")
+        pts = xs[order]
+        scaled = pts / ((pts**2).sum(axis=1) + 1e-12)[:, None]   # x/‖x‖²
+        counts = np.bincount(assign, minlength=len(cb))
+        full = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[full]
+        outer = np.empty((len(full), d, d))
+        sums = np.empty((len(full), d))
+        for i, (lo, hi) in enumerate(zip((ends - counts[full]).tolist(), ends.tolist())):
+            outer[i] = scaled[lo:hi].T @ pts[lo:hi]        # Σ x xᵀ/‖x‖²
+            sums[i] = pts[lo:hi].sum(axis=0)
+        a = (self.h_perp * counts[full])[:, None, None] * np.eye(d) \
+            + (self.h_par - self.h_perp) * outer
+        # Σ M_x x = h⊥ Σ x + dh Σ x (since (x xᵀ/‖x‖²) x = x)
         out = cb.copy()
-        dh = self.h_par - self.h_perp
-        for j in range(len(cb)):
-            pts = xs[assign == j]
-            if not len(pts):
-                continue
-            n2 = norms2[assign == j]
-            outer = (pts / n2[:, None]).T @ pts          # Σ x xᵀ/‖x‖²
-            a = self.h_perp * len(pts) * np.eye(d) + dh * outer
-            # Σ M_x x = h⊥ Σ x + dh Σ x (since (x xᵀ/‖x‖²) x = x)
-            b = self.h_par * pts.sum(axis=0)
-            try:
-                out[j] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                out[j] = pts.mean(axis=0)
+        out[full] = np.linalg.solve(a, self.h_par * sums[:, :, None])[:, :, 0]
         return out
 
     def fit(self, x: np.ndarray) -> "AnisotropicPQ":
         """Train the codebooks on ``x`` and encode it; ValueError when ``x``
-        is not (n, d) or holds NaN or infinite values."""
+        is not (n, d), holds NaN or infinite values, or has fewer than
+        ``n_sub`` dimensions."""
         x = check_data(x)
         n, d = x.shape
+        if self.n_sub > d:
+            raise ValueError(f"n_sub={self.n_sub} > d={d}: a subspace would be empty")
         rng = np.random.default_rng(self.seed)
         edges = np.linspace(0, d, self.n_sub + 1).astype(int)
         self._bounds = [(int(edges[i]), int(edges[i + 1])) for i in range(self.n_sub)]
@@ -105,12 +132,15 @@ class AnisotropicPQ:
         codes = np.empty((n, self.n_sub), dtype=np.uint8)
         for s, (lo, hi) in enumerate(self._bounds):
             xs = x[:, lo:hi]
+            sq = (xs**2).sum(axis=1, keepdims=True)
+            norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
+            xhat = xs / norms
             k = min(self.n_centers, n)
             cb = xs[rng.choice(n, size=k, replace=False)]
-            assign = self._aniso_assign(xs, cb)
+            assign = self._aniso_assign(xs, cb, sq, norms, xhat)
             for _ in range(self.n_iter):
                 cb = self._update_centers(xs, assign, cb)
-                new_assign = self._aniso_assign(xs, cb)
+                new_assign = self._aniso_assign(xs, cb, sq, norms, xhat)
                 if (new_assign == assign).all():
                     assign = new_assign
                     break

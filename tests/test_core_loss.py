@@ -168,12 +168,21 @@ class TestBalanceLoss:
 
 class TestCombined:
     def test_combination_linear(self):
+        self.check_combination(weighted=False)
+
+    def test_combination_linear_weighted(self):
+        self.check_combination(weighted=True)
+
+    @staticmethod
+    def check_combination(weighted):
+        """One shared softmax gives exactly the two terms' own values."""
         rng = np.random.default_rng(7)
         logits = rng.normal(size=(6, 3)) * 2
         targets = softmax(rng.normal(size=(6, 3)))
-        u, gu = quality_loss_and_grad(logits, targets)
+        w = rng.uniform(0.5, 3.0, size=6) if weighted else None
+        u, gu = quality_loss_and_grad(logits, targets, w)
         s, gs = balance_loss_and_grad(logits, 3)
         for eta in (0.0, 1.0, 7.0):
-            u2, s2, g = usp_loss_and_grad(logits, targets, eta)
+            u2, s2, g = usp_loss_and_grad(logits, targets, eta, w)
             assert (u2, s2) == (u, s)
-            np.testing.assert_allclose(g, gu + eta * gs)
+            np.testing.assert_array_equal(g, gu + eta * gs)

@@ -77,14 +77,25 @@ class TestTrainUspModel:
         assert len(cfg.history) == 3
 
 
+def bin_counts(hard, m):
+    """Per row of ``hard``, the share of its entries in each of the m bins."""
+    out = np.zeros((len(hard), m))
+    for j in range(m):
+        out[:, j] = (hard == j).sum(axis=1)
+    return out / hard.shape[1]
+
+
 def full_row_targets(model, x, neigh, m):
     """Reference: every neighbor row through ``predict_proba``, argmax, then
     a per-bin count."""
     hard = model.predict_proba(x[neigh.ravel()]).argmax(axis=1).reshape(neigh.shape)
-    out = np.zeros((len(neigh), m))
-    for j in range(m):
-        out[:, j] = (hard == j).sum(axis=1)
-    return out / neigh.shape[1]
+    return bin_counts(hard, m)
+
+
+def unique_targets(model, x, neigh, m):
+    """Reference: the distinct neighbors found by ``np.unique``."""
+    uniq, inv = np.unique(neigh, return_inverse=True)
+    return bin_counts(model.predict_bin(x[uniq])[inv.reshape(neigh.shape)], m)
 
 
 class TestNeighborTargets:
@@ -100,6 +111,31 @@ class TestNeighborTargets:
             for idx in np.array_split(rng.permutation(len(data)), 6):
                 got = neighbor_targets(model, data, knn[idx], 4)
                 np.testing.assert_array_equal(got, full_row_targets(model, data, knn[idx], 4))
+
+    @pytest.mark.parametrize("case", ["few_ids", "each_id_once"])
+    def test_duplicate_heavy_and_distinct_neighbors(self, tiny, case):
+        """Every row pointing at the same few ids, and every id held once,
+        give the targets of the ``np.unique`` form; the distinct rows are
+        scored in ascending order, so the eval forward sees the same
+        batch."""
+        data, _ = tiny
+        rng = np.random.default_rng(8)
+        if case == "few_ids":
+            neigh = np.tile(np.array([417, 3, 417, 59, 3, 3, 599, 0]), (64, 1))
+        else:
+            neigh = rng.permutation(len(data))[:512].reshape(64, 8)
+        model = mlp_partitioner(8, 4, hidden=16, seed=7)
+        scored = []
+        predict = model.predict_bin
+
+        def spy(rows):
+            scored.append(rows)
+            return predict(rows)
+
+        model.predict_bin = spy
+        got = neighbor_targets(model, data, neigh, 4)
+        np.testing.assert_array_equal(scored[0], data[np.unique(neigh)])
+        np.testing.assert_array_equal(got, unique_targets(model, data, neigh, 4))
 
 
 class TestSinkhorn:

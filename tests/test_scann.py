@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines.kmeans import KMeansPartitioner
 from repro.index.search import topk_within
-from repro.knn.exact import topk_neighbors
+from repro.knn.exact import sqdist, topk_neighbors
 from repro.knn.metrics import knn_accuracy
 from repro.scann import avq
 from repro.scann.avq import AnisotropicPQ
@@ -119,6 +119,116 @@ class TestAnisotropicPQ:
     def test_fit_rejects_one_dimensional(self, data):
         with pytest.raises(ValueError, match="expected \\(n, d\\)"):
             AnisotropicPQ(4, 16, seed=0).fit(data[0][:, 0])
+
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_sub": 0}, {"n_sub": -1}, {"n_centers": 0}, {"n_centers": -4},
+        {"h_par": 0.0}, {"h_par": -1.0}, {"h_perp": 0.0}, {"h_perp": -1.0},
+        {"h_par": np.nan},
+    ])
+    def test_bad_arguments_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AnisotropicPQ(**kwargs)
+
+    def test_more_subspaces_than_dimensions_rejected(self, data):
+        with pytest.raises(ValueError, match="n_sub=8 > d=4"):
+            AnisotropicPQ(8, 16, seed=0).fit(data[0][:, :4])
+
+
+def reference_fit(pq: AnisotropicPQ, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """The fit as it was before its rows were grouped: the loss rebuilt from
+    scratch every assignment, and per centre two boolean masks, an
+    ``np.eye`` and its own ``solve``. Returns codebooks, codes and the
+    number of empty clusters the updates met."""
+    n, d = x.shape
+    rng = np.random.default_rng(pq.seed)
+    edges = np.linspace(0, d, pq.n_sub + 1).astype(int)
+    dh = pq.h_par - pq.h_perp
+    empty = 0
+
+    def assign(xs, cb):
+        norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
+        proj = norms - (xs / norms) @ cb.T
+        d2 = np.maximum(sqdist(xs, cb), 0.0)
+        return (pq.h_perp * d2 + dh * proj**2).argmin(axis=1)
+
+    def update(xs, a, cb):
+        nonlocal empty
+        norms2 = (xs**2).sum(axis=1) + 1e-12
+        out = cb.copy()
+        for j in range(len(cb)):
+            pts = xs[a == j]
+            if not len(pts):
+                empty += 1
+                continue
+            outer = (pts / norms2[a == j][:, None]).T @ pts
+            m = pq.h_perp * len(pts) * np.eye(xs.shape[1]) + dh * outer
+            out[j] = np.linalg.solve(m, pq.h_par * pts.sum(axis=0))
+        return out
+
+    codebooks, codes = [], np.empty((n, pq.n_sub), dtype=np.uint8)
+    for s in range(pq.n_sub):
+        xs = x[:, edges[s]:edges[s + 1]]
+        cb = xs[rng.choice(n, size=min(pq.n_centers, n), replace=False)]
+        a = assign(xs, cb)
+        for _ in range(pq.n_iter):
+            cb = update(xs, a, cb)
+            new = assign(xs, cb)
+            done = (new == a).all()
+            a = new
+            if done:
+                break
+        codebooks.append(cb)
+        codes[:, s] = a
+    return codebooks, codes, empty
+
+
+class TestGroupedFitBitIdentity:
+    """The grouped fit (one stable argsort, one stacked solve) must give
+    exactly the codebooks and codes of the per-centre reference."""
+
+    def check(self, pq, x):
+        codebooks, codes, empty = reference_fit(pq, x)
+        pq.fit(x)
+        assert np.array_equal(pq.codes, codes)
+        assert len(pq.codebooks) == len(codebooks)
+        for got, want in zip(pq.codebooks, codebooks):
+            assert np.array_equal(got, want)
+        return empty
+
+    @pytest.mark.parametrize("h_par,h_perp", [(4.0, 1.0), (1.0, 1.0)])
+    @pytest.mark.parametrize("n_sub,n_centers", [(4, 64), (4, 16), (3, 8)])
+    def test_matches_reference(self, data, n_sub, n_centers, h_par, h_perp):
+        pq = AnisotropicPQ(n_sub, n_centers, h_par=h_par, h_perp=h_perp, seed=3)
+        self.check(pq, data[0])
+
+    def test_uneven_subspaces(self, data):
+        # d = 15 over 4 subspaces: widths 3, 4, 4, 4.
+        self.check(AnisotropicPQ(4, 16, seed=4), data[0][:, :15])
+
+    def test_empty_clusters(self):
+        # 12 distinct points, each repeated: some initial centres coincide,
+        # and a tied argmin leaves the later copy's cluster empty.
+        rng = np.random.default_rng(5)
+        x = np.repeat(rng.normal(size=(12, 6)), 25, axis=0)
+        assert self.check(AnisotropicPQ(2, 16, seed=5), x) > 0
+
+    @pytest.mark.parametrize("h_par", [4.0, 1.0, 0.25])
+    def test_update_with_empty_clusters(self, data, h_par):
+        xs = data[0][:, 4:8]
+        a = np.random.default_rng(6).integers(0, 12, len(xs)) * 2   # odd ids empty
+        cb = np.random.default_rng(7).normal(size=(24, 4))
+        pq = AnisotropicPQ(1, 24, h_par=h_par, h_perp=1.0)
+        got = pq._update_centers(xs, a, cb)
+        want = cb.copy()
+        norms2 = (xs**2).sum(axis=1) + 1e-12
+        for j in range(0, 24, 2):
+            pts = xs[a == j]
+            outer = (pts / norms2[a == j][:, None]).T @ pts
+            m = len(pts) * np.eye(4) + (h_par - 1.0) * outer
+            want[j] = np.linalg.solve(m, h_par * pts.sum(axis=0))
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[1::2], cb[1::2])
 
 
 class TestHNSW:
