@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index import tree
-from repro.index.base import PartitionIndex, bin_ranks, check_data, probe_order
+from repro.index.base import PartitionIndex, bin_ranks, check_data, check_k, probe_order
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -60,19 +60,19 @@ def similarity_preserving_hyperplane(
 class BoostedSearchForest(PartitionIndex):
     """Forest of boosted similarity-preserving hyperplane trees."""
 
+    MIN_SPLIT = 16  # a node of fewer points is a leaf
+
     def __init__(
         self,
         depth: int,
         *,
         n_trees: int = 3,
         k_prime: int = 10,
-        min_split: int = 16,
         seed: int = 0,
     ):
         self.depth = depth
         self.n_trees = n_trees
         self.k_prime = k_prime
-        self.min_split = min_split
         self.seed = seed
         self.trees: list[tree.Node] = []
         self.tree_bins: list[np.ndarray] = []
@@ -82,13 +82,14 @@ class BoostedSearchForest(PartitionIndex):
 
     def fit(self, x: np.ndarray) -> "BoostedSearchForest":
         x = check_data(x)
+        check_k(self.k_prime, len(x))
         rng = np.random.default_rng(self.seed)
-        knn_idx = knn_matrix_numpy(x, min(self.k_prime, len(x) - 1))
+        knn_idx = knn_matrix_numpy(x, self.k_prime)
         weights = np.ones(len(x))
 
         # Reads ``weights`` when called, so each tree sees the boosted weights.
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.min_split:
+            if level >= self.depth or len(idx) < self.MIN_SPLIT:
                 return None
             sub = x[idx]
             sub_knn = knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+REFINE_PASSES = 5  # at most this many boundary-refinement sweeps
+
 
 def knn_graph_adjacency(knn_idx: np.ndarray) -> list[np.ndarray]:
     """Symmetrized adjacency lists from a (n, k') neighbor-index matrix."""
@@ -61,7 +63,6 @@ def balanced_graph_partition(
     m: int,
     *,
     eps: float = 0.05,
-    refine_passes: int = 5,
     seed: int = 0,
 ) -> np.ndarray:
     """Balanced m-way partition labels of the k-NN graph.
@@ -130,7 +131,7 @@ def balanced_graph_partition(
         sizes[b] += 1
 
     # --- phase 2: KL/FM-style boundary refinement ------------------------
-    for _ in range(refine_passes):
+    for _ in range(REFINE_PASSES):
         moved = 0
         order = rng.permutation(n)
         for v in order:

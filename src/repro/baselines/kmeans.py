@@ -15,12 +15,14 @@ from repro.knn.exact import sqdist
 
 
 class KMeans:
-    """Lloyd's algorithm with k-means++ initialization."""
+    """Lloyd's algorithm with k-means++ initialization; stops after
+    ``n_iter`` updates or once the centroids move less than ``TOL``."""
 
-    def __init__(self, k: int, *, n_iter: int = 50, tol: float = 1e-6, seed: int = 0):
+    TOL = 1e-6
+
+    def __init__(self, k: int, *, n_iter: int = 50, seed: int = 0):
         self.k = k
         self.n_iter = n_iter
-        self.tol = tol
         self.seed = seed
         self.centroids: np.ndarray | None = None
 
@@ -53,7 +55,7 @@ class KMeans:
                     new_c[j] = x[far]
             shift = np.linalg.norm(new_c - c)
             c = new_c
-            if shift < self.tol:
+            if shift < self.TOL:
                 break
         self.centroids = c
         return self

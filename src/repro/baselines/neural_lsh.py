@@ -14,11 +14,16 @@ import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
-from repro.index.base import check_data, check_knn
+from repro.index.base import check_data, check_k, check_knn
 from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 from repro.nn.optim import Adam
+
+# The classifier's Adam step and batch size, tuned so it fits the graph-partition
+# labels at this scale (DESIGN.md §6).
+LR = 5e-3
+BATCH = 128
 
 
 def train_supervised(
@@ -27,20 +32,18 @@ def train_supervised(
     labels: np.ndarray,
     *,
     epochs: int = 40,
-    lr: float = 5e-3,
-    batch: int = 128,
     seed: int = 0,
 ) -> list[float]:
     """Softmax cross-entropy classifier training; returns epoch-loss history."""
     n = len(x)
     rng = np.random.default_rng(seed)
-    opt = Adam(model.params(), lr=lr)
+    opt = Adam(model.params(), lr=LR)
     history = []
     for _ in range(epochs):
         order = rng.permutation(n)
         total, nb = 0.0, 0
-        for lo in range(0, n, batch):
-            idx = order[lo : lo + batch]
+        for lo in range(0, n, BATCH):
+            idx = order[lo : lo + BATCH]
             logits = model.forward(x[idx], train=True)
             probs = softmax(logits)
             onehot = np.zeros_like(probs)
@@ -68,14 +71,12 @@ class NeuralLSHPartitioner(tree.TreeIndex):
         hidden: int = 512,
         k_prime: int = 10,
         epochs: int = 40,
-        eps: float = 0.05,
         seed: int = 0,
     ):
         self.n_bins = m
         self.hidden = hidden
         self.k_prime = k_prime
         self.epochs = epochs
-        self.eps = eps
         self.seed = seed
         self.model: MLP | None = None
 
@@ -85,7 +86,7 @@ class NeuralLSHPartitioner(tree.TreeIndex):
         x = check_data(x)
         knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
                    else check_knn(knn_idx, len(x)))
-        labels = balanced_graph_partition(knn_idx, self.n_bins, eps=self.eps, seed=self.seed)
+        labels = balanced_graph_partition(knn_idx, self.n_bins, seed=self.seed)
         self.model = mlp_partitioner(
             x.shape[1], self.n_bins, hidden=self.hidden, seed=self.seed
         )
@@ -99,27 +100,28 @@ class RegressionLSHTree(tree.TreeIndex):
     """Regression LSH: binary tree; each node 2-way graph-partitions its
     subset and trains logistic regression on those labels (§5.2)."""
 
+    MIN_SPLIT = 32  # a node of fewer points is a leaf
+
     def __init__(
         self,
         depth: int,
         *,
         k_prime: int = 10,
         epochs: int = 30,
-        min_split: int = 32,
         seed: int = 0,
     ):
         self.depth = depth
         self.k_prime = k_prime
         self.epochs = epochs
-        self.min_split = min_split
         self.seed = seed
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "RegressionLSHTree":
         x = check_data(x)
+        check_k(self.k_prime, len(x))
 
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.min_split:
+            if level >= self.depth or len(idx) < self.MIN_SPLIT:
                 return None
             sub = x[idx]
             kp = min(self.k_prime, len(sub) - 1)

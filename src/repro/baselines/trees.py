@@ -14,11 +14,14 @@ import numpy as np
 
 from repro.baselines.kmeans import KMeans
 from repro.index import tree
-from repro.index.base import check_data
+from repro.index.base import check_data, check_k
 from repro.knn.exact import knn_matrix_numpy
 
 
 # --- split rules: subset (and optional global-kNN context) → (w, t) --------
+
+# The quantile range the learned KD-tree's threshold is chosen from (balance).
+KD_QUANTILES = (0.3, 0.7)
 
 
 def rp_split(sub: np.ndarray, rng: np.random.Generator, **_) -> tuple[np.ndarray, float]:
@@ -58,8 +61,6 @@ def learned_kd_split(
     rng: np.random.Generator,
     *,
     sub_knn: np.ndarray | None = None,
-    balance_lo: float = 0.3,
-    balance_hi: float = 0.7,
     **_,
 ) -> tuple[np.ndarray, float]:
     """Learned KD-tree (Cayton & Dasgupta 2007 flavor): axis-aligned split
@@ -68,7 +69,7 @@ def learned_kd_split(
     d = sub.shape[1]
     axis = int(np.argmax(sub.var(axis=0)))
     proj = sub[:, axis]
-    qs = np.quantile(proj, np.linspace(balance_lo, balance_hi, 9))
+    qs = np.quantile(proj, np.linspace(*KD_QUANTILES, 9))
     w = np.zeros(d)
     w[axis] = 1.0
     if sub_knn is None:
@@ -97,12 +98,13 @@ SPLIT_RULES = {
 class BinaryPartitionTree(tree.TreeIndex):
     """Generic hyperplane binary tree driven by a named split rule."""
 
+    MIN_SPLIT = 16  # a node of fewer points is a leaf
+
     def __init__(
         self,
         rule: str,
         depth: int,
         *,
-        min_split: int = 16,
         k_prime: int = 10,
         seed: int = 0,
     ):
@@ -110,18 +112,19 @@ class BinaryPartitionTree(tree.TreeIndex):
             raise ValueError(f"unknown rule {rule!r}; choose from {sorted(SPLIT_RULES)}")
         self.rule = rule
         self.depth = depth
-        self.min_split = min_split
         self.k_prime = k_prime
         self.seed = seed
         self.n_bins = 0
 
     def fit(self, x: np.ndarray) -> "BinaryPartitionTree":
         x = check_data(x)
+        if self.rule == "learned_kd":
+            check_k(self.k_prime, len(x))
         rng = np.random.default_rng(self.seed)
         rule = SPLIT_RULES[self.rule]
 
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.min_split:
+            if level >= self.depth or len(idx) < self.MIN_SPLIT:
                 return None
             sub = x[idx]
             sub_knn = (

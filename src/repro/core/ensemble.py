@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.core.partitioner import UnsupervisedSpacePartitioner, check_arch
+from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.index import tree
 from repro.index.base import PartitionIndex, bin_ranks, check_data, check_knn, probe_order
@@ -131,8 +131,6 @@ def train_ensemble(
     e: int = 3,
     k_prime: int = 10,
     cfg: TrainConfig | None = None,
-    arch: str = "mlp",
-    hidden: int = 128,
     seed: int = 0,
     knn_idx: np.ndarray | None = None,
 ) -> EnsemblePartitioner:
@@ -140,15 +138,13 @@ def train_ensemble(
     on ``knn_idx`` when given (e.g. the Spark build's) and on
     ``knn_matrix_numpy(x, k_prime)`` otherwise."""
     x = check_data(x)
-    check_arch(arch)
     knn_idx = knn_matrix_numpy(x, k_prime) if knn_idx is None else check_knn(knn_idx, len(x))
     weights = np.ones(len(x))
     base = cfg or TrainConfig(m=m)
     models = []
     for j in range(e):
         p = UnsupervisedSpacePartitioner(
-            m, arch=arch, hidden=hidden, k_prime=k_prime,
-            cfg=replace(base, seed=seed + 1000 * j), seed=seed + 1000 * j,
+            m, k_prime=k_prime, cfg=replace(base, seed=seed + 1000 * j), seed=seed + 1000 * j,
         )
         p.fit(x, knn_idx=knn_idx, weights=weights)
         models.append(p)

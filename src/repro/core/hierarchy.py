@@ -14,7 +14,7 @@ import numpy as np
 from repro.core.partitioner import build_model, check_arch
 from repro.core.train import TrainConfig, train_usp_model
 from repro.index import tree
-from repro.index.base import check_data
+from repro.index.base import check_data, check_k
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -26,7 +26,6 @@ class HierarchicalPartitioner(tree.TreeIndex):
         levels: list[int],
         *,
         arch: str = "mlp",
-        hidden: int = 128,
         k_prime: int = 10,
         cfg_factory=None,
         min_split: int = 64,
@@ -34,7 +33,6 @@ class HierarchicalPartitioner(tree.TreeIndex):
     ):
         self.levels = list(levels)
         self.arch = arch
-        self.hidden = hidden
         self.k_prime = k_prime
         self.min_split = min_split
         self.seed = seed
@@ -45,6 +43,7 @@ class HierarchicalPartitioner(tree.TreeIndex):
     def fit(self, x: np.ndarray) -> "HierarchicalPartitioner":
         x = check_data(x)
         check_arch(self.arch)
+        check_k(self.k_prime, len(x))
 
         def split(idx: np.ndarray, level: int):
             # Leaf: out of levels, or too few points to split meaningfully.
@@ -57,7 +56,7 @@ class HierarchicalPartitioner(tree.TreeIndex):
             cfg = self.cfg_factory(level, m)
             cfg.m = m
             cfg.seed = self.seed + 7919 * level + 31 * len(idx) % 104729
-            model = build_model(self.arch, x.shape[1], m, hidden=self.hidden, seed=cfg.seed)
+            model = build_model(self.arch, x.shape[1], m, seed=cfg.seed)
             train_usp_model(model, sub, knn_idx, cfg)
             assign = model.predict_bin(sub)
             return model, [assign == b for b in range(m)]

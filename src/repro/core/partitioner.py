@@ -20,41 +20,34 @@ def check_arch(arch: str) -> None:
         raise ValueError(f"unknown arch {arch!r}")
 
 
-def build_model(
-    arch: str, d: int, m: int, *, hidden: int = 128, dropout: float = 0.1, seed: int = 0
-) -> MLP:
+def build_model(arch: str, d: int, m: int, *, seed: int = 0) -> MLP:
     """A fresh, untrained ``arch`` model ("mlp" or "logreg") from d inputs to m bins."""
     check_arch(arch)
     if arch == "logreg":
         return logistic_regression(d, m, seed=seed)
-    return mlp_partitioner(d, m, hidden=hidden, dropout=dropout, seed=seed)
+    return mlp_partitioner(d, m, seed=seed)
 
 
 class UnsupervisedSpacePartitioner(tree.TreeIndex):
     """The paper's contribution as a fit/assign/probe index.
 
     ``fit`` builds the k'-NN matrix (or takes a given one, such as
-    :func:`repro.spark.knn_matrix_spark_collect`'s), trains the model with
-    the USP loss, and materializes the partition of X (Algorithm 1 Steps
-    1–3). A given ``cfg`` is copied with ``m`` set, never changed. ``root``
-    is the trained model's stump.
+    :func:`repro.spark.knn_matrix_spark_collect`'s), trains the paper's MLP
+    (:func:`~repro.nn.model.mlp_partitioner`) with the USP loss, and
+    materializes the partition of X (Algorithm 1 Steps 1–3). A given ``cfg``
+    is copied with ``m`` set, never changed. ``root`` is the trained model's
+    stump.
     """
 
     def __init__(
         self,
         m: int,
         *,
-        arch: str = "mlp",
-        hidden: int = 128,
-        dropout: float = 0.1,
         k_prime: int = 10,
         cfg: TrainConfig | None = None,
         seed: int = 0,
     ):
         self.n_bins = m
-        self.arch = arch
-        self.hidden = hidden
-        self.dropout = dropout
         self.k_prime = k_prime
         self.cfg = replace(cfg, m=m) if cfg else TrainConfig(m=m, seed=seed)
         self.seed = seed
@@ -69,9 +62,7 @@ class UnsupervisedSpacePartitioner(tree.TreeIndex):
         weights: np.ndarray | None = None,
     ) -> "UnsupervisedSpacePartitioner":
         x = check_data(x)
-        # Built first: a bad arch or dropout fails before the k'-NN build.
-        self.model = build_model(self.arch, x.shape[1], self.n_bins, hidden=self.hidden,
-                                 dropout=self.dropout, seed=self.seed)
+        self.model = mlp_partitioner(x.shape[1], self.n_bins, seed=self.seed)
         knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
                    else check_knn(knn_idx, len(x)))
         train_usp_model(self.model, x, knn_idx, self.cfg, weights)

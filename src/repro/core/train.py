@@ -21,6 +21,18 @@ from repro.core.loss import neighbor_bin_distribution, usp_loss_and_grad
 from repro.nn.model import MLP
 from repro.nn.optim import Adam
 
+# The clustering-mode schedule of Table 5: balance weight η, Adam's step, and
+# the power-iteration steps that approximate diffusion on a connected graph.
+CLUSTER_ETA = 0.5
+CLUSTER_LR = 5e-3
+T_DIFF = 5000
+
+# The ANN-mode schedule (§4.2.2, §5.2): Adam's step, and mini-batches of
+# ≈4–10% of the dataset but at least MIN_BATCH points.
+LR = 1e-3
+BATCH_FRAC = 0.08
+MIN_BATCH = 256
+
 
 def sinkhorn_balance(t: np.ndarray, iters: int = 10) -> np.ndarray:
     """Alternate row/column normalization: rows stay distributions, column
@@ -38,10 +50,7 @@ def train_usp_cluster_model(
     knn_idx: np.ndarray,
     m: int,
     *,
-    eta: float = 0.5,
     epochs: int = 250,
-    lr: float = 5e-3,
-    t_diff: int = 5000,
 ) -> None:
     """Clustering-mode USP training (§5.5 / Table 5).
 
@@ -57,14 +66,14 @@ def train_usp_cluster_model(
     see DESIGN.md "Fidelity notes".
 
     When the graph has ≥ m connected components, stationary diffusion is
-    computed exactly (per-component mean); otherwise ``t_diff`` power-iteration
+    computed exactly (per-component mean); otherwise ``T_DIFF`` power-iteration
     steps approximate the slow diffusion modes within components.
     """
     from repro.baselines.graph_partition import connected_components
 
     comp = connected_components(knn_idx)
     n_comp = comp.max() + 1
-    opt = Adam(model.params(), lr=lr)
+    opt = Adam(model.params(), lr=CLUSTER_LR)
     for _ in range(epochs):
         t = model.predict_proba(x)
         if n_comp >= m:
@@ -74,7 +83,7 @@ def train_usp_cluster_model(
             counts = np.bincount(comp, minlength=n_comp)[:, None]
             t = (sums / counts)[comp]
         else:
-            for _ in range(t_diff):
+            for _ in range(T_DIFF):
                 t = t[knn_idx].mean(axis=1)
         t = sinkhorn_balance(t)
         # Sharpen: once diffusion has separated regions, push targets toward
@@ -82,7 +91,7 @@ def train_usp_cluster_model(
         t = t**3
         t = t / t.sum(axis=1, keepdims=True)
         logits = model.forward(x, train=True)
-        _, _, grad = usp_loss_and_grad(logits, t, eta)
+        _, _, grad = usp_loss_and_grad(logits, t, CLUSTER_ETA)
         opt.step(model.backward(grad))
 
 
@@ -93,9 +102,6 @@ class TrainConfig:
     m: int = 16                 # number of bins
     eta: float = 7.0            # balance weight (Table 3)
     epochs: int = 40
-    batch_frac: float = 0.08    # ≈4–10% of the dataset per mini-batch
-    min_batch: int = 256
-    lr: float = 1e-3
     seed: int = 0
     history: list = field(default_factory=list)
 
@@ -133,8 +139,8 @@ def train_usp_model(
     if n < max(2, cfg.m):
         raise ValueError(f"{n} points cannot train a partition into m={cfg.m} bins")
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(model.params(), lr=cfg.lr)
-    batch = int(min(n, max(cfg.min_batch, round(n * cfg.batch_frac))))
+    opt = Adam(model.params(), lr=LR)
+    batch = int(min(n, max(MIN_BATCH, round(n * BATCH_FRAC))))
     history: list[tuple[float, float]] = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)

@@ -36,10 +36,7 @@ _DBSCAN_PARAMS = {
 }
 
 
-def usp_cluster(
-    x: np.ndarray, k: int, *, eta: float = 0.5, epochs: int = 250, seed: int = 0,
-    t_diff: int = 5000,
-) -> np.ndarray:
+def usp_cluster(x: np.ndarray, k: int, *, epochs: int = 250, seed: int = 0) -> np.ndarray:
     """USP as a clustering algorithm (§5.5): partition the 2-D points into k
     bins and read the partition as cluster labels. Uses the clustering-mode
     trainer (diffused Sinkhorn-balanced targets — see core/train.py)."""
@@ -50,7 +47,7 @@ def usp_cluster(
     x = np.asarray(x, dtype=np.float64)
     knn_idx = knn_matrix_numpy(x, 10)
     model = mlp_partitioner(x.shape[1], k, hidden=64, seed=seed)
-    train_usp_cluster_model(model, x, knn_idx, k, eta=eta, epochs=epochs, t_diff=t_diff)
+    train_usp_cluster_model(model, x, knn_idx, k, epochs=epochs)
     return model.predict_bin(x)
 
 

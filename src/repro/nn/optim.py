@@ -5,20 +5,14 @@ import numpy as np
 
 
 class Adam:
-    """Adam (Kingma & Ba) with bias correction, matching PyTorch defaults.
-    Updates the arrays of ``params`` in place."""
+    """Adam (Kingma & Ba) with bias correction, at PyTorch's default betas
+    and eps. Updates the arrays of ``params`` in place."""
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    B1, B2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -27,8 +21,8 @@ class Adam:
         """One update from ``grads``, one gradient per parameter, in order."""
         self.t += 1
         for i, (p, g) in enumerate(zip(self.params, grads, strict=True)):
-            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
-            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g**2
-            mhat = self.m[i] / (1 - self.b1**self.t)
-            vhat = self.v[i] / (1 - self.b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[i] = self.B1 * self.m[i] + (1 - self.B1) * g
+            self.v[i] = self.B2 * self.v[i] + (1 - self.B2) * g**2
+            mhat = self.m[i] / (1 - self.B1**self.t)
+            vhat = self.v[i] / (1 - self.B2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)

@@ -187,8 +187,12 @@ class AnisotropicPQ:
         value is not finite. The block is cut into pieces whose length times
         longest candidate list is at most ``ROW_BUDGET``, and each piece
         makes one ``adc_distances`` and one ``topk_within`` call. Each
-        shortlist is selected on its own query's ADC distances, so ties at
-        the cut fall as they do for the query alone.
+        shortlist is cut from its own query's ADC distances by numpy's
+        ``argpartition``, so numpy's selection algorithm, not a stated tie
+        rule, picks which ADC-tied rows at the cut survive. ADC values tie
+        heavily inside a hierarchy leaf, so the answers of a hierarchy's
+        candidate sets (perfbench's hier64) depend on it; ROADMAP's "Measured
+        and not built" says why the cut is not by (value, position).
         """
         queries = check_queries(queries, self._x.shape[1])
         every = np.arange(len(self.codes))

@@ -2,8 +2,11 @@
 tracing on: every check passes, the spans that attribute the offline
 build still attach (eval-forward rows and target time are recorded), the
 accuracy sweep runs no search and gathers no candidate lists, and serving
-runs through the one online path (candidate gather, then top-k)."""
+runs through the one online path (candidate gather, then top-k). The
+health block's final training losses, read off ``TrainConfig.history``, are
+finite."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +34,5 @@ def test_traced_smoke_run(workload):
     # Both workloads serve through candidate_ids and topk_within.
     assert metrics["index.gather_s"]["value"] > 0
     assert metrics["index.topk_s"]["value"] > 0
+    assert math.isfinite(metrics["health.final_u"]["value"])
+    assert math.isfinite(metrics["health.final_s"]["value"])

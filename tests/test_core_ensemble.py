@@ -273,10 +273,10 @@ class TestTrainEnsemble:
         """Each member trains with the caller's hyper-parameters, its own m
         and seed; the caller's TrainConfig keeps its m, seed and history."""
         data, _ = small_data
-        cfg = TrainConfig(m=8, epochs=1, lr=3e-3, min_batch=64, batch_frac=0.2, seed=5)
+        cfg = TrainConfig(m=8, eta=3.5, epochs=1, seed=5)
         ens = train_ensemble(data, m=4, e=2, cfg=cfg, knn_idx=small_knn, seed=7)
         for j, member in enumerate(ens.models):
-            assert (member.cfg.lr, member.cfg.min_batch, member.cfg.batch_frac) == (3e-3, 64, 0.2)
+            assert member.cfg.eta == 3.5
             assert (member.cfg.m, member.cfg.epochs, member.cfg.seed) == (4, 1, 7 + 1000 * j)
             assert len(member.cfg.history) == 1
         assert (cfg.m, cfg.seed, cfg.history) == (8, 5, [])

@@ -75,7 +75,7 @@ class TestBinaryLogregTree:
 
     def test_small_dataset_prunes_to_single_leaf(self):
         data = np.random.default_rng(0).normal(size=(10, 4))
-        h = HierarchicalPartitioner([4], min_split=64).fit(data)
+        h = HierarchicalPartitioner([4], k_prime=5, min_split=64).fit(data)
         assert h.n_bins == 1
         assert (h.data_bins() == 0).all()
 

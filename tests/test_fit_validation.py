@@ -2,7 +2,7 @@
 (n, d), holds NaN or infinite values or squared norms that overflow, a given
 k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
 [0, n), and a k' outside (0, n) for the matrix the fit builds. A bad
-architecture or dropout fails before any k'-NN work."""
+architecture fails before any k'-NN work."""
 import numpy as np
 import pytest
 
@@ -16,6 +16,7 @@ from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.knn.exact import knn_matrix_numpy
+from repro.nn.model import mlp_partitioner
 
 CFG = TrainConfig(m=4, epochs=1)
 
@@ -33,6 +34,10 @@ FITS = {
     **{f"tree-{r}": (lambda x, r=r: BinaryPartitionTree(r, 2).fit(x)) for r in sorted(SPLIT_RULES)},
 }
 KNN_FITS = ["usp", "ensemble", "neural-lsh"]
+
+
+def _no_knn_build(*args, **kwargs):
+    raise AssertionError("k'-NN matrix built before the arguments were checked")
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +78,18 @@ def test_fit_rejects_bad_knn(name, data):
 @pytest.mark.parametrize("fit", [
     lambda x, k: UnsupervisedSpacePartitioner(4, k_prime=k, cfg=CFG).fit(x),
     lambda x, k: train_ensemble(x, m=4, e=2, k_prime=k, cfg=CFG),
-], ids=["usp", "ensemble"])
-def test_fit_rejects_k_prime_outside_0_n(fit, data):
-    """A k' the built k'-NN matrix cannot have fails instead of being clamped."""
+    lambda x, k: HierarchicalPartitioner(
+        [2, 2], k_prime=k, cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x),
+    lambda x, k: BoostedSearchForest(2, n_trees=2, k_prime=k).fit(x),
+    lambda x, k: RegressionLSHTree(2, k_prime=k, epochs=1).fit(x),
+    lambda x, k: BinaryPartitionTree("learned_kd", 2, k_prime=k).fit(x),
+], ids=["usp", "ensemble", "hierarchy", "bsf", "regression-lsh", "tree-learned_kd"])
+def test_fit_rejects_k_prime_outside_0_n(fit, data, monkeypatch):
+    """A k' the root's k'-NN matrix cannot have fails, before any k'-NN
+    build, instead of being clamped to n - 1."""
+    for module in ("repro.core.hierarchy", "repro.baselines.boosted_forest",
+                   "repro.baselines.neural_lsh", "repro.baselines.trees"):
+        monkeypatch.setattr(f"{module}.knn_matrix_numpy", _no_knn_build)
     for k in (0, len(data), len(data) + 5):
         with pytest.raises(ValueError, match="0 < k' < n"):
             fit(data, k)
@@ -84,22 +98,14 @@ def test_fit_rejects_k_prime_outside_0_n(fit, data):
 @pytest.mark.parametrize("dropout", [1.0, 1.5, -0.1, np.nan])
 def test_fit_rejects_bad_dropout(dropout, data):
     with pytest.raises(ValueError, match="dropout"):
-        UnsupervisedSpacePartitioner(4, cfg=CFG, dropout=dropout).fit(data)
-
-
-def _no_knn_build(*args, **kwargs):
-    raise AssertionError("k'-NN matrix built before the arguments were checked")
+        mlp_partitioner(data.shape[1], 4, dropout=dropout)
 
 
 @pytest.mark.parametrize("fit,match", [
-    (lambda x: UnsupervisedSpacePartitioner(4, cfg=CFG, dropout=1.0).fit(x), "dropout"),
-    (lambda x: UnsupervisedSpacePartitioner(4, cfg=CFG, arch="cnn").fit(x), "unknown arch"),
     (lambda x: HierarchicalPartitioner([2, 2], arch="cnn").fit(x), "unknown arch"),
-    (lambda x: train_ensemble(x, m=4, e=2, cfg=CFG, arch="cnn"), "unknown arch"),
-], ids=["usp-dropout", "usp-arch", "hierarchy-arch", "ensemble-arch"])
+], ids=["hierarchy-arch"])
 def test_bad_arguments_fail_before_the_knn_build(fit, match, data, monkeypatch):
-    for module in ("partitioner", "hierarchy", "ensemble"):
-        monkeypatch.setattr(f"repro.core.{module}.knn_matrix_numpy", _no_knn_build)
+    monkeypatch.setattr("repro.core.hierarchy.knn_matrix_numpy", _no_knn_build)
     with pytest.raises(ValueError, match=match):
         fit(data)
 

@@ -90,7 +90,7 @@ def tree_indexes(small_indexes, duplicate_indexes, small_data, duplicates):
         # One depth-1 child is a leaf, the others split; one leaf is empty.
         "hierarchy-two-leaf-depths": (_hierarchy([4, 4], min_split=300, seed=1).fit(data),
                                       queries),
-        "single-leaf": (BinaryPartitionTree("rp", 3, min_split=len(data) + 1).fit(data), queries),
+        "single-leaf": (BinaryPartitionTree("rp", 0).fit(data), queries),
     })
     return out
 

@@ -107,7 +107,7 @@ class TestBinaryPartitionTree:
 
     def test_min_split_prunes(self):
         d = np.random.default_rng(5).normal(size=(30, 4))
-        tree = BinaryPartitionTree("rp", 6, min_split=16, seed=0).fit(d)
+        tree = BinaryPartitionTree("rp", 6, seed=0).fit(d)
         assert tree.n_bins < 2**6
 
     @pytest.mark.parametrize("rule,dataset", RULE_DATA)
