@@ -24,7 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.index import tree
-from repro.index.base import PartitionIndex, bin_ranks, check_data, check_k, probe_order
+from repro.index.base import (
+    PartitionIndex, bin_ranks, check_data, check_k, fitted, probe_order,
+)
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -116,14 +118,24 @@ class BoostedSearchForest(PartitionIndex):
     # -- query side --------------------------------------------------------
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Ranking over the *first* tree's leaves (PartitionIndex contract)."""
-        return probe_order(tree.leaf_probs(self.trees[0].plan, queries)[0])
+        return probe_order(tree.leaf_probs(fitted(self.plan).roots[0].plan, queries)[0])
 
     def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
         """A point is in the forest's C(q) iff some tree probes its leaf, so
         its rank is the minimum of its leaf's rank over the trees. A tree's
         padded leaves rank after its own and hold no points."""
-        ranks = bin_ranks(probe_order(tree.leaf_probs(self.plan, queries)))
+        ranks = bin_ranks(probe_order(tree.leaf_probs(fitted(self.plan), queries)))
         return np.minimum.reduce([r[:, bins] for r, bins in zip(ranks, self.tree_bins)])
+
+    def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Counted from the per-point ranks of :meth:`probe_ranks`: the
+        forest's C(q) is a union over trees, so the points joining at a rank
+        are not one bin's. Every rank is below the first tree's leaf count,
+        ``n_bins``."""
+        ranks, m = self.probe_ranks(queries), self.n_bins
+        offsets = m * np.arange(len(ranks))[:, None]  # row i counts in [i*m, (i+1)*m)
+        joined = np.bincount((ranks + offsets).ravel(), minlength=len(ranks) * m)
+        return joined.reshape(-1, m), np.take_along_axis(ranks, truth, axis=1)
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""

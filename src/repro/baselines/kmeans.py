@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_data, check_queries
+from repro.index.base import PartitionIndex, check_data, check_queries, fitted
 from repro.knn.exact import sqdist
 
 
@@ -87,7 +87,7 @@ class KMeansPartitioner(PartitionIndex):
         return self
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        c = self.km.centroids
+        c = fitted(self.km.centroids)
         q = check_queries(queries, c.shape[1])
         return np.argsort(sqdist(q, c), axis=1, kind="stable")
 

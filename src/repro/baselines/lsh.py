@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_data, check_queries, probe_order
+from repro.index.base import PartitionIndex, check_data, check_queries, fitted, probe_order
 
 
 class CrossPolytopeLSH(PartitionIndex):
@@ -48,4 +48,4 @@ class CrossPolytopeLSH(PartitionIndex):
         return self._scores(x).argmax(axis=1)
 
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self._scores(check_queries(queries, len(self.rotation))))
+        return probe_order(self._scores(check_queries(queries, len(fitted(self.rotation)))))

@@ -73,6 +73,10 @@ class EnsemblePartitioner(PartitionIndex):
         """The first member's partition, as the representative one."""
         return self.models[0].data_bins()
 
+    def bin_members(self) -> list[np.ndarray]:
+        """The first member's lookup table, the one of :meth:`data_bins`."""
+        return self.models[0].bin_members()
+
     def _probs(self, queries: np.ndarray) -> np.ndarray:
         """(members, n_q, n_bins): every member's bin probabilities. A member
         with fewer bins is padded with -1, which ranks after every real bin
@@ -122,6 +126,19 @@ class EnsemblePartitioner(PartitionIndex):
             rows = np.flatnonzero(choice == c)
             out[rows] = ranks[rows][:, m.data_bins()]
         return out
+
+    def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bin sizes and truth-id ranks in the selected member's probe order,
+        over its own bins; a padded bin holds no points."""
+        choice, order = self._route(queries)
+        sizes = np.zeros((len(self.models), self.n_bins), dtype=np.int64)
+        truth_bins = np.empty_like(truth)
+        for c, m in enumerate(self.models):
+            sizes[c, :m.n_bins] = m.bin_sizes()
+            rows = choice == c
+            truth_bins[rows] = m.data_bins()[truth[rows]]
+        return (sizes[choice[:, None], order],
+                np.take_along_axis(bin_ranks(order), truth_bins, axis=1))
 
 
 def train_ensemble(

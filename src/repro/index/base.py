@@ -2,8 +2,9 @@
 
 A partition index knows (i) which bin each data point landed in and (ii) for a
 query, a ranking of bins from most to least probable (the multiprobe order of
-Algorithm 2). The default candidate-set materialization and the sweep harness
-in :mod:`repro.index.search` work against this interface for every method in
+Algorithm 2). The default candidate-set materialization and, through
+:meth:`PartitionIndex.probe_joins`, the sweep harness in
+:mod:`repro.index.search` work against this interface for every method in
 the paper's figures/tables.
 """
 from __future__ import annotations
@@ -21,6 +22,14 @@ def members_by_bin(bins: np.ndarray, n_bins: int) -> list[np.ndarray]:
 def probe_order(scores: np.ndarray) -> np.ndarray:
     """Bins ranked by score along the last axis, highest first; ties keep bin order."""
     return np.argsort(-scores, axis=-1, kind="stable")
+
+
+def fitted(value):
+    """``value``, an attribute that ``fit`` sets; RuntimeError while it is
+    still None, the one error of every query on an unfitted index."""
+    if value is None:
+        raise RuntimeError("index not fitted")
+    return value
 
 
 def check_queries(q: np.ndarray, d: int) -> np.ndarray:
@@ -95,16 +104,14 @@ class PartitionIndex:
     # -- partition side ----------------------------------------------------
     def data_bins(self) -> np.ndarray:
         """Bin id of every indexed data point (the partition R of X)."""
-        if self._data_bins is None:
-            raise RuntimeError("index not fitted")
-        return self._data_bins
+        return fitted(self._data_bins)
 
     def bin_members(self) -> list[np.ndarray]:
         """Lookup table bin → sorted point ids (Algorithm 1, Step 3), built
         once per partition: a refit that assigns new bins rebuilds it."""
-        bins = self.data_bins()
+        bins = self._data_bins  # the cache hit on the serve path reads no method
         if self._lookup is None or self._lookup[0] is not bins:
-            self._lookup = (bins, members_by_bin(bins, self.n_bins))
+            self._lookup = (bins, members_by_bin(self.data_bins(), self.n_bins))
         return self._lookup[1]
 
     # -- query side --------------------------------------------------------
@@ -121,6 +128,16 @@ class PartitionIndex:
         C(q), so ``candidate_ids(queries, p)[i]`` holds exactly the points
         whose rank in row ``i`` is below ``p``."""
         return bin_ranks(self.probe_matrix(queries))[:, self.data_bins()]
+
+    def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What joins each C(q) at each probe rank: (n_q, n_bins) point
+        counts, and the (n_q, k) probe rank of each id of ``truth`` (n_q, k),
+        the ranks :meth:`probe_ranks` gives those ids. The points joining at
+        rank r are those of the bin ranked r, so the counts are bin sizes
+        and no per-point rank is formed."""
+        order = self.probe_matrix(queries)
+        return (self.bin_sizes()[order],
+                np.take_along_axis(bin_ranks(order), self.data_bins()[truth], axis=1))
 
     def bin_sizes(self) -> np.ndarray:
         return np.bincount(self.data_bins(), minlength=self.n_bins)

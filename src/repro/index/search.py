@@ -4,10 +4,14 @@ graphs ... by successively searching in more of the most probable bins").
 The sweep drives any :class:`repro.index.base.PartitionIndex` in closed
 form, without searching. Exact k-NN inside C(q) returns every true neighbour
 that C(q) holds, since those are nearer than any other candidate. So with
-each point's probe rank from :meth:`PartitionIndex.probe_ranks` (the rank of
-the first probe whose bin holds it), the k-NN accuracy at m' probes is the
-share of ground-truth ids whose rank is below m', and |C| is the number of
-points below m'. Both are counted once per query, for every m' at once.
+:meth:`PartitionIndex.probe_joins` (per query, how many points join C(q) at
+each probe rank, and the rank at which each ground-truth id joins), the k-NN
+accuracy at m' probes is the share of ground-truth ids whose rank is below
+m', and |C| is the number of points joining below m'. For a single
+partition the points joining at rank r are the bin ranked r, so the counts
+are bin sizes in probe order; only a forest whose C(q) is a union over trees
+(Boosted Search Forest) counts them from per-point ranks. Both are summed
+once per block of queries, for every m' at once.
 :func:`topk_within` is that exact search inside C(q), for serving one query
 or a block of them.
 Table 4 interpolates the curve at a target accuracy with
@@ -22,7 +26,8 @@ import pandas as pd
 from repro.index.base import PartitionIndex
 from repro.knn.exact import diff_distances, rank_rows, shortlist_scores
 
-# Queries per probe_ranks call: the sweep holds one (block, n) rank matrix.
+# Queries per probe_joins call: the sweep holds one (block, n_bins) count
+# matrix, Boosted Search Forest one (block, n) rank matrix.
 SWEEP_BLOCK = 256
 
 
@@ -78,11 +83,11 @@ def sweep_accuracy(
     probe count, accuracy = paper's Eq. 1 averaged over queries.
 
     The curve is what exact search inside each C(q) would give, computed
-    from probe ranks alone, so ``data`` is not read. Tie rule: a
-    ground-truth id counts as found whenever C(q) holds it, even where
-    copies of a point tie at the k-th distance and a search could return a
-    copy outside ``gt_idx`` in its place. A probe count above the number of
-    bins probes them all.
+    from :meth:`PartitionIndex.probe_joins` alone, so ``data`` is not read.
+    Tie rule: a ground-truth id counts as found whenever C(q) holds it, even
+    where copies of a point tie at the k-th distance and a search could
+    return a copy outside ``gt_idx`` in its place. A probe count above the
+    number of bins probes them all.
     """
     queries = np.asarray(queries, np.float64)
     truth = np.asarray(gt_idx)[:, :k]
@@ -91,16 +96,16 @@ def sweep_accuracy(
         probe_counts = sorted(
             {p for p in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, top) if p <= top}
         )
-    # Per probe rank below the largest probe count: points that join C at
-    # that rank, and ground-truth ids among them, summed over queries.
-    cap = max(probe_counts, default=0)
-    joined = np.zeros(cap, dtype=np.int64)
-    found = np.zeros(cap, dtype=np.int64)
+    # Per probe rank: points that join C at that rank, and ground-truth ids
+    # among them, summed over queries; a count past n_bins adds nothing.
+    width = max(max(probe_counts, default=0), index.n_bins)
+    joined = np.zeros(width, dtype=np.int64)
+    found = np.zeros(width, dtype=np.int64)
     for lo in range(0, len(queries), SWEEP_BLOCK):
-        ranks = index.probe_ranks(queries[lo:lo + SWEEP_BLOCK])
-        truth_ranks = np.take_along_axis(ranks, truth[lo:lo + SWEEP_BLOCK], axis=1)
-        joined += np.bincount(ranks.ravel(), minlength=cap)[:cap]
-        found += np.bincount(truth_ranks.ravel(), minlength=cap)[:cap]
+        sizes, truth_ranks = index.probe_joins(queries[lo:lo + SWEEP_BLOCK],
+                                               truth[lo:lo + SWEEP_BLOCK])
+        joined[:sizes.shape[1]] += sizes.sum(axis=0)
+        found += np.bincount(truth_ranks.ravel(), minlength=width)
     return pd.DataFrame([
         {
             "n_probes": m_probe,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_queries, probe_order
+from repro.index.base import PartitionIndex, check_queries, fitted, probe_order
 
 
 class Node:
@@ -229,7 +229,7 @@ class TreeIndex(PartitionIndex):
     def leaf_probs(self, queries: np.ndarray) -> np.ndarray:
         """(n_q, n_leaves) leaf probabilities (Algorithm 2's bin distribution
         for a flat model); ValueError on queries :func:`leaf_probs` rejects."""
-        return leaf_probs(self.root.plan, queries)[0]
+        return leaf_probs(fitted(self.root).plan, queries)[0]
 
     predict_proba = leaf_probs
 

@@ -130,12 +130,19 @@ def rank_rows(
     return out_ids, out_dist
 
 
-def _topk_block(q: np.ndarray, data: np.ndarray, k: int, lo: int | None = None):
-    """:func:`rank_rows` of the k nearest rows of ``data`` to each query of
-    ``q``; with ``lo``, ``q`` is ``data[lo:lo + len(q)]`` and row i skips its
-    own column lo + i. Scores are cut at :func:`_row_cut` (k + 1 with the own
-    column) plus :func:`shortlist_scores`' margin, valid for any gemm."""
-    norms = np.einsum("ij,ij->i", data, data)
+def _sq_norms(data: np.ndarray) -> np.ndarray:
+    """‖x‖² of every row of ``data``, computed once per search over it."""
+    return np.einsum("ij,ij->i", data, data)
+
+
+def _topk_block(
+    q: np.ndarray, data: np.ndarray, norms: np.ndarray, k: int, lo: int | None = None
+):
+    """:func:`rank_rows` of the k nearest rows of ``data`` (squared norms
+    ``norms``, from :func:`_sq_norms`) to each query of ``q``; with ``lo``,
+    ``q`` is ``data[lo:lo + len(q)]`` and row i skips its own column lo + i.
+    Scores are cut at :func:`_row_cut` (k + 1 with the own column) plus
+    :func:`shortlist_scores`' margin, valid for any gemm."""
     score = (-2.0 * q) @ data.T
     score += norms
     cut = _row_cut(score, k + (lo is not None)) + _margin(norms.max(), q)[:, None]
@@ -158,11 +165,12 @@ def topk_neighbors(
     data = check_data(data)
     queries = check_data(check_queries(queries, data.shape[1]))
     k = min(k, len(data))
+    norms = _sq_norms(data)
     idx = np.empty((len(queries), k), dtype=np.int64)
     dist = np.empty((len(queries), k))
     for lo in range(0, len(queries), KNN_BLOCK):
         hi = lo + KNN_BLOCK
-        idx[lo:hi], dist[lo:hi] = _topk_block(queries[lo:hi], data, k)
+        idx[lo:hi], dist[lo:hi] = _topk_block(queries[lo:hi], data, norms, k)
     return idx, dist
 
 
@@ -171,19 +179,20 @@ def knn_block(data: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
     :func:`check_data`): each row's ``k`` nearest other points by the one
     rule, exact ties by index. A point is never its own neighbor, while its
     exact duplicates still are."""
-    return _topk_block(data[lo:hi], data, k, lo)[0]
+    return _topk_block(data[lo:hi], data, _sq_norms(data), k, lo)[0]
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
-    """k'-NN matrix (n, k) of neighbor *indices*, self excluded, built by
+    """k'-NN matrix (n, k) of neighbor *indices*, self excluded: the rows of
     :func:`knn_block` over blocks of ``block`` rows, which bound peak memory
-    and do not change the result; ValueError when ``data`` fails
-    :func:`check_data` or k is outside (0, n)."""
+    and do not change the result, with the row norms computed once;
+    ValueError when ``data`` fails :func:`check_data` or k is outside (0, n)."""
     data = check_data(data)
     n = len(data)
     check_k(k, n)
+    norms = _sq_norms(data)
     out = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        out[lo:hi] = knn_block(data, lo, hi, out.shape[1])
+        out[lo:hi] = _topk_block(data[lo:hi], data, norms, k, lo)[0]
     return out

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import check_data, check_queries
+from repro.index.base import check_data, check_queries, fitted
 from repro.index.search import topk_within
 
 # Candidate rows per piece of a query block in ``AnisotropicPQ.search``: a
@@ -60,6 +60,7 @@ class AnisotropicPQ:
         self.seed = seed
         self.codebooks: list[np.ndarray] = []   # per-subspace (n_centers, d_sub)
         self.codes: np.ndarray | None = None    # (n, n_sub) uint8
+        self._x: np.ndarray | None = None       # the fitted data, for the re-rank
         self._bounds: list[tuple[int, int]] = []
 
     # -- training ----------------------------------------------------------
@@ -165,7 +166,8 @@ class AnisotropicPQ:
         adds one flat gather, in the same order as for a query alone.
         """
         queries = np.atleast_2d(queries)
-        codes = self.codes if subset is None else np.take(self.codes, subset, axis=0)
+        codes = fitted(self.codes)
+        codes = codes if subset is None else np.take(codes, subset, axis=0)
         n_c = len(self.codebooks[0])
         base = None if owner is None else owner * n_c
         total = np.zeros(len(codes))
@@ -184,8 +186,9 @@ class AnisotropicPQ:
         ``queries`` is a (b, d) block; ``subset`` a list of b id arrays, one
         per query (every row when None). Returns (b, k) ids padded with -1.
         ValueError when the queries' dimension differs from the data's or a
-        value is not finite. The block is cut into pieces whose length times
-        longest candidate list is at most ``ROW_BUDGET``, and each piece
+        value is not finite; RuntimeError before ``fit``. The block is cut
+        into pieces whose length times longest candidate list is at most
+        ``ROW_BUDGET``, and each piece
         makes one ``adc_distances`` and one ``topk_within`` call. Each
         shortlist is cut from its own query's ADC distances by numpy's
         ``argpartition``, so numpy's selection algorithm, not a stated tie
@@ -194,7 +197,7 @@ class AnisotropicPQ:
         candidate sets (perfbench's hier64) depend on it; ROADMAP's "Measured
         and not built" says why the cut is not by (value, position).
         """
-        queries = check_queries(queries, self._x.shape[1])
+        queries = check_queries(queries, fitted(self._x).shape[1])
         every = np.arange(len(self.codes))
         lists = [every if c is None else np.asarray(c, dtype=np.int64)
                  for c in ([None] * len(queries) if subset is None else subset)]
@@ -224,7 +227,7 @@ class AnisotropicPQ:
 
     def reconstruction(self) -> np.ndarray:
         """Decoded dataset (for quantization-error tests)."""
-        out = np.empty_like(self._x)
+        out = np.empty_like(fitted(self._x))
         for s, (lo, hi) in enumerate(self._bounds):
             out[:, lo:hi] = self.codebooks[s][self.codes[:, s]]
         return out

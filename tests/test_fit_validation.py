@@ -2,7 +2,8 @@
 (n, d), holds NaN or infinite values or squared norms that overflow, a given
 k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
 [0, n), and a k' outside (0, n) for the matrix the fit builds. A bad
-architecture fails before any k'-NN work."""
+architecture fails before any k'-NN work. A query on an index that was never
+fitted fails with one RuntimeError, "index not fitted"."""
 import numpy as np
 import pytest
 
@@ -16,7 +17,9 @@ from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.knn.exact import knn_matrix_numpy
+from repro.core.ensemble import EnsemblePartitioner
 from repro.nn.model import mlp_partitioner
+from repro.scann.avq import AnisotropicPQ
 
 CFG = TrainConfig(m=4, epochs=1)
 
@@ -34,6 +37,18 @@ FITS = {
     **{f"tree-{r}": (lambda x, r=r: BinaryPartitionTree(r, 2).fit(x)) for r in sorted(SPLIT_RULES)},
 }
 KNN_FITS = ["usp", "ensemble", "neural-lsh"]
+
+# name -> a new, unfitted index, for every index type that fits itself
+UNFITTED = {
+    "usp": lambda: UnsupervisedSpacePartitioner(4, cfg=CFG),
+    "neural-lsh": lambda: NeuralLSHPartitioner(4, hidden=8, epochs=1),
+    "hierarchy": lambda: HierarchicalPartitioner([2, 2]),
+    "kmeans": lambda: KMeansPartitioner(4),
+    "cp-lsh": lambda: CrossPolytopeLSH(4),
+    "regression-lsh": lambda: RegressionLSHTree(2, epochs=1),
+    "bsf": lambda: BoostedSearchForest(2, n_trees=2),
+    **{f"tree-{r}": (lambda r=r: BinaryPartitionTree(r, 2)) for r in sorted(SPLIT_RULES)},
+}
 
 
 def _no_knn_build(*args, **kwargs):
@@ -117,3 +132,31 @@ def test_fit_rejects_overflowing_norms(name, data):
     x[::2] *= 1e155
     with pytest.raises(ValueError, match="squared norms too large"):
         FITS[name](x)
+
+
+@pytest.mark.parametrize("name", sorted(UNFITTED))
+def test_unfitted_index_queries_raise(name, data):
+    """Every query method of an unfitted index raises the one error, not
+    an AttributeError or IndexError from inside."""
+    index, q = UNFITTED[name](), data[:3]
+    calls = [index.data_bins, index.bin_members, index.bin_sizes,
+             lambda: index.probe_matrix(q), lambda: index.candidate_ids(q, 2),
+             lambda: index.probe_ranks(q), lambda: index.probe_joins(q, np.zeros((3, 2), int))]
+    if hasattr(index, "leaf_probs"):
+        calls.append(lambda: index.leaf_probs(q))
+    for call in calls:
+        with pytest.raises(RuntimeError, match="index not fitted"):
+            call()
+
+
+def test_unfitted_ensemble_member_raises():
+    with pytest.raises(RuntimeError, match="index not fitted"):
+        EnsemblePartitioner([UnsupervisedSpacePartitioner(4, cfg=CFG)])
+
+
+def test_unfitted_pq_raises(data):
+    pq, q = AnisotropicPQ(2, 4), data[:3]
+    for call in (lambda: pq.search(q, 3), lambda: pq.adc_distances(q[0]),
+                 lambda: pq.adc_distances(q), pq.reconstruction):
+        with pytest.raises(RuntimeError, match="index not fitted"):
+            call()
