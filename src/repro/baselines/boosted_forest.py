@@ -13,6 +13,8 @@ preservation gain scores). Threshold at the median for balance. At query
 time the forest behaves as an ensemble: each tree routes the query softly
 (sigmoid margins), and the candidate set unions the trees' probed leaves.
 The forest is compiled once, so one ``tree.leaf_probs`` call scores it.
+Its ``probe_scores`` are the first tree's; since C(q) is a union over trees,
+BSF alone forms per-point probe ranks, for its candidate sets and sweep.
 
 Simplification vs. the original (documented per DESIGN.md): BSF's exact
 functional-gradient derivation is replaced by this spectral node solver; the
@@ -116,27 +118,28 @@ class BoostedSearchForest(PartitionIndex):
         return self
 
     # -- query side --------------------------------------------------------
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        """Ranking over the *first* tree's leaves (PartitionIndex contract)."""
-        return probe_order(tree.leaf_probs(fitted(self.plan).roots[0].plan, queries)[0])
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:
+        """The *first* tree's leaf probabilities (PartitionIndex contract)."""
+        return tree.leaf_probs(fitted(self.plan).roots[0].plan, queries)[0]
 
-    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
-        """A point is in the forest's C(q) iff some tree probes its leaf, so
+    def _ranks(self, queries: np.ndarray) -> np.ndarray:
+        """(n_q, n_points): the probe rank at which each point joins the
+        forest's C(q). A point is in C(q) iff some tree probes its leaf, so
         its rank is the minimum of its leaf's rank over the trees. A tree's
         padded leaves rank after its own and hold no points."""
         ranks = bin_ranks(probe_order(tree.leaf_probs(fitted(self.plan), queries)))
         return np.minimum.reduce([r[:, bins] for r, bins in zip(ranks, self.tree_bins)])
 
     def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Counted from the per-point ranks of :meth:`probe_ranks`: the
-        forest's C(q) is a union over trees, so the points joining at a rank
-        are not one bin's. Every rank is below the first tree's leaf count,
+        """Counted from the per-point ranks of :meth:`_ranks`: the forest's
+        C(q) is a union over trees, so the points joining at a rank are not
+        one bin's. Every rank is below the first tree's leaf count,
         ``n_bins``."""
-        ranks, m = self.probe_ranks(queries), self.n_bins
+        ranks, m = self._ranks(queries), self.n_bins
         offsets = m * np.arange(len(ranks))[:, None]  # row i counts in [i*m, (i+1)*m)
         joined = np.bincount((ranks + offsets).ravel(), minlength=len(ranks) * m)
         return joined.reshape(-1, m), np.take_along_axis(ranks, truth, axis=1)
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""
-        return [np.flatnonzero(r < n_probes) for r in self.probe_ranks(queries)]
+        return [np.flatnonzero(r < n_probes) for r in self._ranks(queries)]

@@ -86,8 +86,9 @@ class KMeansPartitioner(PartitionIndex):
         self._data_bins = self.km.predict(x)
         return self
 
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Negated squared centroid distances: negation is exact, so the
+        probe order is the stable ascending sort of the distances."""
         c = fitted(self.km.centroids)
-        q = check_queries(queries, c.shape[1])
-        return np.argsort(sqdist(q, c), axis=1, kind="stable")
+        return -sqdist(check_queries(queries, c.shape[1]), c)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_data, check_queries, fitted, probe_order
+from repro.index.base import PartitionIndex, check_data, check_queries, fitted
 
 
 class CrossPolytopeLSH(PartitionIndex):
@@ -31,21 +31,14 @@ class CrossPolytopeLSH(PartitionIndex):
         rng = np.random.default_rng(self.seed)
         q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         self.rotation = q
-        self._data_bins = self._hash(x)
+        self._data_bins = self.probe_scores(x).argmax(axis=1)
         return self
 
-    def _scores(self, x: np.ndarray) -> np.ndarray:
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:
         """Signed coordinate scores per bucket: bucket 2j is +e_j, 2j+1 is -e_j."""
-        r = np.asarray(x, dtype=np.float64) @ self.rotation
-        half = self.n_bins // 2
-        r = r[:, :half]
+        r = check_queries(queries, len(fitted(self.rotation))) @ self.rotation
+        r = r[:, :self.n_bins // 2]
         out = np.empty((len(r), self.n_bins))
         out[:, 0::2] = r
         out[:, 1::2] = -r
         return out
-
-    def _hash(self, x: np.ndarray) -> np.ndarray:
-        return self._scores(x).argmax(axis=1)
-
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        return probe_order(self._scores(check_queries(queries, len(fitted(self.rotation)))))

@@ -8,8 +8,8 @@ with the highest confidence (max bin probability) is used (Algorithm 4).
 Each member is a tree (a flat USP model is a one-depth stump), so the
 ensemble is a forest: one :func:`~repro.index.tree.leaf_probs` call over
 the members' roots scores every member one depth at a time, from a plan
-cached until a refit replaces a member's root. Each query's probe order is
-then one selection out of the (members, n_q, n_bins) scores, whichever
+cached until a refit replaces a member's root. Each query's probe scores
+are then one selection out of the (members, n_q, n_bins) scores, whichever
 member serves it.
 """
 from __future__ import annotations
@@ -89,48 +89,49 @@ class EnsemblePartitioner(PartitionIndex):
     def _route(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 4 over one (members, n_q, n_bins) score array: the
         selected member per query, the one with the highest max-bin
-        probability, and each query's probe order in that member's scores
-        (its padded bins last)."""
+        probability, and each query's row of that member's scores (its
+        padded bins at -1)."""
         probs = self._probs(queries)
         choice = probs.max(axis=2).argmax(axis=0)
-        return choice, probe_order(probs[choice, np.arange(len(choice))])
+        return choice, probs[choice, np.arange(len(choice))]
 
     def model_choice(self, queries: np.ndarray) -> np.ndarray:
         return self._route(queries)[0]
 
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Bin probabilities of the *selected* (most confident) model per query."""
+        return self._route(queries)[1]
+
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        """Probe order of the *selected* (most confident) model per query."""
+        """The order of :meth:`probe_scores`; ValueError when the members'
+        bin counts differ."""
         counts = [m.n_bins for m in self.models]
         if len(set(counts)) > 1:
             raise ValueError(
                 f"ensemble members have unequal bin counts {counts}: there is no "
-                "common probe matrix; use candidate_ids or probe_ranks"
+                "common probe matrix; use candidate_ids"
             )
-        return self._route(queries)[1]
+        return super().probe_matrix(queries)
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """The points of each query's top ``n_probes`` bins in its selected
-        member's lookup, in probe order; a padded bin holds no points."""
-        choice, order = self._route(queries)
+        member's lookup, in probe order. The member's padded bins rank last,
+        so a row cut at its own bin count drops exactly them."""
+        choice, scores = self._route(queries)
         empty = np.empty(0, dtype=np.int64)
-        lookups = [m.bin_members() + [empty] * (self.n_bins - m.n_bins) for m in self.models]
-        return [np.concatenate([lookups[c][b] for b in row] or [empty])
-                for c, row in zip(choice, order[:, :n_probes])]
-
-    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
-        """Ranks in the selected member's probe order, over its own bins."""
-        choice, order = self._route(queries)
-        ranks = bin_ranks(order)
-        out = np.empty((len(choice), len(self.data_bins())), dtype=np.int64)
-        for c, m in enumerate(self.models):
-            rows = np.flatnonzero(choice == c)
-            out[rows] = ranks[rows][:, m.data_bins()]
+        out = []
+        for c, row in zip(choice, probe_order(scores)):
+            member = self.models[c]
+            lookup = member.bin_members()
+            out.append(np.concatenate([lookup[b] for b in row[:min(n_probes, member.n_bins)]]
+                                      or [empty]))
         return out
 
     def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bin sizes and truth-id ranks in the selected member's probe order,
         over its own bins; a padded bin holds no points."""
-        choice, order = self._route(queries)
+        choice, scores = self._route(queries)
+        order = probe_order(scores)
         sizes = np.zeros((len(self.models), self.n_bins), dtype=np.int64)
         truth_bins = np.empty_like(truth)
         for c, m in enumerate(self.models):

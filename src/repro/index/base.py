@@ -1,8 +1,9 @@
 """Common interface for space-partitioning indexes (USP and all baselines).
 
 A partition index knows (i) which bin each data point landed in and (ii) for a
-query, a ranking of bins from most to least probable (the multiprobe order of
-Algorithm 2). The default candidate-set materialization and, through
+query, a score per bin, higher meaning more probable (the assigned
+probabilities of Algorithm 2). The multiprobe order ranks bins by that score.
+The default candidate-set materialization and, through
 :meth:`PartitionIndex.probe_joins`, the sweep harness in
 :mod:`repro.index.search` work against this interface for every method in
 the paper's figures/tables.
@@ -94,7 +95,7 @@ def gather(members: list[np.ndarray], order: np.ndarray) -> list[np.ndarray]:
 
 class PartitionIndex:
     """Abstract base: subclasses set ``n_bins`` and ``_data_bins`` after fit
-    and implement :meth:`probe_matrix`."""
+    and implement :meth:`probe_scores`, the one query method."""
 
     n_bins: int
     _data_bins: np.ndarray | None = None
@@ -115,26 +116,25 @@ class PartitionIndex:
         return self._lookup[1]
 
     # -- query side --------------------------------------------------------
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover
-        """(n_q, n_bins) array: bins ranked most→least probable per query."""
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:  # pragma: no cover
+        """(n_q, n_bins) array: a score per bin and query, higher meaning
+        more probable."""
         raise NotImplementedError
+
+    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
+        """(n_q, n_bins) array: bins ranked most→least probable per query."""
+        return probe_order(self.probe_scores(queries))
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Candidate set C(q) per query from its top ``n_probes`` bins."""
         return gather(self.bin_members(), self.probe_matrix(queries)[:, :n_probes])
 
-    def probe_ranks(self, queries: np.ndarray) -> np.ndarray:
-        """(n_q, n_points): the probe rank at which each data point joins
-        C(q), so ``candidate_ids(queries, p)[i]`` holds exactly the points
-        whose rank in row ``i`` is below ``p``."""
-        return bin_ranks(self.probe_matrix(queries))[:, self.data_bins()]
-
     def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What joins each C(q) at each probe rank: (n_q, n_bins) point
-        counts, and the (n_q, k) probe rank of each id of ``truth`` (n_q, k),
-        the ranks :meth:`probe_ranks` gives those ids. The points joining at
-        rank r are those of the bin ranked r, so the counts are bin sizes
-        and no per-point rank is formed."""
+        counts, and the (n_q, k) probe rank of each id of ``truth`` (n_q, k):
+        ``candidate_ids(queries, p)`` holds an id exactly when ``p`` is above
+        its rank. The points joining at rank r are those of the bin ranked
+        r, so the counts are bin sizes and no per-point rank is formed."""
         order = self.probe_matrix(queries)
         return (self.bin_sizes()[order],
                 np.take_along_axis(bin_ranks(order), self.data_bins()[truth], axis=1))

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.index.base import PartitionIndex, check_queries, fitted, probe_order
+from repro.index.base import PartitionIndex, check_queries, fitted
 
 
 class Node:
@@ -231,8 +231,7 @@ class TreeIndex(PartitionIndex):
         for a flat model); ValueError on queries :func:`leaf_probs` rejects."""
         return leaf_probs(fitted(self.root).plan, queries)[0]
 
-    predict_proba = leaf_probs
-
-    def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
-        """Leaves ranked by probability, most probable first."""
-        return probe_order(self.leaf_probs(queries))
+    def probe_scores(self, queries: np.ndarray) -> np.ndarray:
+        """The leaf probabilities, through ``self.leaf_probs`` so a subclass
+        override stays on the serve path."""
+        return self.leaf_probs(queries)

@@ -130,7 +130,7 @@ def rank_rows(
     return out_ids, out_dist
 
 
-def _sq_norms(data: np.ndarray) -> np.ndarray:
+def sq_norms(data: np.ndarray) -> np.ndarray:
     """‖x‖² of every row of ``data``, computed once per search over it."""
     return np.einsum("ij,ij->i", data, data)
 
@@ -139,7 +139,7 @@ def _topk_block(
     q: np.ndarray, data: np.ndarray, norms: np.ndarray, k: int, lo: int | None = None
 ):
     """:func:`rank_rows` of the k nearest rows of ``data`` (squared norms
-    ``norms``, from :func:`_sq_norms`) to each query of ``q``; with ``lo``,
+    ``norms``, from :func:`sq_norms`) to each query of ``q``; with ``lo``,
     ``q`` is ``data[lo:lo + len(q)]`` and row i skips its own column lo + i.
     Scores are cut at :func:`_row_cut` (k + 1 with the own column) plus
     :func:`shortlist_scores`' margin, valid for any gemm."""
@@ -165,7 +165,7 @@ def topk_neighbors(
     data = check_data(data)
     queries = check_data(check_queries(queries, data.shape[1]))
     k = min(k, len(data))
-    norms = _sq_norms(data)
+    norms = sq_norms(data)
     idx = np.empty((len(queries), k), dtype=np.int64)
     dist = np.empty((len(queries), k))
     for lo in range(0, len(queries), KNN_BLOCK):
@@ -174,12 +174,12 @@ def topk_neighbors(
     return idx, dist
 
 
-def knn_block(data: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+def knn_block(data: np.ndarray, norms: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
     """Rows ``lo:hi`` of the k'-NN matrix of ``data`` (checked by
-    :func:`check_data`): each row's ``k`` nearest other points by the one
-    rule, exact ties by index. A point is never its own neighbor, while its
-    exact duplicates still are."""
-    return _topk_block(data[lo:hi], data, _sq_norms(data), k, lo)[0]
+    :func:`check_data`, squared norms ``norms`` from :func:`sq_norms`): each
+    row's ``k`` nearest other points by the one rule, exact ties by index. A
+    point is never its own neighbor, while its exact duplicates still are."""
+    return _topk_block(data[lo:hi], data, norms, k, lo)[0]
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
@@ -190,9 +190,9 @@ def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.
     data = check_data(data)
     n = len(data)
     check_k(k, n)
-    norms = _sq_norms(data)
+    norms = sq_norms(data)
     out = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        out[lo:hi] = _topk_block(data[lo:hi], data, norms, k, lo)[0]
+        out[lo:hi] = knn_block(data, norms, lo, hi, k)
     return out

@@ -51,6 +51,19 @@ def stable_topk(query: np.ndarray, data: np.ndarray, cand: np.ndarray, k: int) -
     return cand[np.argsort(dist, kind="stable")[:k]]
 
 
+def candidate_ranks(index, queries: np.ndarray) -> np.ndarray:
+    """(n_q, n_points) reference for per-point probe ranks, by the
+    definition: a point's rank in row i is the least r such that
+    ``candidate_ids(queries, r + 1)[i]`` holds it. Read off ``candidate_ids``
+    at every probe count from ``n_bins`` down to 1; a point that no probe
+    count gathers keeps -1."""
+    ranks = np.full((len(queries), len(index.data_bins())), -1, dtype=np.int64)
+    for p in range(index.n_bins, 0, -1):
+        for row, cand in zip(ranks, index.candidate_ids(queries, p)):
+            row[cand] = p - 1
+    return ranks
+
+
 @pytest.fixture(scope="session")
 def topk_oracle():
     """:func:`stable_topk`, for test modules."""

@@ -1,6 +1,7 @@
 """Boosted Search Forest tests: spectral hyperplane quality, boosting
 weights produce diverse trees, union candidate sets, and forest scoring
-against the per-tree ranking it replaced (``per_tree_probe_ranks``)."""
+against the per-tree ranking it replaced (``per_tree_probe_ranks``): the
+per-point ranks the candidate sets define (``candidate_ranks``) equal it."""
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from repro.index import tree
 from repro.index.base import bin_ranks, members_by_bin, probe_order
 from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
+from tests.conftest import candidate_ranks
 
 
 def per_tree_probe_ranks(forest, q):
@@ -107,5 +109,5 @@ class TestForest:
         assert len(set(cases[1][0].tree_n_bins)) > 1
         for forest, _, q in cases:
             for block in (q[:1], q[:16], q):
-                assert np.array_equal(forest.probe_ranks(block),
+                assert np.array_equal(candidate_ranks(forest, block),
                                       per_tree_probe_ranks(forest, block))

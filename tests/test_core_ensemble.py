@@ -2,9 +2,10 @@
 and the boost in candidate-set quality.
 
 ``grouped_route`` is the routing the ensemble used to run: one
-``predict_proba`` per member, queries grouped by selected member, one probe
+``leaf_probs`` per member, queries grouped by selected member, one probe
 order per group. The one-selection routing over the forest's scores must
-give exactly its member choice, probe matrix, candidates and probe ranks."""
+give exactly its member choice, probe matrix, candidates and the per-point
+probe ranks those candidates define (``candidate_ranks``)."""
 import copy
 
 import numpy as np
@@ -20,11 +21,12 @@ from repro.core.train import TrainConfig
 from repro.index.base import bin_ranks, gather, probe_order
 from repro.index.search import sweep_accuracy
 from repro.nn.model import MLP
+from tests.conftest import candidate_ranks
 
 
 def grouped_route(ens, q):
     """(choice, [(member, its row ids, their probe orders)])."""
-    probs = [m.predict_proba(q) for m in ens.models]
+    probs = [m.leaf_probs(q) for m in ens.models]
     choice = np.stack([p.max(axis=1) for p in probs]).argmax(axis=0)
     routed = []
     for c in np.unique(choice):
@@ -67,7 +69,7 @@ def assert_routes_like_oracle(ens, q):
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(ens.probe_ranks(q), grouped_probe_ranks(ens, q))
+    assert np.array_equal(candidate_ranks(ens, q), grouped_probe_ranks(ens, q))
 
 
 class TestWeightUpdate:
@@ -177,7 +179,7 @@ class TestUnequalLeafCounts:
         q = queries[:20]
         choice = ens.model_choice(q)
         orders = [m.probe_matrix(q) for m in ens.models]
-        ranks = ens.probe_ranks(q)
+        ranks = candidate_ranks(ens, q)
         for p in (1, 2, ens.n_bins):
             for i, (c, cand) in enumerate(zip(choice, ens.candidate_ids(q, p))):
                 member = ens.models[c]
@@ -227,7 +229,7 @@ class TestRoutingOracle:
         member.seed = member.cfg.seed = 12345
         member.fit(data, knn_idx=small_knn)
         after = ens._probs(queries)
-        assert np.array_equal(after[1], member.predict_proba(queries))
+        assert np.array_equal(after[1], member.leaf_probs(queries))
         assert not np.array_equal(after[1], before[1])
         assert np.array_equal(after[[0, 2]], before[[0, 2]])
         assert not np.array_equal(ens.model_choice(queries), grouped_route(
@@ -245,8 +247,8 @@ class TestQueryValidation:
 
     @staticmethod
     def assert_rejected(index, q, match):
-        for call in (index.probe_matrix, index.probe_ranks,
-                     lambda q: index.candidate_ids(q, 2)):
+        for call in (index.probe_scores, index.probe_matrix,
+                     lambda q: candidate_ranks(index, q), lambda q: index.candidate_ids(q, 2)):
             with pytest.raises(ValueError, match=match):
                 call(q)
 

@@ -48,9 +48,9 @@ class TestLeafProbs:
         for row in pm:
             assert sorted(row) == list(range(h.n_bins))
 
-    def test_predict_proba_is_leaf_probs(self, hier):
+    def test_probe_scores_is_leaf_probs(self, hier):
         h, _, queries = hier
-        np.testing.assert_array_equal(h.predict_proba(queries[:10]), h.leaf_probs(queries[:10]))
+        np.testing.assert_array_equal(h.probe_scores(queries[:10]), h.leaf_probs(queries[:10]))
 
     def test_assignment_consistent_with_leaf_probs(self, hier):
         """Data-point routing (argmax per level) should usually agree with the

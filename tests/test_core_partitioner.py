@@ -29,7 +29,7 @@ class TestFitContract:
 
     def test_probe_order_matches_probs(self, trained_usp, small_data):
         _, queries = small_data
-        probs = trained_usp.predict_proba(queries[:5])
+        probs = trained_usp.leaf_probs(queries[:5])
         pm = trained_usp.probe_matrix(queries[:5])
         for p, row in zip(probs, pm):
             assert p[row[0]] == p.max()

@@ -20,6 +20,7 @@ from repro.knn.exact import knn_matrix_numpy
 from repro.core.ensemble import EnsemblePartitioner
 from repro.nn.model import mlp_partitioner
 from repro.scann.avq import AnisotropicPQ
+from tests.conftest import candidate_ranks
 
 CFG = TrainConfig(m=4, epochs=1)
 
@@ -140,8 +141,9 @@ def test_unfitted_index_queries_raise(name, data):
     an AttributeError or IndexError from inside."""
     index, q = UNFITTED[name](), data[:3]
     calls = [index.data_bins, index.bin_members, index.bin_sizes,
-             lambda: index.probe_matrix(q), lambda: index.candidate_ids(q, 2),
-             lambda: index.probe_ranks(q), lambda: index.probe_joins(q, np.zeros((3, 2), int))]
+             lambda: index.probe_scores(q), lambda: index.probe_matrix(q),
+             lambda: index.candidate_ids(q, 2), lambda: candidate_ranks(index, q),
+             lambda: index.probe_joins(q, np.zeros((3, 2), int))]
     if hasattr(index, "leaf_probs"):
         calls.append(lambda: index.leaf_probs(q))
     for call in calls:

@@ -4,23 +4,54 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.index.base import PartitionIndex
+from repro.baselines.kmeans import KMeansPartitioner
+from repro.index.base import PartitionIndex, probe_order
 from repro.index.search import candidate_size_at_accuracy, sweep_accuracy, topk_within
+from repro.knn.exact import sqdist
 from repro.oracle import assert_equivalent
 from repro.spark import assign_bins_spark, build_lookup_spark, vectors_df
+from tests.test_sweep_oracle import DUPLICATE, SMALL
 
 
 class _FixedIndex(PartitionIndex):
     """Deterministic index for contract tests: bins by id modulo, probes by
-    a fixed per-query ranking."""
+    a fixed per-query ranking, scored as minus each bin's position in it."""
 
     def __init__(self, bins, n_bins, probe_rows):
         self.n_bins = n_bins
         self._data_bins = np.asarray(bins)
-        self._probe_rows = np.asarray(probe_rows)
+        self._scores = np.empty(n_bins)
+        self._scores[np.asarray(probe_rows)] = -np.arange(n_bins)
 
-    def probe_matrix(self, queries):
-        return np.tile(self._probe_rows, (len(queries), 1))
+    def probe_scores(self, queries):
+        return np.tile(self._scores, (len(queries), 1))
+
+
+CASES = ([("small", n) for n in SMALL + ["unequal", "flat-unequal", "mixed"]]
+         + [("duplicates", n) for n in DUPLICATE])
+
+
+@pytest.mark.parametrize("data_name, name", CASES, ids=[f"{d}-{n}" for d, n in CASES])
+def test_probe_matrix_orders_probe_scores(data_name, name, small_indexes, ensembles,
+                                          duplicate_indexes, small_data, duplicates):
+    """Scores are (n_q, n_bins), and the probe matrix is their probe order;
+    an ensemble of unequal bin counts has no probe matrix. K-means' order is
+    the stable ascending sort of the centroid distances."""
+    if data_name == "small":
+        index, queries = {**small_indexes, **ensembles}[name], small_data[1]
+    else:
+        index, queries = duplicate_indexes[name], duplicates[1]
+    scores = index.probe_scores(queries)
+    assert scores.shape == (len(queries), index.n_bins)
+    if len({m.n_bins for m in getattr(index, "models", [index])}) > 1:
+        with pytest.raises(ValueError, match="unequal bin counts"):
+            index.probe_matrix(queries)
+        return
+    order = index.probe_matrix(queries)
+    assert np.array_equal(order, probe_order(scores))
+    if isinstance(index, KMeansPartitioner):
+        assert np.array_equal(
+            order, np.argsort(sqdist(queries, index.km.centroids), axis=1, kind="stable"))
 
 
 class TestPartitionIndexContract:

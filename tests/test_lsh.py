@@ -45,8 +45,8 @@ class TestCrossPolytopeLSH:
     def test_sign_buckets_opposite(self, data):
         """A point and its negation hash to paired ± buckets."""
         lsh = CrossPolytopeLSH(8, seed=4).fit(data)
-        b_pos = lsh._hash(data[:10])
-        b_neg = lsh._hash(-data[:10])
+        b_pos = lsh.probe_scores(data[:10]).argmax(axis=1)
+        b_neg = lsh.probe_scores(-data[:10]).argmax(axis=1)
         np.testing.assert_array_equal(b_pos ^ 1, b_neg)  # 2j ↔ 2j+1
 
     def test_deterministic(self, data):

@@ -19,6 +19,7 @@ from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.train import TrainConfig
 from repro.index import tree
 from repro.nn.model import logistic_regression, mlp_partitioner
+from tests.conftest import candidate_ranks
 
 
 def node_proba(router, q):
@@ -150,9 +151,11 @@ def test_forest_equal_walk(name, forests):
 
 
 def probe_outputs(index, q):
-    """What the online path reads off the leaf scores: the probe ranks, and
-    the probe matrix of the index or, for an ensemble, of each member."""
-    return [index.probe_ranks(q)] + [m.probe_matrix(q) for m in getattr(index, "models", [index])]
+    """What the online path reads off the leaf scores: the per-point probe
+    ranks its candidate sets define, and the probe matrix of the index or,
+    for an ensemble, of each member."""
+    return [candidate_ranks(index, q)] + [m.probe_matrix(q)
+                                          for m in getattr(index, "models", [index])]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -214,7 +217,8 @@ def test_one_router_kind_per_depth_grows():
 
 
 def _assert_rejected(index, queries):
-    for call in (index.probe_matrix, index.probe_ranks, lambda q: index.candidate_ids(q, 2)):
+    for call in (index.probe_scores, index.probe_matrix, lambda q: candidate_ranks(index, q),
+                 lambda q: index.candidate_ids(q, 2)):
         with pytest.raises(ValueError):
             call(queries)
 
