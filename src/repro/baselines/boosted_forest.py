@@ -126,9 +126,13 @@ class BoostedSearchForest(PartitionIndex):
         """(n_q, n_points): the probe rank at which each point joins the
         forest's C(q). A point is in C(q) iff some tree probes its leaf, so
         its rank is the minimum of its leaf's rank over the trees. A tree's
-        padded leaves rank after its own and hold no points."""
+        padded leaves rank after its own and hold no points. The minimum is
+        kept running over the trees, so at most two such matrices exist."""
         ranks = bin_ranks(probe_order(tree.leaf_probs(fitted(self.plan), queries)))
-        return np.minimum.reduce([r[:, bins] for r, bins in zip(ranks, self.tree_bins)])
+        out = ranks[0][:, self.tree_bins[0]]
+        for r, bins in zip(ranks[1:], self.tree_bins[1:]):
+            np.minimum(out, r[:, bins], out=out)
+        return out
 
     def probe_joins(self, queries: np.ndarray, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Counted from the per-point ranks of :meth:`_ranks`: the forest's
@@ -136,9 +140,10 @@ class BoostedSearchForest(PartitionIndex):
         one bin's. Every rank is below the first tree's leaf count,
         ``n_bins``."""
         ranks, m = self._ranks(queries), self.n_bins
-        offsets = m * np.arange(len(ranks))[:, None]  # row i counts in [i*m, (i+1)*m)
-        joined = np.bincount((ranks + offsets).ravel(), minlength=len(ranks) * m)
-        return joined.reshape(-1, m), np.take_along_axis(ranks, truth, axis=1)
+        at_truth = np.take_along_axis(ranks, truth, axis=1)
+        ranks += m * np.arange(len(ranks))[:, None]  # row i counts in [i*m, (i+1)*m)
+        joined = np.bincount(ranks.ravel(), minlength=len(ranks) * m)
+        return joined.reshape(-1, m), at_truth
 
     def candidate_ids(self, queries: np.ndarray, n_probes: int) -> list[np.ndarray]:
         """Union of each tree's top ``n_probes`` leaves across the forest."""

@@ -40,7 +40,11 @@ class KMeans:
         return np.stack(centers)
 
     def fit(self, x: np.ndarray) -> "KMeans":
+        """ValueError unless ``x`` is valid (n, d) data and 1 <= k <= n:
+        more centroids than points would leave bins empty."""
         x = check_data(x)
+        if not 1 <= self.k <= len(x):
+            raise ValueError(f"k={self.k} outside [1, n={len(x)}]")
         rng = np.random.default_rng(self.seed)
         c = self._init_pp(x, rng)
         for _ in range(self.n_iter):

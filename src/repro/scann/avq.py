@@ -14,10 +14,18 @@ distance, and the centroid update solves the exact quadratic minimizer
 score-aware behavior; h∥ = h⊥ degenerates to classic PQ (used as a test
 oracle). Search is asymmetric distance computation (ADC) with per-query
 lookup tables + exact re-ranking of the best ``rerank`` candidates. A block
-of queries runs as one piece, or a few under ``ROW_BUDGET``: its lookup
-tables are built together, the ADC scan is one flat gather per subspace over
-the block's concatenated candidates, and the re-rank is one block
+of queries runs as one piece, or a few under ``ROW_BUDGET``: the lookup
+tables of all its queries and subspaces are built in one broadcast per
+subspace width, the ADC scan is one flat gather per subspace over the
+block's concatenated candidates, and the re-rank is one block
 ``topk_within`` call.
+
+A table entry is the squared distance from a query's subvector to a
+codeword, summed over the subspace's coordinates in exactly the order
+numpy's pairwise ``.sum`` adds a contiguous last axis (``_plane_sum``). ADC
+values tie heavily inside a hierarchy leaf and ``argpartition`` picks among
+the ties, so any other order (``einsum``, a gemm expansion) could change
+the shortlists and with them the answers.
 """
 from __future__ import annotations
 
@@ -31,6 +39,35 @@ from repro.index.search import topk_within
 # which bounds the ADC and re-rank temporaries (rows × d floats for the
 # re-rank). A single query with more candidates runs as a piece of its own.
 ROW_BUDGET = 16384
+
+
+def _plane_sum(planes: np.ndarray) -> np.ndarray:
+    """Sum ``planes`` over its first axis, in place, in the order numpy's
+    pairwise summation adds a contiguous last axis: left to right below 8
+    terms; up to 128, eight running lanes, then
+    ``((0+1)+(2+3))+((4+5)+(6+7))``, then the tail left to right; above
+    128, the two halves, split at a multiple of 8. The result, a view of
+    ``planes[0]``, equals ``np.moveaxis(planes, 0, -1).sum(axis=-1)`` bit
+    for bit."""
+    n = len(planes)
+    if n < 8:
+        for p in planes[1:]:
+            planes[0] += p
+        return planes[0]
+    if n <= 128:
+        lanes, tail = planes[:8], n - n % 8
+        for i in range(8, tail, 8):
+            lanes += planes[i:i + 8]
+        lanes[0::2] += lanes[1::2]   # 0+1, 2+3, 4+5, 6+7
+        lanes[0::4] += lanes[2::4]   # (0+1)+(2+3), (4+5)+(6+7)
+        lanes[0] += lanes[4]
+        for p in planes[tail:]:
+            lanes[0] += p
+        return planes[0]
+    half = n // 2 - n // 2 % 8
+    out = _plane_sum(planes[:half])
+    out += _plane_sum(planes[half:])
+    return out
 
 
 class AnisotropicPQ:
@@ -58,10 +95,13 @@ class AnisotropicPQ:
         self.h_perp = h_perp
         self.n_iter = n_iter
         self.seed = seed
-        self.codebooks: list[np.ndarray] = []   # per-subspace (n_centers, d_sub)
+        self.codebooks: list[np.ndarray] = []   # per-subspace (n_centers, d_sub), views of planes
         self.codes: np.ndarray | None = None    # (n, n_sub) uint8
         self._x: np.ndarray | None = None       # the fitted data, for the re-rank
         self._bounds: list[tuple[int, int]] = []
+        # One entry per subspace width d_sub: the subspaces of that width,
+        # their data columns (d_sub, m) and codebook planes (d_sub, m, n_centers).
+        self._groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # -- training ----------------------------------------------------------
     def _aniso_assign(
@@ -129,7 +169,7 @@ class AnisotropicPQ:
         rng = np.random.default_rng(self.seed)
         edges = np.linspace(0, d, self.n_sub + 1).astype(int)
         self._bounds = [(int(edges[i]), int(edges[i + 1])) for i in range(self.n_sub)]
-        self.codebooks = []
+        codebooks = []
         codes = np.empty((n, self.n_sub), dtype=np.uint8)
         for s, (lo, hi) in enumerate(self._bounds):
             xs = x[:, lo:hi]
@@ -146,13 +186,34 @@ class AnisotropicPQ:
                     assign = new_assign
                     break
                 assign = new_assign
-            self.codebooks.append(cb)
+            codebooks.append(cb)
             codes[:, s] = assign
+        self.codebooks = [None] * self.n_sub
+        self._groups = []
+        lows, widths = edges[:-1], np.diff(edges)
+        for w in np.unique(widths).tolist():   # linspace makes at most two widths
+            subs = np.flatnonzero(widths == w)
+            planes = np.stack([codebooks[s].T for s in subs], axis=1)
+            for i, s in enumerate(subs.tolist()):
+                self.codebooks[s] = planes[:, i].T
+            self._groups.append((subs, lows[subs] + np.arange(w)[:, None], planes))
         self.codes = codes
         self._x = x
         return self
 
     # -- search ------------------------------------------------------------
+    def _tables(self, queries: np.ndarray) -> np.ndarray:
+        """(n_sub, b, n_centers) lookup tables of a (b, d) block: one
+        (d_sub, m, b, n_centers) broadcast per subspace width, squared in
+        place and summed over d_sub by ``_plane_sum``, so each entry equals
+        ``((codebook - subvector) ** 2).sum(axis=-1)`` bit for bit."""
+        tables = np.empty((self.n_sub, len(queries), self.codebooks[0].shape[0]))
+        for subs, cols, planes in self._groups:
+            diff = planes[:, :, None] - queries[:, cols].transpose(1, 2, 0)[..., None]
+            np.square(diff, out=diff)
+            tables[subs] = _plane_sum(diff)
+        return tables
+
     def adc_distances(
         self, queries: np.ndarray, subset: np.ndarray | None = None,
         owner: np.ndarray | None = None,
@@ -161,18 +222,19 @@ class AnisotropicPQ:
 
         One query (d,) is scored against the rows ``subset`` (every row when
         None). For a block (b, d), ``subset`` holds the block's candidate ids
-        concatenated and ``owner`` the block row each id belongs to: each
-        subspace builds the block's (b, n_centers) table in one broadcast and
-        adds one flat gather, in the same order as for a query alone.
+        concatenated and ``owner`` the block row each id belongs to. The
+        block's tables are built together (``_tables``, numpy's pairwise
+        summation order over each subspace's coordinates); then each
+        subspace, in order, adds one flat gather offset by the owner, so a
+        block row gets exactly the values its query gets alone.
         """
         queries = np.atleast_2d(queries)
         codes = fitted(self.codes)
         codes = codes if subset is None else np.take(codes, subset, axis=0)
-        n_c = len(self.codebooks[0])
-        base = None if owner is None else owner * n_c
+        tables = self._tables(queries)
+        base = None if owner is None else owner * tables.shape[2]
         total = np.zeros(len(codes))
-        for s, (lo, hi) in enumerate(self._bounds):
-            table = ((self.codebooks[s] - queries[:, None, lo:hi]) ** 2).sum(axis=2).ravel()
+        for s, table in enumerate(tables.reshape(self.n_sub, -1)):
             total += table[codes[:, s] if base is None else base + codes[:, s]]
         return total
 

@@ -1,14 +1,15 @@
 """Bad training data fails loudly in every index's fit: data that is not
 (n, d), holds NaN or infinite values or squared norms that overflow, a given
 k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
-[0, n), and a k' outside (0, n) for the matrix the fit builds. A bad
-architecture fails before any k'-NN work. A query on an index that was never
-fitted fails with one RuntimeError, "index not fitted"."""
+[0, n), a k' outside (0, n) for the matrix the fit builds, and a K-means
+k outside [1, n]. A bad architecture fails before any k'-NN work. A query
+on an index that was never fitted fails with one RuntimeError, "index not
+fitted"."""
 import numpy as np
 import pytest
 
 from repro.baselines.boosted_forest import BoostedSearchForest
-from repro.baselines.kmeans import KMeansPartitioner
+from repro.baselines.kmeans import KMeans, KMeansPartitioner
 from repro.baselines.lsh import CrossPolytopeLSH
 from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
 from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
@@ -109,6 +110,20 @@ def test_fit_rejects_k_prime_outside_0_n(fit, data, monkeypatch):
     for k in (0, len(data), len(data) + 5):
         with pytest.raises(ValueError, match="0 < k' < n"):
             fit(data, k)
+
+
+@pytest.mark.parametrize("fit", [
+    lambda x, k: KMeans(k).fit(x),
+    lambda x, k: KMeansPartitioner(k).fit(x),
+], ids=["kmeans", "kmeans-partitioner"])
+def test_kmeans_rejects_k_outside_1_n(fit, data):
+    """More centroids than points would leave bins empty, and k = 0 would
+    still fit one centroid: both fail instead."""
+    x = data[:10]
+    fit(x, len(x))  # one centroid per point fits
+    for k in (0, -1, len(x) + 1, 64):
+        with pytest.raises(ValueError, match="outside \\[1, n=10\\]"):
+            fit(x, k)
 
 
 @pytest.mark.parametrize("dropout", [1.0, 1.5, -0.1, np.nan])

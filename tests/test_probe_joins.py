@@ -3,8 +3,8 @@ per-point probe ranks: for every index type, the points joining C(q) at
 each probe rank and the rank of each ground-truth id equal the counts and
 ranks taken from the per-point ranks of ``candidate_ranks``. Only Boosted
 Search Forest, whose C(q) is a union over trees, forms per-point ranks in a
-sweep: every other index sweeps in less memory than one (n_q, n) rank
-matrix takes."""
+sweep, and it holds fewer than three (n_q, n) rank matrices at once: every
+other index sweeps in less memory than one such matrix takes."""
 import tracemalloc
 
 import numpy as np
@@ -81,3 +81,14 @@ def test_bsf_sweep_forms_point_ranks(small_indexes, small_data, small_gt):
     data, queries = small_data
     _, peak = _sweep_peak(small_indexes["bsf"], data, queries, small_gt)
     assert peak >= len(queries) * len(data) * 8
+
+
+def test_bsf_sweep_holds_few_point_ranks(small_indexes, small_data, small_gt):
+    """The forest's minimum over its trees runs in place: a sweep holds
+    fewer than three (n_q, n) int64 rank matrices, not one per tree."""
+    data, queries = small_data
+    index = small_indexes["bsf"]
+    assert len(index.trees) >= 3
+    curve, peak = _sweep_peak(index, data, queries, small_gt)
+    assert curve["accuracy"].iloc[-1] == 1.0
+    assert peak < 3 * len(queries) * len(data) * 8

@@ -6,6 +6,8 @@ import pandas as pd
 import pytest
 
 from repro.baselines.kmeans import KMeansPartitioner
+from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.train import TrainConfig
 from repro.index.search import topk_within
 from repro.knn.exact import sqdist, topk_neighbors
 from repro.knn.metrics import knn_accuracy
@@ -530,6 +532,47 @@ class TestBlockSearch:
         block = pq.adc_distances(q[: len(sets)], ids, owner)
         np.testing.assert_array_equal(
             block, np.concatenate([pq.adc_distances(qq, c) for qq, c in zip(q, sets)]))
+
+
+class TestLookupTables:
+    """The block's lookup tables, built in one broadcast per subspace width
+    and summed by ``_plane_sum``, equal numpy's own per-subspace ``.sum``
+    bit for bit: below 8 coordinates, in the 8-lane range with and without
+    a tail, and past 128, where the halves are summed apart (twice over at
+    300)."""
+
+    @pytest.mark.parametrize("width", list(range(1, 21)) + [130, 300])
+    @pytest.mark.parametrize("extra", [0, 2], ids=["equal", "interleaved"])
+    def test_tables_equal_numpy_sum(self, width, extra):
+        d = 4 * width + extra   # extra = 2: widths width, width + 1, width, width + 1
+        rng = np.random.default_rng(width)
+        scale = np.exp(rng.normal(0.0, 2.0, size=d))   # coordinates of unequal size
+        x, q = rng.normal(size=(60, d)) * scale, rng.normal(size=(5, d)) * scale
+        pq = AnisotropicPQ(4, 16, n_iter=1, seed=width).fit(x)
+        assert len({hi - lo for lo, hi in pq._bounds}) == 1 + (extra > 0)
+        want = np.stack([((cb - q[:, None, lo:hi]) ** 2).sum(axis=-1)
+                         for cb, (lo, hi) in zip(pq.codebooks, pq._bounds)])
+        np.testing.assert_array_equal(pq._tables(q), want)
+        adc = np.zeros(len(x))
+        for s, table in enumerate(want[:, 2]):
+            adc += table[pq.codes[:, s]]
+        np.testing.assert_array_equal(pq.adc_distances(q[2]), adc)
+
+    def test_hierarchy_pipeline_matches_oracle(self):
+        """perfbench's hier64 shape at test scale: d = 32 (subspaces 8 wide),
+        an 8×8 hierarchy, AnisotropicPQ(4, 64), 16-query blocks, 4 probes,
+        re-rank 160, whose ADC values tie heavily inside a leaf. A table
+        summed in another order can still give these answers, so the test
+        above is what pins the order."""
+        x, q = sift_lite(n=3000, d=32, n_queries=64, n_components=60, seed=8)
+        h = HierarchicalPartitioner(
+            [8, 8], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=2), seed=0).fit(x)
+        pipe = ScannPipeline(AnisotropicPQ(4, 64, seed=0), h).fit(x)
+        for lo in range(0, len(q), 16):
+            block = q[lo:lo + 16]
+            np.testing.assert_array_equal(
+                pipe.batch_search(block, 10, n_probes=4, rerank=160),
+                oracle_batch(pipe, block, 10, n_probes=4, rerank=160))
 
 
 class TestTopkWithinBlock:
