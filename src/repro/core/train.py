@@ -4,8 +4,9 @@ Driver-side numpy mini-batch loop (the paper trains on a single GPU; here the
 NN substrate is numpy). Each step:
 
 1. uniformly sample a mini-batch of point indices (§4.2.2 "Batching");
-2. eval-mode forward pass on the batch's distinct k'-NN neighbors → hard
-   (argmax) assignments → constant targets ``B_{k'}`` (Eq. 9);
+2. eval-mode forward pass on the batch's distinct k'-NN neighbors (a few
+   thousand rows, run in ``nn.model.EVAL_ROWS``-row blocks) → hard (argmax)
+   assignments → constant targets ``B_{k'}`` (Eq. 9);
 3. train-mode forward on the batch → logits; combined loss/grad (Eq. 5);
 4. backprop through the model; Adam step.
 

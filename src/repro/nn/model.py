@@ -7,13 +7,20 @@
 
 Both build an :class:`MLP`, whose weight arrays both train and score. A
 fitted model is a stack of one; :func:`repro.index.tree.leaf_probs` scores
-an :meth:`MLP.stack` of several with one batched matmul per linear layer.
+an :meth:`MLP.stack` of several with one batched matmul per linear layer,
+in row blocks of ``EVAL_ROWS`` when the input is longer.
 """
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
 from repro.nn.layers import glorot, softmax
+
+# Rows per block of a long eval forward: a 128-wide float64 hidden block is
+# 128 KB per model, so it stays in L2 from the first gemm to the output gemm.
+EVAL_ROWS = 128
 
 
 class MLP:
@@ -108,17 +115,38 @@ class MLP:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """(k, n, m): each model's eval-mode logits for the rows of ``x``:
-        Linear, the BatchNorm affine, ReLU, Dropout the identity. A linear
-        layer's matmul allocates; the rest runs in place."""
+        Linear, the BatchNorm affine, ReLU, Dropout the identity. Inputs
+        longer than ``EVAL_ROWS`` run in blocks of that many rows, with the
+        bias, scale, shift and ReLU's zeros tiled to the block's shape once
+        per call: numpy loops over a same-shape operand in one pass, over a
+        broadcast row or a scalar row by row, with the same bits. The last
+        block takes the rest, broadcast, and is never one row: a one-row
+        matmul runs as a gemv, whose sums can differ from the gemm's."""
         x = np.asarray(x, dtype=np.float64)
-        for W, b, (scale, shift) in zip(self.W, self.b, self.eval_affine()):
+        n, affine = len(x), self.eval_affine()
+        if n <= EVAL_ROWS:
+            out = np.matmul(self._hidden(x, self.b, affine, repeat(0.0)), self.W[-1])
+        else:
+            b = [np.repeat(a, EVAL_ROWS, axis=1) for a in self.b[:-1]]
+            tiled = (b, [tuple(np.repeat(a, EVAL_ROWS, axis=1) for a in p) for p in affine],
+                     [np.zeros(a.shape[1:]) for a in b])
+            out = np.empty((len(self.W[-1]), n, self.W[-1].shape[-1]))
+            for lo in range(0, n - 1, EVAL_ROWS):
+                hi = n if n - lo <= EVAL_ROWS + 1 else lo + EVAL_ROWS
+                ops = tiled if hi - lo == EVAL_ROWS else (self.b, affine, repeat(0.0))
+                np.matmul(self._hidden(x[lo:hi], *ops), self.W[-1], out=out[:, lo:hi])
+        out += self.b[-1]
+        return out
+
+    def _hidden(self, x, b, affine, floors) -> np.ndarray:
+        """One block's hidden layers: the gemm, then in place the bias, the
+        BatchNorm (scale, shift) and ReLU, the maximum with its floor."""
+        for W, bias, (scale, shift), floor in zip(self.W, b, affine, floors):
             x = np.matmul(x, W)
-            x += b
+            x += bias
             x *= scale
             x += shift
-            np.maximum(x, 0.0, out=x)
-        x = np.matmul(x, self.W[-1])
-        x += self.b[-1]
+            np.maximum(x, floor, out=x)
         return x
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

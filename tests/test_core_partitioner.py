@@ -1,10 +1,12 @@
 """USP partitioner tests: index contract, config handling, Spark inference
 parity."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.partitioner import UnsupervisedSpacePartitioner, build_model
 from repro.core.train import TrainConfig
+from repro.nn.model import EVAL_ROWS
 from repro.spark import assign_bins_spark, vectors_df
 from repro.synth_data import sift_lite
 
@@ -93,10 +95,16 @@ class TestConfig:
 class TestSparkInference:
     def test_matches_local(self, spark, trained_usp, small_data):
         """The broadcast ``predict_bin`` gives every row the bin it has in
-        the numpy partition."""
+        the numpy partition, with batches long enough for the eval forward's
+        row blocks."""
         data, _ = small_data
+        vdf = vectors_df(spark, data)
+        batch_rows = vdf.mapInPandas(
+            lambda batches: (pd.DataFrame({"rows": [len(b)]}) for b in batches), "rows long"
+        ).toPandas()["rows"]
+        assert batch_rows.max() > EVAL_ROWS
         out = (
-            assign_bins_spark(spark, vectors_df(spark, data), trained_usp.model.predict_bin)
+            assign_bins_spark(spark, vdf, trained_usp.model.predict_bin)
             .toPandas()
             .sort_values("id")
         )

@@ -3,12 +3,13 @@ the eval forward and the train step against references written out layer
 by layer."""
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import softmax
-from repro.nn.model import MLP, logistic_regression, mlp_partitioner, n_parameters
+from repro.nn.model import EVAL_ROWS, MLP, logistic_regression, mlp_partitioner, n_parameters
 from repro.nn.optim import Adam
 
 
@@ -74,15 +75,16 @@ def reference_train(model: MLP, xs, gs, lr: float) -> tuple[list, list, list]:
     return logits, params(), list(zip(mean, var))
 
 
-def trained_mlp(seed: int) -> MLP:
-    """A 128-hidden MLP with dropout 0.5 whose BatchNorm has running stats
+def trained_mlp(seed: int, n_hidden: int = 1) -> MLP:
+    """A 128-hidden MLP with dropout 0.5 whose BatchNorms have running stats
     from train-mode passes and a non-trivial gamma and beta."""
     rng = np.random.default_rng(seed)
-    model = mlp_partitioner(8, 16, hidden=128, dropout=0.5, seed=seed)
+    model = mlp_partitioner(8, 16, hidden=128, n_hidden=n_hidden, dropout=0.5, seed=seed)
     for _ in range(3):
         model.forward(rng.normal(2.0, 3.0, size=(64, 8)), train=True)
-    model.gamma[0][...] = rng.normal(size=128)
-    model.beta[0][...] = rng.normal(size=128)
+    for gamma, beta in zip(model.gamma, model.beta):
+        gamma[...] = rng.normal(size=128)
+        beta[...] = rng.normal(size=128)
     return model
 
 
@@ -107,6 +109,43 @@ class TestEvalForward:
             assert np.array_equal(model.predict_proba(x), softmax(ref))
             assert np.array_equal(logits[i], ref)
             assert np.array_equal(probs[i], softmax(ref))
+
+    @pytest.mark.parametrize("n_hidden", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [EVAL_ROWS - 1, EVAL_ROWS, EVAL_ROWS + 1, 3 * EVAL_ROWS + 5])
+    def test_row_blocks_match_reference(self, n_hidden, k, n):
+        """Around the block size, where the forward switches from one block
+        to row blocks with a short or one-row-longer last block, every
+        entry point equals the one-matmul-per-layer reference."""
+        models = [trained_mlp(seed, n_hidden) for seed in range(k)]
+        x = np.random.default_rng(n).normal(2.0, 3.0, size=(n, 8))
+        stacked = MLP.stack(models)
+        logits, probs = stacked.logits(x), stacked.stacked_proba(x)
+        for i, model in enumerate(models):
+            ref = reference_logits(model, x)
+            assert np.array_equal(logits[i], ref)
+            assert np.array_equal(probs[i], softmax(ref))
+            assert np.array_equal(model.logits(x)[0], ref)
+            assert np.array_equal(model.forward(x, train=False), ref)
+            assert np.array_equal(model.predict_bin(x), ref.argmax(axis=1))
+
+    def test_one_row_allocates_no_block(self):
+        """A one-row forward of a 3-model stack broadcasts its operands: its
+        traced peak stays below one (EVAL_ROWS, width) zeros block, which a
+        forward of two blocks' rows exceeds."""
+        stacked = MLP.stack([trained_mlp(seed) for seed in range(3)])
+        x = np.random.default_rng(0).normal(size=(2 * EVAL_ROWS, 8))
+        stacked.logits(x[:1])  # caches the eval affine
+        block_bytes = EVAL_ROWS * 128 * 8
+        peaks = []
+        for rows in (x[:1], x):
+            tracemalloc.start()
+            try:
+                stacked.logits(rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < block_bytes < peaks[1]
 
     def test_eval_forward_leaves_training_state(self):
         """The eval forward reads the weights and running stats and writes
