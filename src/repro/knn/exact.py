@@ -1,16 +1,20 @@
 """Exact (brute-force) k-NN: the k'-NN matrix (§4.2.1), also built by the
 Spark executors through :func:`knn_block`, and the top-k of queries against
-data. Like :func:`repro.index.search.topk_within`, both prune by
-:func:`shortlist_scores`' certified margin and return the first k survivors
-by :func:`diff_distances` (:func:`rank_rows`), exact ties by data index.
+data. Like :func:`repro.index.search.topk_within`, both prune by a certified
+margin on dot-product scores (:func:`shortlist_scores`) and return the first
+k survivors by :func:`diff_distances` (:func:`rank_rows`), exact ties by data
+index. The two offline searches score in float32 (:class:`Screen`), the
+serve path in float64.
 """
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.index.base import check_data, check_k, check_queries
 
-# Rows per k'-NN block: one (256, n) float64 score buffer (12 MB at
+# Rows per k'-NN block: one (256, n) float32 score buffer (6 MB at
 # n = 6000) plus a (256, n) bool mask for the row cut.
 KNN_BLOCK = 256
 
@@ -18,6 +22,8 @@ KNN_BLOCK = 256
 # of ``shortlist_scores``.
 _U = 2.0**-53
 _TINY = np.finfo(np.float64).tiny
+# Unit roundoff of float32, for the screen's margin (:func:`_screen_margin`).
+_U32 = 2.0**-24
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,6 +78,31 @@ def shortlist_scores(rows: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray,
     Where ‖x‖² or ‖x‖‖q‖ overflows, E is inf and τ + E inf or NaN; callers
     keep every row whose score is not above τ + E, which then keeps all.
     :func:`repro.index.base.check_data` keeps that from the k'-NN paths.
+
+    **The float32 screen** of the k'-NN build and :func:`topk_neighbors`
+    (:func:`_topk_block`) computes S in float32, u = 2⁻²⁴, from X = 2⁻ᵉx and
+    Q = 2⁻ᵉq (:class:`Screen`; the scaling is exact in float64 and keeps
+    every ‖X‖ ≤ √d, so nothing overflows float32). The ranking stays the
+    float64 difference form of the unscaled points. Let η = 2⁻¹⁵⁰ bound the
+    absolute error of a float32 product that underflows, R = max ‖X‖ + ‖Q‖
+    and δ = uR + √d·η.
+
+    1. fl32 rounds X and Q to X̂, Q̂ with ‖X̂ − X‖, ‖Q̂ − Q‖ ≤ δ, so the exact
+       scores move by |Â − A| ≤ 4Rδ + 3δ². The float32 norm, product and
+       add err by γ_(d+1)R̂² plus 5dη of underflow, R̂ ≤ (1 + u)R + 2√d·η.
+       With 2R√d·η ≤ uR² + dη²/u, all of it is e = γ_(d+11)R² + 8dη.
+    2. The difference form keeps step 2's factors (float64 ρ) and its
+       underflow adds at most β = 3d·2⁻¹⁰⁷⁵ to dist², 2⁻²ᵉβ in scaled units.
+    3. As in step 3, an answer row has S − τ ≤ (ρ − 1)(R² + e) + (ρ + 1)e +
+       3·2⁻²ᵉβ ≤ 2γ_(d+13)R² + 24dη + 9d·2⁻²ᵉ·2⁻¹⁰⁷⁵ for d < 2²⁰, where the
+       float64 ρ − 1 ≤ γ₁ of float32.
+    4. With R² ≤ 2P and a factor 2 for the float64 rounding of P̂ and E,
+       E = 8γ_(d+13)P̂ + d(2⁻¹⁴⁴ + 2⁻²ᵉ·2⁻¹⁰⁷⁰) (:func:`_screen_margin`).
+       The cut τ + E is rounded up to float32 (:func:`_screen_cut`), so the
+       float32 compare keeps every score at or below the real cut.
+
+    Where 2⁻²ᵉ overflows, only for points whose float64 distances underflow
+    to ties, E is inf and every row is kept.
     """
     norms = np.einsum("...d,...d->...", rows, rows)
     score = np.matmul(rows, (-2.0 * queries)[..., None])[..., 0]
@@ -135,17 +166,68 @@ def sq_norms(data: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", data, data)
 
 
-def _topk_block(
-    q: np.ndarray, data: np.ndarray, norms: np.ndarray, k: int, lo: int | None = None
-):
-    """:func:`rank_rows` of the k nearest rows of ``data`` (squared norms
-    ``norms``, from :func:`sq_norms`) to each query of ``q``; with ``lo``,
-    ``q`` is ``data[lo:lo + len(q)]`` and row i skips its own column lo + i.
-    Scores are cut at :func:`_row_cut` (k + 1 with the own column) plus
-    :func:`shortlist_scores`' margin, valid for any gemm."""
-    score = (-2.0 * q) @ data.T
-    score += norms
-    cut = _row_cut(score, k + (lo is not None)) + _margin(norms.max(), q)[:, None]
+class Screen(NamedTuple):
+    """The float32 copy of points that :func:`_topk_block` scores, built once
+    per search: ``x`` is the points times 2⁻ᵉ rounded to float32, ``norms``
+    its squared norms in float32, and ``sq`` the squared norms of the scaled
+    float64 points, for the margin."""
+
+    x: np.ndarray
+    norms: np.ndarray
+    sq: np.ndarray
+    exp: int
+
+    def rows(self, part: slice) -> Screen:
+        """The copy of the points ``part``, with the same exponent."""
+        return Screen(self.x[part], self.norms[part], self.sq[part], self.exp)
+
+
+def screen_exponent(*points: np.ndarray) -> int:
+    """The e of 2⁻ᵉ that brings the largest coordinate of ``points`` into
+    [1/2, 1), so every scaled norm is at most √d."""
+    top = max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in points)
+    return int(np.frexp(top)[1])
+
+
+def screen(points: np.ndarray, exp: int) -> Screen:
+    """The :class:`Screen` of ``points`` scaled by 2⁻ᵉ (``exp`` from
+    :func:`screen_exponent`)."""
+    scaled = np.ldexp(points, -exp)
+    x = scaled.astype(np.float32)
+    return Screen(x, sq_norms(x), sq_norms(scaled), exp)
+
+
+def _screen_margin(top: float, q_sq: np.ndarray, d: int, exp: int) -> np.ndarray:
+    """The margin E of the float32 screen (:func:`shortlist_scores`) per
+    query of scaled squared norm ``q_sq``, against points whose largest
+    scaled squared norm is ``top``, in dimension d."""
+    n = d + 13
+    with np.errstate(over="ignore"):
+        tail = d * (2.0**-144 + np.ldexp(2.0**-1070, -2 * exp))
+    return 8.0 * n * _U32 / (1.0 - n * _U32) * (top + q_sq) + tail
+
+
+def _screen_cut(tau: np.ndarray, margin: np.ndarray) -> np.ndarray:
+    """The float32 cut τ + E, rounded up: no float32 score at or below the
+    real τ + E lies above it."""
+    with np.errstate(over="ignore"):
+        cut = (tau.astype(np.float64) + margin).astype(np.float32)
+    return np.nextafter(cut, np.float32(np.inf))
+
+
+def _topk_block(q: np.ndarray, q_scr: Screen, data: np.ndarray, scr: Screen, k: int,
+                lo: int | None = None):
+    """:func:`rank_rows` of the k nearest rows of ``data`` to each query of
+    ``q``, whose float32 copies ``q_scr`` and ``scr`` share one exponent;
+    with ``lo``, ``q`` is ``data[lo:lo + len(q)]`` and row i skips its own
+    column lo + i. Float32 scores are cut at :func:`_row_cut` (k + 1 with
+    the own column) plus :func:`_screen_margin`, valid for any gemm; the
+    survivors are ranked by the float64 difference form."""
+    score = (np.float32(-2.0) * q_scr.x) @ scr.x.T
+    score += scr.norms
+    tau = _row_cut(score, k + (lo is not None))
+    margin = _screen_margin(scr.sq.max(), q_scr.sq, data.shape[1], scr.exp)
+    cut = _screen_cut(tau, margin[:, None])
     # flatnonzero, not the far slower 2-D nonzero, on the sparse mask.
     rows, cols = np.divmod(np.flatnonzero(score <= cut), len(data))
     if lo is not None:
@@ -165,34 +247,35 @@ def topk_neighbors(
     data = check_data(data)
     queries = check_data(check_queries(queries, data.shape[1]))
     k = min(k, len(data))
-    norms = sq_norms(data)
+    exp = screen_exponent(data, queries)
+    scr, q_scr = screen(data, exp), screen(queries, exp)
     idx = np.empty((len(queries), k), dtype=np.int64)
     dist = np.empty((len(queries), k))
     for lo in range(0, len(queries), KNN_BLOCK):
-        hi = lo + KNN_BLOCK
-        idx[lo:hi], dist[lo:hi] = _topk_block(queries[lo:hi], data, norms, k)
+        part = slice(lo, lo + KNN_BLOCK)
+        idx[part], dist[part] = _topk_block(queries[part], q_scr.rows(part), data, scr, k)
     return idx, dist
 
 
-def knn_block(data: np.ndarray, norms: np.ndarray, lo: int, hi: int, k: int) -> np.ndarray:
+def knn_block(data: np.ndarray, scr: Screen, lo: int, hi: int, k: int) -> np.ndarray:
     """Rows ``lo:hi`` of the k'-NN matrix of ``data`` (checked by
-    :func:`check_data`, squared norms ``norms`` from :func:`sq_norms`): each
+    :func:`check_data`, float32 copy ``scr`` from :func:`screen`): each
     row's ``k`` nearest other points by the one rule, exact ties by index. A
     point is never its own neighbor, while its exact duplicates still are."""
-    return _topk_block(data[lo:hi], data, norms, k, lo)[0]
+    return _topk_block(data[lo:hi], scr.rows(slice(lo, hi)), data, scr, k, lo)[0]
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
     """k'-NN matrix (n, k) of neighbor *indices*, self excluded: the rows of
     :func:`knn_block` over blocks of ``block`` rows, which bound peak memory
-    and do not change the result, with the row norms computed once;
+    and do not change the result, with the float32 copy built once;
     ValueError when ``data`` fails :func:`check_data` or k is outside (0, n)."""
     data = check_data(data)
     n = len(data)
     check_k(k, n)
-    norms = sq_norms(data)
+    scr = screen(data, screen_exponent(data))
     out = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        out[lo:hi] = knn_block(data, norms, lo, hi, k)
+        out[lo:hi] = knn_block(data, scr, lo, hi, k)
     return out

@@ -13,6 +13,7 @@ in row blocks of ``EVAL_ROWS`` when the input is longer.
 from __future__ import annotations
 
 from itertools import repeat
+from math import sqrt
 
 import numpy as np
 
@@ -21,6 +22,13 @@ from repro.nn.layers import glorot, softmax
 # Rows per block of a long eval forward: a 128-wide float64 hidden block is
 # 128 KB per model, so it stays in L2 from the first gemm to the output gemm.
 EVAL_ROWS = 128
+
+# Unit roundoff of float32 and the absolute error of a float32 product that
+# underflows, for the bound of ``predict_bin``'s float32 screen.
+_U32, _ETA32 = 2.0**-24, 2.0**-150
+# The screen certifies no row whose float32 values the bound lets exceed
+# this; float32 overflows at 2**128.
+_SCREEN_REACH = 2.0**100
 
 
 class MLP:
@@ -114,23 +122,24 @@ class MLP:
         return self._affine
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """(k, n, m): each model's eval-mode logits for the rows of ``x``:
-        Linear, the BatchNorm affine, ReLU, Dropout the identity. Inputs
-        longer than ``EVAL_ROWS`` run in blocks of that many rows, with the
-        bias, scale, shift and ReLU's zeros tiled to the block's shape once
-        per call: numpy loops over a same-shape operand in one pass, over a
-        broadcast row or a scalar row by row, with the same bits. The last
-        block takes the rest, broadcast, and is never one row: a one-row
-        matmul runs as a gemv, whose sums can differ from the gemm's."""
-        x = np.asarray(x, dtype=np.float64)
+        """(k, n, m): each model's eval-mode logits for the rows of ``x``, in
+        the dtype of the model's arrays: Linear, the BatchNorm affine, ReLU,
+        Dropout the identity. Inputs longer than ``EVAL_ROWS`` run in blocks
+        of that many rows, with the bias, scale, shift and ReLU's zeros tiled
+        to the block's shape once per call: numpy loops over a same-shape
+        operand in one pass, over a broadcast row or a scalar row by row,
+        with the same bits. The last block takes the rest, broadcast, and is
+        never one row: a one-row matmul runs as a gemv, whose sums can differ
+        from the gemm's."""
+        x = np.asarray(x, dtype=self.W[-1].dtype)
         n, affine = len(x), self.eval_affine()
         if n <= EVAL_ROWS:
             out = np.matmul(self._hidden(x, self.b, affine, repeat(0.0)), self.W[-1])
         else:
             b = [np.repeat(a, EVAL_ROWS, axis=1) for a in self.b[:-1]]
             tiled = (b, [tuple(np.repeat(a, EVAL_ROWS, axis=1) for a in p) for p in affine],
-                     [np.zeros(a.shape[1:]) for a in b])
-            out = np.empty((len(self.W[-1]), n, self.W[-1].shape[-1]))
+                     [np.zeros_like(a[0]) for a in b])
+            out = np.empty((len(self.W[-1]), n, self.W[-1].shape[-1]), dtype=x.dtype)
             for lo in range(0, n - 1, EVAL_ROWS):
                 hi = n if n - lo <= EVAL_ROWS + 1 else lo + EVAL_ROWS
                 ops = tiled if hi - lo == EVAL_ROWS else (self.b, affine, repeat(0.0))
@@ -155,8 +164,105 @@ class MLP:
 
     def predict_bin(self, x: np.ndarray) -> np.ndarray:
         """Hard bin assignment by a stack of one: the argmax of the eval-mode
-        logits, not of their softmax, which can round distinct logits to a tie."""
-        return np.argmax(self.forward(x, train=False), axis=1)
+        logits, not of their softmax, which can round distinct logits to a tie.
+
+        The rows are screened by the float32 twin of :meth:`screen`. A row is
+        certified when its float32 logits are finite and no other logit is
+        within 2B(x) of their maximum, where B(x) bounds the difference
+        between the float32 and the float64 logits, each in any summation
+        order: its float32 argmax is then the float64 one. The other rows
+        get the float64 logits, in a batch of at least 2 rows, so no row is
+        scored by a gemv and a row's bin does not depend on its batch."""
+        x = np.asarray(x, dtype=np.float64)
+        twin, c0, c1, reach = self.screen()
+        norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Bins on the leading axis: numpy reduces a short last axis row
+            # by row, a leading one in whole-row passes.
+            z = np.ascontiguousarray(twin.forward(x.astype(np.float32), train=False).T)
+            bound = np.where(norm <= reach, c0 * norm + c1, np.inf)
+            # The largest float32 at or below max − 2B; a NaN matches nothing.
+            floor = z.max(axis=0) - 2.0 * bound
+            near = z >= np.nextafter(floor.astype(np.float32), np.float32(-np.inf))
+        # A certified row has one logit at or above its floor, its argmax.
+        redo = np.flatnonzero(near.sum(axis=0, dtype=np.int32) != 1)
+        bins = (np.arange(len(near), dtype=np.float32) @ near).astype(np.intp)
+        if len(redo):
+            batch = redo if len(redo) > 1 else np.repeat(redo, 2)
+            bins[redo] = self.forward(x[batch], train=False).argmax(axis=1)[: len(redo)]
+        return bins
+
+    def screen(self) -> tuple[MLP, float, float, float]:
+        """``(twin, c0, c1, reach)`` of a stack of one for :meth:`predict_bin`:
+        the model with float32 weights and eval-mode affine, and a bound
+        B(x) = c0‖x‖ + c1 on |logit32 − logit64| of every logit of a row x
+        with ‖x‖ ≤ ``reach``, beyond which a float32 value could overflow.
+
+        Derivation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        §3.1; u = 2⁻²⁴, γ_k = ku / (1 − ku), η = 2⁻¹⁵⁰ the absolute error of
+        a float32 product that underflows). Against the exact forward with
+        the float64 weights, each layer keeps a bound μ on the 2-norm of its
+        exact output and ε on that of the float32 error, both of the form
+        a‖x‖ + c, starting from μ = ‖x‖, ε = u‖x‖ + √d·η (x rounded to
+        float32). Rounding a weight array to float32 moves each entry by at
+        most u|w| + η; Ŵ, b̂, ŝ, t̂ are the rounded arrays.
+
+        - Linear (n → m, W, b), exact y = aW + b: the float32 gemm and the
+          bias add err by γ_(n+1)(|â||Ŵ| + |b̂|) + 2nη per output, the
+          rounded inputs and weights by (â − a)Ŵ + a(Ŵ − W) + (b̂ − b). With
+          Frobenius norms, ‖|a||W|‖ ≤ ‖a‖‖W‖_F, so
+          μ' = μ‖W‖_F + ‖b‖ and ε' = ε‖Ŵ‖_F + γ_(n+1)((μ + ε)‖Ŵ‖_F + ‖b̂‖)
+          + μ(u‖W‖_F + √(nm)η) + u‖b‖ + √m·η(2n + 1).
+        - BatchNorm's affine y·s + t (two roundings, a product that can
+          underflow), with ‖y·s‖ ≤ ‖y‖ max|s|: μ' = μ max|s| + ‖t‖ and
+          ε' = ε max|ŝ| + γ₂((μ + ε) max|ŝ| + ‖t̂‖) + μ(u max|s| + η)
+          + u‖t‖ + 3√m·η.
+        - ReLU is 1-Lipschitz and does not grow |·|: μ and ε pass through.
+        - The output layer bounds each logit alone, with the largest column
+          norm of W in place of ‖W‖_F, max|b| for ‖b‖ and no √m.
+
+        The float64 forward obeys the same recursion with u = 2⁻⁵³, no
+        rounded inputs or weights and η = 2⁻¹⁰⁷⁵: term by term at most 2⁻²⁹
+        of the float32 bound. The factor 1 + 2⁻¹⁹ covers it and the float64
+        rounding of the bound, of ‖x‖ and of the logit gap. The bounds
+        assume no overflow: ``reach`` keeps the sum of every layer's
+        |â||Ŵ| + |b̂| and (|ŷ| + ε)|ŝ| + |t̂| bounds below 2¹⁰⁰."""
+        affine = self.eval_affine()
+        twin = MLP([w.astype(np.float32) for w in self.W], [b.astype(np.float32) for b in self.b],
+                   self.gamma, self.beta, self.mean, self.var)
+        twin._affine = [(s.astype(np.float32), t.astype(np.float32)) for s, t in affine]
+        hidden = [(*W.shape[1:], _norm(W), _norm(b), float(np.abs(s).max()), _norm(t))
+                  for W, b, (s, t) in zip(self.W, self.b, affine)]
+        W = self.W[-1][0]
+        n_out, wc = W.shape[0], sqrt(np.einsum("ij,ij->j", W, W).max())
+        bm = float(np.abs(self.b[-1]).max())
+        u, eta = _U32, _ETA32
+
+        def bounds(mu: float, eps: float, on: float) -> tuple[float, float]:
+            """The logit bound and the size bound for input bounds μ and ε.
+            They are linear in (μ, ε, on), where ``on`` scales every term
+            that does not grow with ‖x‖: (1, u, 0) gives their coefficients
+            of ‖x‖, (0, √d·η, 1) their constants."""
+            size = mu + eps
+            for n, m, wf, bf, sm, tf in hidden:
+                w = (1 + u) * wf + eta * sqrt(n * m)
+                big = (mu + eps) * w + on * ((1 + u) * bf + eta * sqrt(m))
+                eps = (eps * w + _gamma(n + 1) * big + mu * (u * wf + eta * sqrt(n * m))
+                       + on * (u * bf + eta * sqrt(m) * (2 * n + 1)))
+                mu, size = mu * wf + on * bf, size + big
+                w = (1 + u) * sm + eta
+                big = (mu + eps) * w + on * ((1 + u) * tf + eta * sqrt(m))
+                eps = (eps * w + _gamma(2) * big + mu * (u * sm + eta)
+                       + on * (u * tf + 3 * eta * sqrt(m)))
+                mu, size = mu * sm + on * tf, size + big
+            w = (1 + u) * wc + eta * sqrt(n_out)
+            big = (mu + eps) * w + on * ((1 + u) * bm + eta)
+            return (eps * w + _gamma(n_out + 1) * big + mu * (u * wc + eta * sqrt(n_out))
+                    + on * (u * bm + eta * (2 * n_out + 1))), size + big
+
+        (c0, g0), (c1, g1) = bounds(1.0, u, 0.0), bounds(0.0, eta * sqrt(self.d_in), 1.0)
+        grow = 1.0 + 2.0**-19
+        return twin, c0 * grow, c1 * grow, (_SCREEN_REACH - g1) / g0
 
     def stacked_proba(self, x: np.ndarray) -> np.ndarray:
         """(k, n, m): each model's bin distribution for the rows of ``x``."""
@@ -180,6 +286,17 @@ class MLP:
         out._affine = [tuple(map(np.concatenate, zip(*pairs)))
                        for pairs in zip(*(mdl.eval_affine() for mdl in models))]
         return out
+
+
+def _norm(a: np.ndarray) -> float:
+    """The 2-norm of ``a`` flattened (the Frobenius norm of a matrix)."""
+    return sqrt(np.vdot(a, a))
+
+
+def _gamma(k: int) -> float:
+    """γ_k = ku / (1 − ku) of float32: the relative error bound of k
+    roundings (Higham §3.1)."""
+    return k * _U32 / (1.0 - k * _U32)
 
 
 def mlp_partitioner(

@@ -23,7 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.base import check_data, check_k
-from repro.knn.exact import KNN_BLOCK, knn_block, sq_norms
+from repro.knn.exact import KNN_BLOCK, knn_block, screen, screen_exponent
 
 
 def vectors_df(spark: SparkSession, x: np.ndarray) -> DataFrame:
@@ -34,25 +34,26 @@ def vectors_df(spark: SparkSession, x: np.ndarray) -> DataFrame:
 def knn_matrix_spark(spark: SparkSession, data: np.ndarray, k: int) -> DataFrame:
     """Distributed k'-NN matrix build (Algorithm 1, Step 1).
 
-    The dataset is broadcast once, with its squared norms computed on the
-    driver; each executor takes blocks of ``KNN_BLOCK`` rows, the
-    numpy build's blocks, and computes each with :func:`knn_block`. Returns a DataFrame (id: long, neighbors: array<long>)
-    whose rows equal those of ``knn_matrix_numpy(data, k)``; ValueError in
-    the same cases.
+    The dataset is broadcast once, with its scaled float32 copy
+    (:func:`~repro.knn.exact.screen`) built on the driver; each executor
+    takes blocks of ``KNN_BLOCK`` rows, the numpy build's blocks, and
+    computes each with :func:`knn_block`. Returns a DataFrame (id: long,
+    neighbors: array<long>) whose rows equal those of
+    ``knn_matrix_numpy(data, k)``; ValueError in the same cases.
     """
     data = check_data(data)
     n = len(data)
     check_k(k, n)
-    bc = spark.sparkContext.broadcast((data, sq_norms(data)))
+    bc = spark.sparkContext.broadcast((data, screen(data, screen_exponent(data))))
     n_blocks = -(-n // KNN_BLOCK)
     starts = spark.range(0, n, KNN_BLOCK, min(spark.sparkContext.defaultParallelism, n_blocks))
 
     def compute(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        x, norms = bc.value
+        x, scr = bc.value
         for pdf in batches:
             for lo in pdf["id"].tolist():
                 hi = min(lo + KNN_BLOCK, n)
-                neigh = knn_block(x, norms, lo, hi, k)
+                neigh = knn_block(x, scr, lo, hi, k)
                 yield pd.DataFrame({"id": np.arange(lo, hi), "neighbors": list(neigh)})
 
     return starts.mapInPandas(compute, schema="id long, neighbors array<long>")

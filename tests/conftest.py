@@ -19,6 +19,7 @@ from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.knn.exact import knn_matrix_numpy, topk_neighbors
+from repro.nn.model import MLP
 from repro.synth_data import sift_lite
 
 
@@ -68,6 +69,33 @@ def candidate_ranks(index, queries: np.ndarray) -> np.ndarray:
 def topk_oracle():
     """:func:`stable_topk`, for test modules."""
     return stable_topk
+
+
+def float64_bins(model: MLP, x: np.ndarray) -> np.ndarray:
+    """The float64 hard bins the screen replaced: argmax of the logits."""
+    return model.logits(x)[0].argmax(axis=1)
+
+
+def near_ties(model: MLP, x: np.ndarray, pairs: int = 12) -> np.ndarray:
+    """Rows at which two float64 logits tie to the last bits: for pairs of
+    consecutive rows in different float64 bins, 80 bisection steps along
+    the segment between them, keeping one end in the first row's bin and the
+    other out of it; both final ends are returned."""
+    bins = float64_bins(model, x)
+    out = []
+    for i in np.flatnonzero(bins[1:] != bins[:-1]):
+        j = i + 1
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            if float64_bins(model, np.stack([x[i] + mid * (x[j] - x[i])] * 2))[0] == bins[i]:
+                lo = mid
+            else:
+                hi = mid
+        out += [x[i] + lo * (x[j] - x[i]), x[i] + hi * (x[j] - x[i])]
+        if len(out) >= 2 * pairs:
+            break
+    return np.array(out)
 
 
 @pytest.fixture(scope="session")

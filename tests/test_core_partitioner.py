@@ -9,6 +9,7 @@ from repro.core.train import TrainConfig
 from repro.nn.model import EVAL_ROWS
 from repro.spark import assign_bins_spark, vectors_df
 from repro.synth_data import sift_lite
+from tests.conftest import float64_bins, near_ties
 
 
 class TestFitContract:
@@ -109,6 +110,30 @@ class TestSparkInference:
             .sort_values("id")
         )
         np.testing.assert_array_equal(out["bin"].to_numpy(), trained_usp.data_bins())
+
+    def test_one_row_batches(self, spark, trained_usp, small_data):
+        """Batches of one row, whose float32 forward is a gemv, give every
+        row its bin in the whole batch: data rows their ``data_bins()``, and
+        rows where two float64 logits tie to the last bits theirs."""
+        data, _ = small_data
+        model = trained_usp.model
+        rows = np.arange(0, len(data), 50)
+        x = np.concatenate([data[rows], near_ties(model, data[:200], pairs=6)])
+        key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+        before = spark.conf.get(key)
+        spark.conf.set(key, "1")
+        try:
+            vdf = vectors_df(spark, x)
+            batch_rows = vdf.mapInPandas(
+                lambda batches: (pd.DataFrame({"rows": [len(b)]}) for b in batches), "rows long"
+            ).toPandas()["rows"]
+            out = assign_bins_spark(spark, vdf, model.predict_bin).toPandas().sort_values("id")
+        finally:
+            spark.conf.set(key, before)
+        assert (batch_rows == 1).all()
+        bins = out["bin"].to_numpy()
+        np.testing.assert_array_equal(bins, float64_bins(model, x))
+        np.testing.assert_array_equal(bins[:len(rows)], trained_usp.data_bins()[rows])
 
     def test_every_id_scored_once(self, spark, trained_usp, small_data):
         data, _ = small_data

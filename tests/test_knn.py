@@ -300,6 +300,16 @@ class TestKnnMatrixSpark:
         np.testing.assert_array_equal(
             knn_matrix_spark_collect(spark, data, 10), knn_matrix_numpy(data, 10))
 
+    def test_large_norms_match_numpy(self, spark):
+        """Up to the largest norms the data check lets through, the driver's
+        scaled float32 copy gives the executors the numpy build's ids."""
+        data = np.random.default_rng(10).normal(size=(300, 4))
+        data *= 0.999 * np.sqrt(np.finfo(np.float64).max / 8) / np.linalg.norm(data, axis=1).max()
+        np.testing.assert_array_equal(
+            knn_matrix_spark_collect(spark, data, 5), knn_matrix_numpy(data, 5))
+        np.testing.assert_array_equal(
+            knn_matrix_numpy(data, 5), naive_topk(data, data, 5, exclude_self=True)[0])
+
     def test_rejects_what_numpy_rejects(self, spark):
         data = np.random.default_rng(7).normal(size=(20, 4))
         for k in (0, 20):
