@@ -30,9 +30,8 @@ def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances via the expansion
     ‖a‖² − 2a·b + ‖b‖², built in the one (len(a), len(b)) buffer the
     product returns, for the searches that need no exact order (K-means,
-    DBSCAN, spectral clustering; AVQ's assignment repeats it with ‖a‖²
-    computed once per subspace). Floating-point error can leave tiny
-    negatives; callers that need non-negative values clamp them.
+    DBSCAN, spectral clustering, AVQ's assignment). Floating-point error can
+    leave tiny negatives; callers that need non-negative values clamp them.
 
     Bit-identical to ``(a**2).sum(1, keepdims=True) - 2.0 * a @ b.T +
     (b**2).sum(1)``: scaling by −2 is exact, and the product never takes the
@@ -167,34 +166,26 @@ def sq_norms(data: np.ndarray) -> np.ndarray:
 
 
 class Screen(NamedTuple):
-    """The float32 copy of points that :func:`_topk_block` scores, built once
-    per search: ``x`` is the points times 2⁻ᵉ rounded to float32, ``norms``
-    its squared norms in float32, and ``sq`` the squared norms of the scaled
-    float64 points, for the margin."""
+    """The float32 copy of the data that :func:`_topk_block` scores, built
+    once per search: ``x`` is the points times 2⁻ᵉ rounded to float32,
+    ``norms`` its squared norms in float32, and ``top`` the largest squared
+    norm of the scaled float64 points, for the margin."""
 
     x: np.ndarray
     norms: np.ndarray
-    sq: np.ndarray
+    top: float
     exp: int
 
-    def rows(self, part: slice) -> Screen:
-        """The copy of the points ``part``, with the same exponent."""
-        return Screen(self.x[part], self.norms[part], self.sq[part], self.exp)
 
-
-def screen_exponent(*points: np.ndarray) -> int:
-    """The e of 2⁻ᵉ that brings the largest coordinate of ``points`` into
-    [1/2, 1), so every scaled norm is at most √d."""
-    top = max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in points)
-    return int(np.frexp(top)[1])
-
-
-def screen(points: np.ndarray, exp: int) -> Screen:
-    """The :class:`Screen` of ``points`` scaled by 2⁻ᵉ (``exp`` from
-    :func:`screen_exponent`)."""
+def screen(points: np.ndarray, *also: np.ndarray) -> Screen:
+    """The :class:`Screen` of ``points`` scaled by 2⁻ᵉ, where e brings the
+    largest coordinate of ``points`` and of ``also`` (the queries to be
+    scored against them) into [1/2, 1), so every scaled norm is at most √d."""
+    top = max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in (points, *also))
+    exp = int(np.frexp(top)[1])
     scaled = np.ldexp(points, -exp)
     x = scaled.astype(np.float32)
-    return Screen(x, sq_norms(x), sq_norms(scaled), exp)
+    return Screen(x, sq_norms(x), sq_norms(scaled).max(), exp)
 
 
 def _screen_margin(top: float, q_sq: np.ndarray, d: int, exp: int) -> np.ndarray:
@@ -215,18 +206,20 @@ def _screen_cut(tau: np.ndarray, margin: np.ndarray) -> np.ndarray:
     return np.nextafter(cut, np.float32(np.inf))
 
 
-def _topk_block(q: np.ndarray, q_scr: Screen, data: np.ndarray, scr: Screen, k: int,
-                lo: int | None = None):
+def _topk_block(q: np.ndarray, data: np.ndarray, scr: Screen, k: int, lo: int | None = None):
     """:func:`rank_rows` of the k nearest rows of ``data`` to each query of
-    ``q``, whose float32 copies ``q_scr`` and ``scr`` share one exponent;
-    with ``lo``, ``q`` is ``data[lo:lo + len(q)]`` and row i skips its own
-    column lo + i. Float32 scores are cut at :func:`_row_cut` (k + 1 with
-    the own column) plus :func:`_screen_margin`, valid for any gemm; the
-    survivors are ranked by the float64 difference form."""
-    score = (np.float32(-2.0) * q_scr.x) @ scr.x.T
+    ``q``, scored against ``scr``, the float32 copy of ``data`` whose
+    exponent covers ``q`` too; with ``lo``, ``q`` is ``data[lo:lo + len(q)]``
+    and row i skips its own column lo + i. The queries are scaled by the same
+    2⁻ᵉ and rounded to float32 here. Float32 scores are cut at
+    :func:`_row_cut` (k + 1 with the own column) plus
+    :func:`_screen_margin`, valid for any gemm; the survivors are ranked by
+    the float64 difference form."""
+    scaled = np.ldexp(q, -scr.exp)
+    score = (np.float32(-2.0) * scaled.astype(np.float32)) @ scr.x.T
     score += scr.norms
     tau = _row_cut(score, k + (lo is not None))
-    margin = _screen_margin(scr.sq.max(), q_scr.sq, data.shape[1], scr.exp)
+    margin = _screen_margin(scr.top, sq_norms(scaled), data.shape[1], scr.exp)
     cut = _screen_cut(tau, margin[:, None])
     # flatnonzero, not the far slower 2-D nonzero, on the sparse mask.
     rows, cols = np.divmod(np.flatnonzero(score <= cut), len(data))
@@ -247,13 +240,12 @@ def topk_neighbors(
     data = check_data(data)
     queries = check_data(check_queries(queries, data.shape[1]))
     k = min(k, len(data))
-    exp = screen_exponent(data, queries)
-    scr, q_scr = screen(data, exp), screen(queries, exp)
+    scr = screen(data, queries)
     idx = np.empty((len(queries), k), dtype=np.int64)
     dist = np.empty((len(queries), k))
     for lo in range(0, len(queries), KNN_BLOCK):
         part = slice(lo, lo + KNN_BLOCK)
-        idx[part], dist[part] = _topk_block(queries[part], q_scr.rows(part), data, scr, k)
+        idx[part], dist[part] = _topk_block(queries[part], data, scr, k)
     return idx, dist
 
 
@@ -262,7 +254,7 @@ def knn_block(data: np.ndarray, scr: Screen, lo: int, hi: int, k: int) -> np.nda
     :func:`check_data`, float32 copy ``scr`` from :func:`screen`): each
     row's ``k`` nearest other points by the one rule, exact ties by index. A
     point is never its own neighbor, while its exact duplicates still are."""
-    return _topk_block(data[lo:hi], scr.rows(slice(lo, hi)), data, scr, k, lo)[0]
+    return _topk_block(data[lo:hi], data, scr, k, lo)[0]
 
 
 def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.ndarray:
@@ -273,7 +265,7 @@ def knn_matrix_numpy(data: np.ndarray, k: int, *, block: int = KNN_BLOCK) -> np.
     data = check_data(data)
     n = len(data)
     check_k(k, n)
-    scr = screen(data, screen_exponent(data))
+    scr = screen(data)
     out = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, block):
         hi = min(lo + block, n)

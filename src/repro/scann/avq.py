@@ -21,11 +21,9 @@ block's concatenated candidates, and the re-rank is one block
 ``topk_within`` call.
 
 A table entry is the squared distance from a query's subvector to a
-codeword, summed over the subspace's coordinates in exactly the order
-numpy's pairwise ``.sum`` adds a contiguous last axis (``_plane_sum``). ADC
-values tie heavily inside a hierarchy leaf and ``argpartition`` picks among
-the ties, so any other order (``einsum``, a gemm expansion) could change
-the shortlists and with them the answers.
+codeword, its coordinates' squared differences added left to right. That
+order is stated, not left to ``.sum``, whose order numpy picks from the
+array's shape, so every table is reproducible bit for bit.
 """
 from __future__ import annotations
 
@@ -33,41 +31,13 @@ import numpy as np
 
 from repro.index.base import check_data, check_queries, fitted
 from repro.index.search import topk_within
+from repro.knn.exact import sqdist
 
 # Candidate rows per piece of a query block in ``AnisotropicPQ.search``: a
 # piece's query count times its longest candidate list stays within this,
 # which bounds the ADC and re-rank temporaries (rows × d floats for the
 # re-rank). A single query with more candidates runs as a piece of its own.
 ROW_BUDGET = 16384
-
-
-def _plane_sum(planes: np.ndarray) -> np.ndarray:
-    """Sum ``planes`` over its first axis, in place, in the order numpy's
-    pairwise summation adds a contiguous last axis: left to right below 8
-    terms; up to 128, eight running lanes, then
-    ``((0+1)+(2+3))+((4+5)+(6+7))``, then the tail left to right; above
-    128, the two halves, split at a multiple of 8. The result, a view of
-    ``planes[0]``, equals ``np.moveaxis(planes, 0, -1).sum(axis=-1)`` bit
-    for bit."""
-    n = len(planes)
-    if n < 8:
-        for p in planes[1:]:
-            planes[0] += p
-        return planes[0]
-    if n <= 128:
-        lanes, tail = planes[:8], n - n % 8
-        for i in range(8, tail, 8):
-            lanes += planes[i:i + 8]
-        lanes[0::2] += lanes[1::2]   # 0+1, 2+3, 4+5, 6+7
-        lanes[0::4] += lanes[2::4]   # (0+1)+(2+3), (4+5)+(6+7)
-        lanes[0] += lanes[4]
-        for p in planes[tail:]:
-            lanes[0] += p
-        return planes[0]
-    half = n // 2 - n // 2 % 8
-    out = _plane_sum(planes[:half])
-    out += _plane_sum(planes[half:])
-    return out
 
 
 class AnisotropicPQ:
@@ -105,19 +75,15 @@ class AnisotropicPQ:
 
     # -- training ----------------------------------------------------------
     def _aniso_assign(
-        self, xs: np.ndarray, cb: np.ndarray, sq: np.ndarray, norms: np.ndarray,
-        xhat: np.ndarray,
+        self, xs: np.ndarray, cb: np.ndarray, norms: np.ndarray, xhat: np.ndarray
     ) -> np.ndarray:
         """Assign each subvector to the codeword minimizing ℓ(x, c).
 
-        ``sq`` = ‖x‖², ``norms`` = ‖x‖ + 1e-12 and ``xhat`` = x/``norms``
-        (all (n, 1) or (n, d_sub)) are fixed for a subspace, so ``fit``
-        computes them once. The loss is built in the buffers the two products
-        return: ``sqdist``'s expansion, clamped at 0, for ‖r‖²."""
+        ``norms`` = ‖x‖ + 1e-12 and ``xhat`` = x/``norms`` are fixed for a
+        subspace, so ``fit`` computes them once. The loss is built in the
+        buffers the two products return: ``sqdist``, clamped at 0, for ‖r‖²."""
         # ℓ = h⊥‖r‖² + (h∥−h⊥)⟨r, x̂⟩², r = x − c, x̂ = x/‖x‖.
-        loss = (-2.0 * xs) @ cb.T                       # (n, k)
-        loss += sq
-        loss += (cb**2).sum(axis=1)
+        loss = sqdist(xs, cb)                           # (n, k)
         np.maximum(loss, 0.0, out=loss)
         loss *= self.h_perp
         # r‖ component: ⟨x − c, x̂⟩ = ‖x‖ − ⟨c, x̂⟩
@@ -173,15 +139,14 @@ class AnisotropicPQ:
         codes = np.empty((n, self.n_sub), dtype=np.uint8)
         for s, (lo, hi) in enumerate(self._bounds):
             xs = x[:, lo:hi]
-            sq = (xs**2).sum(axis=1, keepdims=True)
             norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
             xhat = xs / norms
             k = min(self.n_centers, n)
             cb = xs[rng.choice(n, size=k, replace=False)]
-            assign = self._aniso_assign(xs, cb, sq, norms, xhat)
+            assign = self._aniso_assign(xs, cb, norms, xhat)
             for _ in range(self.n_iter):
                 cb = self._update_centers(xs, assign, cb)
-                new_assign = self._aniso_assign(xs, cb, sq, norms, xhat)
+                new_assign = self._aniso_assign(xs, cb, norms, xhat)
                 if (new_assign == assign).all():
                     assign = new_assign
                     break
@@ -205,13 +170,15 @@ class AnisotropicPQ:
     def _tables(self, queries: np.ndarray) -> np.ndarray:
         """(n_sub, b, n_centers) lookup tables of a (b, d) block: one
         (d_sub, m, b, n_centers) broadcast per subspace width, squared in
-        place and summed over d_sub by ``_plane_sum``, so each entry equals
-        ``((codebook - subvector) ** 2).sum(axis=-1)`` bit for bit."""
+        place, whose d_sub planes are then added left to right into the
+        first, so each entry sums its subspace's coordinates left to right."""
         tables = np.empty((self.n_sub, len(queries), self.codebooks[0].shape[0]))
         for subs, cols, planes in self._groups:
             diff = planes[:, :, None] - queries[:, cols].transpose(1, 2, 0)[..., None]
             np.square(diff, out=diff)
-            tables[subs] = _plane_sum(diff)
+            for p in diff[1:]:
+                diff[0] += p
+            tables[subs] = diff[0]
         return tables
 
     def adc_distances(
@@ -223,8 +190,8 @@ class AnisotropicPQ:
         One query (d,) is scored against the rows ``subset`` (every row when
         None). For a block (b, d), ``subset`` holds the block's candidate ids
         concatenated and ``owner`` the block row each id belongs to. The
-        block's tables are built together (``_tables``, numpy's pairwise
-        summation order over each subspace's coordinates); then each
+        block's tables are built together (``_tables``, each subspace's
+        coordinates added left to right); then each
         subspace, in order, adds one flat gather offset by the owner, so a
         block row gets exactly the values its query gets alone.
         """

@@ -23,7 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.index.base import check_data, check_k
-from repro.knn.exact import KNN_BLOCK, knn_block, screen, screen_exponent
+from repro.knn.exact import KNN_BLOCK, knn_block, screen
 
 
 def vectors_df(spark: SparkSession, x: np.ndarray) -> DataFrame:
@@ -44,7 +44,7 @@ def knn_matrix_spark(spark: SparkSession, data: np.ndarray, k: int) -> DataFrame
     data = check_data(data)
     n = len(data)
     check_k(k, n)
-    bc = spark.sparkContext.broadcast((data, screen(data, screen_exponent(data))))
+    bc = spark.sparkContext.broadcast((data, screen(data)))
     n_blocks = -(-n // KNN_BLOCK)
     starts = spark.range(0, n, KNN_BLOCK, min(spark.sparkContext.defaultParallelism, n_blocks))
 

@@ -4,7 +4,8 @@ k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
 [0, n), a k' outside (0, n) for the matrix the fit builds, and a K-means
 k outside [1, n]. A bad architecture fails before any k'-NN work. A query
 on an index that was never fitted fails with one RuntimeError, "index not
-fitted"."""
+fitted". Per-point weights that are not n finite, non-negative values
+with a positive sum fail in the one training loop every USP fit runs."""
 import numpy as np
 import pytest
 
@@ -90,6 +91,36 @@ def test_fit_rejects_bad_knn(name, data):
             fit(data, knn_idx=bad)
     with pytest.raises(ValueError, match="integer ids"):
         fit(data, knn_idx=knn.astype(np.float64))
+
+
+def bad_weights(n):
+    """name -> per-point weights that no USP fit may train on."""
+    nan, inf, neg = np.ones(n), np.ones(n), np.ones(n)
+    nan[5], inf[5], neg[5] = np.nan, np.inf, -0.5
+    return {"n-1": np.ones(n - 1), "n+5": np.ones(n + 5), "nan": nan, "inf": inf,
+            "negative": neg, "all-zero": np.zeros(n)}
+
+
+@pytest.mark.parametrize("bad", ["n-1", "n+5", "nan", "inf", "negative", "all-zero"])
+def test_fit_rejects_bad_weights(bad, data):
+    with pytest.raises(ValueError, match="weights must be"):
+        FITS["usp"](data, weights=bad_weights(len(data))[bad])
+
+
+def test_ensemble_rejects_bad_updated_weights(data, monkeypatch):
+    """The ensemble's boosted weights pass the same check: NaN weights from
+    an update fail instead of training the next member on them."""
+    monkeypatch.setattr("repro.core.ensemble.update_weights",
+                        lambda w, bins, knn: np.full_like(w, np.nan))
+    with pytest.raises(ValueError, match="weights must be"):
+        FITS["ensemble"](data)
+
+
+def test_fit_accepts_zero_weights(data):
+    """Zero weights, which the ensemble's update makes, still train."""
+    w = np.ones(len(data))
+    w[::3] = 0.0
+    assert FITS["usp"](data, weights=w).data_bins().shape == (len(data),)
 
 
 @pytest.mark.parametrize("fit", [

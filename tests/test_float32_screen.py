@@ -21,7 +21,6 @@ from repro.knn.exact import (
     knn_matrix_numpy,
     rank_rows,
     screen,
-    screen_exponent,
     sq_norms,
     topk_neighbors,
 )
@@ -104,12 +103,12 @@ class TestKnnScreen:
         rng = np.random.default_rng(d)
         rows = np.ldexp(rng.normal(size=(12, d)) + 3.0, scale)
         queries = np.ldexp(rng.normal(size=(4, d)) + 3.0, scale)
-        exp = screen_exponent(rows, queries)
-        scr, q_scr = screen(rows, exp), screen(queries, exp)
-        score = (np.float32(-2.0) * q_scr.x) @ scr.x.T + scr.norms
+        scr = screen(rows, queries)
+        q32 = np.ldexp(queries, -scr.exp).astype(np.float32)
+        score = (np.float32(-2.0) * q32) @ scr.x.T + scr.norms
         gamma = (d + 11) * U32 / (1 - (d + 11) * U32)
-        for q, srow in zip(np.ldexp(queries, -exp), score):
-            for x, s in zip(np.ldexp(rows, -exp), srow):
+        for q, srow in zip(np.ldexp(queries, -scr.exp), score):
+            for x, s in zip(np.ldexp(rows, -scr.exp), srow):
                 exact = sum(Fraction(v) * Fraction(v) - 2 * Fraction(v) * Fraction(w)
                             for v, w in zip(x, q))
                 r = np.linalg.norm(x) + np.linalg.norm(q)

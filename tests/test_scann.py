@@ -1,6 +1,8 @@
 """ScaNN-side substrate tests: anisotropic PQ, HNSW, IVF (a K-means
 partition searched exactly inside its candidate sets), pipelines, and the
 block search against the per-query loop it replaced."""
+from functools import reduce
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -404,18 +406,23 @@ class TestPipelines:
         assert speedup_at_recall(fast, slow, 0.9) == pytest.approx(0.4)
 
 
+def left_to_right(terms):
+    """``terms[0] + terms[1] + ...``, added in that order."""
+    return reduce(np.add, terms)
+
+
 def oracle_search(pq, query, k, subset, rerank):
     """One query as the per-query loop searched it: a lookup table per
-    subspace, the ADC distances of the rows ``subset`` (every row when
-    None), an argpartition shortlist of the max(rerank, k) nearest, then
-    exact top-k inside it by ``np.linalg.norm``, argpartition and a stable
-    argsort."""
+    subspace, its coordinates' squared differences added left to right, the
+    ADC distances of the rows ``subset`` (every row when None), an
+    argpartition shortlist of the max(rerank, k) nearest, then exact top-k
+    inside it by ``np.linalg.norm``, argpartition and a stable argsort."""
     ids = np.arange(len(pq.codes)) if subset is None else np.asarray(subset)
     if len(ids) == 0:
         return np.empty(0, dtype=np.int64)
     approx = np.zeros(len(ids))
     for s, (lo, hi) in enumerate(pq._bounds):
-        table = ((pq.codebooks[s] - query[lo:hi]) ** 2).sum(axis=1)
+        table = left_to_right(((pq.codebooks[s] - query[lo:hi]) ** 2).T)
         approx += table[pq.codes[ids, s]]
     r = min(max(rerank, k), len(ids))
     short = ids[np.argpartition(approx, r - 1)[:r]] if r < len(ids) else ids
@@ -535,35 +542,44 @@ class TestBlockSearch:
 
 
 class TestLookupTables:
-    """The block's lookup tables, built in one broadcast per subspace width
-    and summed by ``_plane_sum``, equal numpy's own per-subspace ``.sum``
-    bit for bit: below 8 coordinates, in the 8-lane range with and without
-    a tail, and past 128, where the halves are summed apart (twice over at
-    300)."""
+    """The block's lookup tables, built in one broadcast per subspace width,
+    add each subspace's coordinates left to right, bit for bit: at every
+    width below 8, where numpy's ``.sum`` adds left to right too, from 8 on,
+    where it adds in eight lanes, and past 128, where it sums halves apart.
+
+    Layouts: "equal" has four subspaces of one width, "interleaved" widths
+    w, w + 1, w, w + 1 and "one-wider" w, w, w, w + 1. Each runs a 5-query
+    block against 16 centres and, suffixed "1x1", one query against one
+    centre. One-wider's last width holds one subspace, and its (w + 1, 1, b,
+    n_centers) block is where ``.sum(axis=0)`` stops adding left to right.
+    The reference is a left-to-right ``np.add`` fold."""
 
     @pytest.mark.parametrize("width", list(range(1, 21)) + [130, 300])
-    @pytest.mark.parametrize("extra", [0, 2], ids=["equal", "interleaved"])
-    def test_tables_equal_numpy_sum(self, width, extra):
-        d = 4 * width + extra   # extra = 2: widths width, width + 1, width, width + 1
+    @pytest.mark.parametrize("extra,n_centers,n_q", [
+        (0, 16, 5), (2, 16, 5), (1, 16, 5), (0, 1, 1), (2, 1, 1), (1, 1, 1),
+    ], ids=["equal", "interleaved", "one-wider", "equal-1x1", "interleaved-1x1",
+            "one-wider-1x1"])
+    def test_tables_equal_numpy_sum(self, width, extra, n_centers, n_q):
+        d = 4 * width + extra
         rng = np.random.default_rng(width)
         scale = np.exp(rng.normal(0.0, 2.0, size=d))   # coordinates of unequal size
-        x, q = rng.normal(size=(60, d)) * scale, rng.normal(size=(5, d)) * scale
-        pq = AnisotropicPQ(4, 16, n_iter=1, seed=width).fit(x)
+        x, q = rng.normal(size=(60, d)) * scale, rng.normal(size=(n_q, d)) * scale
+        pq = AnisotropicPQ(4, n_centers, n_iter=1, seed=width).fit(x)
         assert len({hi - lo for lo, hi in pq._bounds}) == 1 + (extra > 0)
-        want = np.stack([((cb - q[:, None, lo:hi]) ** 2).sum(axis=-1)
+        want = np.stack([left_to_right(np.moveaxis((cb - q[:, None, lo:hi]) ** 2, -1, 0))
                          for cb, (lo, hi) in zip(pq.codebooks, pq._bounds)])
         np.testing.assert_array_equal(pq._tables(q), want)
         adc = np.zeros(len(x))
-        for s, table in enumerate(want[:, 2]):
+        for s, table in enumerate(want[:, -1]):
             adc += table[pq.codes[:, s]]
-        np.testing.assert_array_equal(pq.adc_distances(q[2]), adc)
+        np.testing.assert_array_equal(pq.adc_distances(q[-1]), adc)
 
     def test_hierarchy_pipeline_matches_oracle(self):
         """perfbench's hier64 shape at test scale: d = 32 (subspaces 8 wide),
         an 8×8 hierarchy, AnisotropicPQ(4, 64), 16-query blocks, 4 probes,
-        re-rank 160, whose ADC values tie heavily inside a leaf. A table
-        summed in another order can still give these answers, so the test
-        above is what pins the order."""
+        re-rank 160, whose ADC values tie heavily inside a leaf. Tables
+        summed in numpy's pairwise order gave these answers too, so the test
+        above is what pins the left-to-right order."""
         x, q = sift_lite(n=3000, d=32, n_queries=64, n_components=60, seed=8)
         h = HierarchicalPartitioner(
             [8, 8], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=2), seed=0).fit(x)
