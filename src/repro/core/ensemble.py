@@ -5,7 +5,7 @@ multiplied by the number of its k' neighbors that model j separated from it
 (Eq. 14's weight update), so later models specialize on "difficult" points.
 At query time every model scores the query; the candidate set of the model
 with the highest confidence (max bin probability) is used (Algorithm 4).
-Each member is a tree (a flat USP model is a one-depth stump), so the
+Each member is a tree (a flat USP model is a one-depth tree), so the
 ensemble is a forest: one :func:`~repro.index.tree.leaf_probs` call over
 the members' roots scores every member one depth at a time, from a plan
 cached until a refit replaces a member's root. Each query's probe scores
@@ -13,8 +13,6 @@ are then one selection out of the (members, n_q, n_bins) scores, whichever
 member serves it.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -154,16 +152,16 @@ def train_ensemble(
 ) -> EnsemblePartitioner:
     """Algorithm 3: sequentially train ``e`` USP models with boosted weights,
     on ``knn_idx`` when given (e.g. the Spark build's) and on
-    ``knn_matrix_numpy(x, k_prime)`` otherwise."""
+    ``knn_matrix_numpy(x, k_prime)`` otherwise. Member ``j`` trains with
+    seed ``seed + 1000·j``. ValueError when ``e < 1``."""
+    if e < 1:
+        raise ValueError(f"e={e}: an ensemble needs at least one model")
     x = check_data(x)
     knn_idx = knn_matrix_numpy(x, k_prime) if knn_idx is None else check_knn(knn_idx, len(x))
     weights = np.ones(len(x))
-    base = cfg or TrainConfig(m=m)
     models = []
     for j in range(e):
-        p = UnsupervisedSpacePartitioner(
-            m, k_prime=k_prime, cfg=replace(base, seed=seed + 1000 * j), seed=seed + 1000 * j,
-        )
+        p = UnsupervisedSpacePartitioner(m, k_prime=k_prime, cfg=cfg, seed=seed + 1000 * j)
         p.fit(x, knn_idx=knn_idx, weights=weights)
         models.append(p)
         if j + 1 < e:

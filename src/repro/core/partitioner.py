@@ -1,43 +1,20 @@
-"""USP index wrapper: fit (Algorithm 1), assign, multiprobe ranking
-(Algorithm 2) through the one leaf scorer of :mod:`repro.index.tree`.
-"""
+"""A flat USP index (Algorithms 1–2): the one-level case of the hierarchy's fit."""
 from __future__ import annotations
 
 from dataclasses import replace
 
 import numpy as np
 
-from repro.core.train import TrainConfig, train_usp_model
-from repro.index import tree
-from repro.index.base import check_data, check_knn
-from repro.knn.exact import knn_matrix_numpy
-from repro.nn.model import MLP, logistic_regression, mlp_partitioner
+from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.train import TrainConfig
+from repro.index.base import probe_order
 
 
-def check_arch(arch: str) -> None:
-    """ValueError unless ``arch`` is "mlp" or "logreg"."""
-    if arch not in ("mlp", "logreg"):
-        raise ValueError(f"unknown arch {arch!r}")
-
-
-def build_model(arch: str, d: int, m: int, *, seed: int = 0) -> MLP:
-    """A fresh, untrained ``arch`` model ("mlp" or "logreg") from d inputs to m bins."""
-    check_arch(arch)
-    if arch == "logreg":
-        return logistic_regression(d, m, seed=seed)
-    return mlp_partitioner(d, m, seed=seed)
-
-
-class UnsupervisedSpacePartitioner(tree.TreeIndex):
-    """The paper's contribution as a fit/assign/probe index.
-
-    ``fit`` builds the k'-NN matrix (or takes a given one, such as
-    :func:`repro.spark.knn_matrix_spark_collect`'s), trains the paper's MLP
-    (:func:`~repro.nn.model.mlp_partitioner`) with the USP loss, and
-    materializes the partition of X (Algorithm 1 Steps 1–3). A given ``cfg``
-    is copied with ``m`` set, never changed. ``root`` is the trained model's
-    stump.
-    """
+class UnsupervisedSpacePartitioner(HierarchicalPartitioner):
+    """One USP model, the paper's MLP, routing to ``m`` leaf bins: the
+    hierarchy ``[m]`` that splits any node. A given ``cfg`` is copied with
+    ``m`` set, never changed; the copy trains with ``seed`` and keeps the
+    history. ``model`` is the trained model."""
 
     def __init__(
         self,
@@ -47,32 +24,19 @@ class UnsupervisedSpacePartitioner(tree.TreeIndex):
         cfg: TrainConfig | None = None,
         seed: int = 0,
     ):
-        self.n_bins = m
-        self.k_prime = k_prime
-        self.cfg = replace(cfg, m=m) if cfg else TrainConfig(m=m, seed=seed)
-        self.seed = seed
-        self.model: MLP | None = None
+        self.cfg = replace(cfg, m=m) if cfg else TrainConfig(m=m)
+        super().__init__([m], k_prime=k_prime, min_split=0, seed=seed)
 
-    # -- offline phase -----------------------------------------------------
-    def fit(
-        self,
-        x: np.ndarray,
-        *,
-        knn_idx: np.ndarray | None = None,
-        weights: np.ndarray | None = None,
-    ) -> "UnsupervisedSpacePartitioner":
-        x = check_data(x)
-        self.model = mlp_partitioner(x.shape[1], self.n_bins, seed=self.seed)
-        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
-                   else check_knn(knn_idx, len(x)))
-        train_usp_model(self.model, x, knn_idx, self.cfg, weights)
-        self.root = tree.stump(self.model, self.n_bins, x.shape[1])
-        self._data_bins = self.model.predict_bin(x)
-        return self
+    def _node_cfg(self, level: int, m: int, n: int) -> TrainConfig:
+        self.cfg.seed = self.seed
+        return self.cfg
 
-    # -- online phase ------------------------------------------------------
-    # Defined on this class itself: perfbench's tracer wraps it here.
+    @property
+    def model(self):
+        return None if self.root is None else self.root.model
+
+    # Defined on this class itself: perfbench's tracer wraps it here. It does
+    # not chain to the hierarchy's, which is wrapped too, so one call is one span.
     def probe_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bins ranked by assigned probability, most probable first (Alg. 2)."""
-        return super().probe_matrix(queries)
-
+        return probe_order(self.probe_scores(queries))

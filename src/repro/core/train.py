@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.loss import neighbor_bin_distribution, usp_loss_and_grad
+from repro.index.base import check_weights
 from repro.nn.model import MLP
 from repro.nn.optim import Adam
 
@@ -134,19 +135,14 @@ def train_usp_model(
     ``knn_idx`` is the (n, k') k'-NN matrix of indices into ``x``;
     ``weights`` are the ensembling per-point weights (Eq. 14). ValueError
     when there are fewer than max(2, m) points (every batch would be skipped
-    and the model left untrained), or when ``weights`` is not None and not
-    n finite, non-negative values with a positive sum (zeros are allowed:
-    :func:`repro.core.ensemble.update_weights` makes them).
+    and the model left untrained), or when ``weights`` is not None and fails
+    :func:`~repro.index.base.check_weights`.
     """
     n = len(x)
     if n < max(2, cfg.m):
         raise ValueError(f"{n} points cannot train a partition into m={cfg.m} bins")
     if weights is not None:
-        weights = np.asarray(weights)
-        if not (weights.shape == (n,) and np.isfinite(weights).all()
-                and (weights >= 0).all() and weights.sum() > 0):
-            raise ValueError(f"weights must be {n} finite, non-negative values with a "
-                             "positive sum")
+        weights = check_weights(weights, n)
     rng = np.random.default_rng(cfg.seed)
     opt = Adam(model.params(), lr=LR)
     batch = int(min(n, max(MIN_BATCH, round(n * BATCH_FRAC))))

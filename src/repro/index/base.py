@@ -77,6 +77,16 @@ def check_knn(knn: np.ndarray, n: int) -> np.ndarray:
     return knn
 
 
+def check_weights(w: np.ndarray, n: int) -> np.ndarray:
+    """Per-point weights (Eq. 14); ValueError unless n finite, non-negative
+    values with a positive sum (zeros allowed: ``update_weights`` makes them)."""
+    w = np.asarray(w)
+    if not (w.shape == (n,) and np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+        raise ValueError(f"weights must be {n} finite, non-negative values with a "
+                         "positive sum")
+    return w
+
+
 def bin_ranks(order: np.ndarray) -> np.ndarray:
     """Inverse of a probe matrix along its last axis: ``ranks[..., i, b]`` is
     the position of bin ``b`` in row ``i`` of ``order``."""

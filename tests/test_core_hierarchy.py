@@ -3,8 +3,11 @@ and the logreg binary-tree configuration used for Fig. 6."""
 import numpy as np
 import pytest
 
+from repro.core import hierarchy
 from repro.core.hierarchy import HierarchicalPartitioner
+from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
+from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
 
 
@@ -111,3 +114,67 @@ class TestBinaryLogregTree:
         ).fit(data)
         curve = sweep_accuracy(h, data, queries, gt, probe_counts=[h.n_bins])
         assert curve["accuracy"].iloc[0] == 1.0  # all bins probed → exact
+
+
+def _tree(levels=(4, 4), seed=0, min_split=40):
+    return HierarchicalPartitioner(
+        list(levels), cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=3),
+        min_split=min_split, seed=seed)
+
+
+def _assert_same_index(a, b, queries):
+    np.testing.assert_array_equal(a.data_bins(), b.data_bins())
+    np.testing.assert_array_equal(a.leaf_probs(queries), b.leaf_probs(queries))
+
+
+class TestOneFit:
+    """Flat models, given k'-NN matrices and Algorithm 3's weights all go
+    through the hierarchy's one fit."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return sift_lite(n=600, d=8, n_queries=30, n_components=8, seed=25)
+
+    def test_flat_is_one_level_hierarchy(self, data):
+        """A flat USP is the hierarchy ``[m]`` that splits any node, whose
+        root seed is the flat model's seed."""
+        x, queries = data
+        cfg = TrainConfig(m=4, eta=5.0, epochs=3)
+        flat = UnsupervisedSpacePartitioner(4, cfg=cfg, seed=3).fit(x)
+        # A hierarchy seeds its root with seed + 31·n mod 104729.
+        tree = HierarchicalPartitioner([4], cfg_factory=lambda level, m: TrainConfig(
+            m=m, eta=5.0, epochs=3), min_split=0, seed=3 - 31 * len(x) % 104729).fit(x)
+        assert flat.n_bins == tree.n_bins == 4
+        _assert_same_index(flat, tree, queries)
+
+    def test_given_knn_is_the_roots(self, data, monkeypatch):
+        """A given k'-NN matrix replaces the root's build, and nothing else."""
+        x, queries = data
+        built = _tree().fit(x)
+        rows = []
+        monkeypatch.setattr(hierarchy, "knn_matrix_numpy",
+                            lambda sub, k: rows.append(len(sub)) or knn_matrix_numpy(sub, k))
+        given = _tree().fit(x, knn_idx=knn_matrix_numpy(x, 10))
+        assert rows and len(x) not in rows
+        _assert_same_index(built, given, queries)
+
+    def test_unit_weights_are_no_weights(self, data):
+        x, queries = data
+        _assert_same_index(_tree().fit(x), _tree().fit(x, weights=np.ones(len(x))), queries)
+
+    def test_every_node_trains_on_its_points_weights(self, data, monkeypatch):
+        x, _ = data
+        w = np.random.default_rng(0).uniform(0.5, 2.0, size=len(x))
+        row_id = {row.tobytes(): i for i, row in enumerate(x)}
+        calls = []
+
+        def spy(model, sub, knn, cfg, weights=None):
+            idx = np.array([row_id[row.tobytes()] for row in sub])
+            calls.append(np.array_equal(weights, w[idx]))
+            return train(model, sub, knn, cfg, weights)
+
+        train = hierarchy.train_usp_model
+        monkeypatch.setattr(hierarchy, "train_usp_model", spy)
+        h = _tree().fit(x, weights=w)
+        internal = 1 + sum(len(c.children) > 0 for c in h.root.children)
+        assert len(calls) == internal > 1 and all(calls)

@@ -4,7 +4,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.partitioner import UnsupervisedSpacePartitioner, build_model
+from repro.core.hierarchy import build_model
+from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.nn.model import EVAL_ROWS
 from repro.spark import assign_bins_spark, vectors_df

@@ -5,7 +5,8 @@ k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
 k outside [1, n]. A bad architecture fails before any k'-NN work. A query
 on an index that was never fitted fails with one RuntimeError, "index not
 fitted". Per-point weights that are not n finite, non-negative values
-with a positive sum fail in the one training loop every USP fit runs."""
+with a positive sum fail before any k'-NN build, as does an ensemble of
+fewer than one model."""
 import numpy as np
 import pytest
 
@@ -31,15 +32,15 @@ FITS = {
     "usp": lambda x, **kw: UnsupervisedSpacePartitioner(4, cfg=CFG).fit(x, **kw),
     "ensemble": lambda x, **kw: train_ensemble(x, m=4, e=2, cfg=CFG, **kw),
     "neural-lsh": lambda x, **kw: NeuralLSHPartitioner(4, hidden=8, epochs=1).fit(x, **kw),
-    "hierarchy": lambda x: HierarchicalPartitioner(
-        [2, 2], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x),
+    "hierarchy": lambda x, **kw: HierarchicalPartitioner(
+        [2, 2], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x, **kw),
     "kmeans": lambda x: KMeansPartitioner(4).fit(x),
     "cp-lsh": lambda x: CrossPolytopeLSH(4).fit(x),
     "regression-lsh": lambda x: RegressionLSHTree(2, epochs=1).fit(x),
     "bsf": lambda x: BoostedSearchForest(2, n_trees=2).fit(x),
     **{f"tree-{r}": (lambda x, r=r: BinaryPartitionTree(r, 2).fit(x)) for r in sorted(SPLIT_RULES)},
 }
-KNN_FITS = ["usp", "ensemble", "neural-lsh"]
+KNN_FITS = ["usp", "ensemble", "neural-lsh", "hierarchy"]
 
 # name -> a new, unfitted index, for every index type that fits itself
 UNFITTED = {
@@ -102,9 +103,21 @@ def bad_weights(n):
 
 
 @pytest.mark.parametrize("bad", ["n-1", "n+5", "nan", "inf", "negative", "all-zero"])
-def test_fit_rejects_bad_weights(bad, data):
-    with pytest.raises(ValueError, match="weights must be"):
-        FITS["usp"](data, weights=bad_weights(len(data))[bad])
+def test_fit_rejects_bad_weights(bad, data, monkeypatch):
+    """Bad weights fail in the flat and the hierarchical fit before any
+    k'-NN build."""
+    monkeypatch.setattr("repro.core.hierarchy.knn_matrix_numpy", _no_knn_build)
+    for name in ("usp", "hierarchy"):
+        with pytest.raises(ValueError, match="weights must be"):
+            FITS[name](data, weights=bad_weights(len(data))[bad])
+
+
+@pytest.mark.parametrize("e", [0, -1])
+def test_ensemble_rejects_no_members(e, data, monkeypatch):
+    """An ensemble of no models fails before its k'-NN build."""
+    monkeypatch.setattr("repro.core.ensemble.knn_matrix_numpy", _no_knn_build)
+    with pytest.raises(ValueError, match="at least one model"):
+        train_ensemble(data, m=4, e=e, cfg=CFG)
 
 
 def test_ensemble_rejects_bad_updated_weights(data, monkeypatch):

@@ -33,3 +33,17 @@ def test_install_and_uninstall_restore_every_attribute(spans):
     for owner, attr, orig in patches:
         assert vars(owner)[attr] is orig, (owner, attr)
     assert not tracer._patches
+
+
+def test_one_probe_span_per_probe_matrix_call(spans, small_indexes, small_data):
+    """A flat USP inherits the hierarchy's wrapped ``probe_matrix``, so its
+    own must not chain to it: one call records one ``core.probe`` span."""
+    tracer, q = spans.Tracer(), small_data[1][:3]
+    try:
+        spans.install_repro_spans(tracer)
+        for name in ("usp", "hierarchy"):
+            tracer.spans.clear()
+            small_indexes[name].probe_matrix(q)
+            assert [s[0] for s in tracer.spans].count("core.probe") == 1, name
+    finally:
+        tracer.uninstall()
