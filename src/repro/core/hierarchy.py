@@ -35,7 +35,9 @@ def build_model(arch: str, d: int, m: int, *, seed: int = 0) -> MLP:
 
 class HierarchicalPartitioner(tree.TreeIndex):
     """Tree of USP models; leaves are the final bins. A node of fewer than
-    ``min_split`` points, or below the last level, is a leaf."""
+    ``min_split`` points, or below the last level, is a leaf; so is a node
+    below the root of fewer than max(2, m) points, too few to train its m
+    bins (the root raises)."""
 
     def __init__(
         self,
@@ -81,6 +83,8 @@ class HierarchicalPartitioner(tree.TreeIndex):
             if level >= len(self.levels) or len(idx) < self.min_split:
                 return None
             m = self.levels[level]
+            if level and len(idx) < max(2, m):
+                return None  # too few points to train m bins; the root raises instead
             sub = x[idx]
             knn = (knn_idx if level == 0 and knn_idx is not None
                    else knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1)))

@@ -71,23 +71,38 @@ class MLP:
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         """(n, m) logits of the rows of ``x`` by a stack of one: the
         train-mode pass, which keeps what :meth:`backward` needs, or with
-        ``train=False`` the eval forward."""
+        ``train=False`` the eval forward.
+
+        Each hidden block makes two (n, width) buffers and the masks. The
+        gemm's output is centred in place, d = z − mu with mu = sum/n, and
+        the batch variance is the mean of d·d, numpy's own ``var`` sequence;
+        it then becomes x̂ = d/std, also in place. The product buffer takes
+        γx̂ + β, then ReLU's and Dropout's masks in place, and is the next
+        layer's input."""
         if not train:
             return self.logits(x)[0]
         self._affine, cache = None, []
         for i, (W, b, gamma, beta) in enumerate(zip(self.W, self.b, self.gamma, self.beta)):
-            z = np.matmul(x, W)
-            z += b
-            mu, var = z.mean(axis=1, keepdims=True), z.var(axis=1, keepdims=True)
+            xhat = np.matmul(x, W)
+            xhat += b
+            mu = xhat.mean(axis=1, keepdims=True)
+            xhat -= mu
+            y = np.multiply(xhat, xhat)
+            var = y.mean(axis=1, keepdims=True)
             self.mean[i] = self.momentum * self.mean[i] + (1 - self.momentum) * mu
             self.var[i] = self.momentum * self.var[i] + (1 - self.momentum) * var
             std = np.sqrt(var + self.eps)
-            xhat = (z - mu) / std
-            z = gamma * xhat + beta
-            relu, p = z > 0, self.dropout
-            drop = (self.rng.random(z.shape) >= p) / (1.0 - p) if p else 1.0
+            xhat /= std
+            np.multiply(gamma, xhat, out=y)
+            y += beta
+            relu, drop = y > 0, None
+            y *= relu
+            if self.dropout:
+                drop = self.rng.random(y.shape)
+                np.divide(drop >= self.dropout, 1.0 - self.dropout, out=drop)
+                y *= drop
             cache.append((x, xhat, std, relu, drop))
-            x = z * relu * drop
+            x = y
         self._cache = cache + [x]
         z = np.matmul(x, self.W[-1])
         z += self.b[-1]
@@ -96,18 +111,31 @@ class MLP:
     def backward(self, g: np.ndarray) -> list[np.ndarray]:
         """Gradients of :meth:`params` for the (n, m) logit gradient ``g`` of
         the last train forward, in :meth:`params` order. Releases that
-        forward's activations, so a trained model holds none."""
+        forward's activations, so a trained model holds none.
+
+        Through each hidden block the gradient is one buffer, masked,
+        scaled and normalised in place, and one product buffer holds
+        g·x̂, then x̂ times the mean of g·x̂: the operations and their order
+        are those of the textbook expressions."""
         *blocks, x = self._cache
         self._cache = None
         g = g[None]
         grads = [np.matmul(x.swapaxes(-1, -2), g), g.sum(axis=1, keepdims=True)]
         for i in reversed(range(len(blocks))):
             x, xhat, std, relu, drop = blocks[i]
-            g = np.matmul(g, self.W[i + 1].swapaxes(-1, -2)) * drop * relu
-            grads[:0] = [(g * xhat).sum(axis=1, keepdims=True), g.sum(axis=1, keepdims=True)]
-            g = g * self.gamma[i]
-            g = (g - g.mean(axis=1, keepdims=True)
-                 - xhat * (g * xhat).mean(axis=1, keepdims=True)) / std
+            g = np.matmul(g, self.W[i + 1].swapaxes(-1, -2))
+            if drop is not None:
+                g *= drop
+            g *= relu
+            prod = np.multiply(g, xhat)
+            grads[:0] = [prod.sum(axis=1, keepdims=True), g.sum(axis=1, keepdims=True)]
+            g *= self.gamma[i]
+            g_mean = g.mean(axis=1, keepdims=True)
+            np.multiply(g, xhat, out=prod)
+            np.multiply(xhat, prod.mean(axis=1, keepdims=True), out=prod)
+            g -= g_mean
+            g -= prod
+            g /= std
             grads[:0] = [np.matmul(x.swapaxes(-1, -2), g), g.sum(axis=1, keepdims=True)]
         return grads
 

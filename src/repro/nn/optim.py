@@ -6,7 +6,12 @@ import numpy as np
 
 class Adam:
     """Adam (Kingma & Ba) with bias correction, at PyTorch's default betas
-    and eps. Updates the arrays of ``params`` in place."""
+    and eps. Updates the arrays of ``params`` in place.
+
+    The moments are updated in place too, and each parameter's step is
+    built in two scratch arrays: the same operations in the same order as
+    ``m = B1·m + (1 − B1)·g``, ``v = B2·v + (1 − B2)·g²`` and
+    ``p −= lr·m̂ / (√v̂ + eps)``."""
 
     B1, B2, EPS = 0.9, 0.999, 1e-8
 
@@ -20,9 +25,19 @@ class Adam:
     def step(self, grads: list[np.ndarray]) -> None:
         """One update from ``grads``, one gradient per parameter, in order."""
         self.t += 1
-        for i, (p, g) in enumerate(zip(self.params, grads, strict=True)):
-            self.m[i] = self.B1 * self.m[i] + (1 - self.B1) * g
-            self.v[i] = self.B2 * self.v[i] + (1 - self.B2) * g**2
-            mhat = self.m[i] / (1 - self.B1**self.t)
-            vhat = self.v[i] / (1 - self.B2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+        c1, c2 = 1 - self.B1**self.t, 1 - self.B2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v, strict=True):
+            delta = np.multiply(g, 1 - self.B1)
+            m *= self.B1
+            m += delta
+            np.multiply(g, g, out=delta)
+            delta *= 1 - self.B2
+            v *= self.B2
+            v += delta
+            den = np.divide(v, c2)
+            np.sqrt(den, out=den)
+            den += self.EPS
+            np.divide(m, c1, out=delta)
+            delta *= self.lr
+            delta /= den
+            p -= delta

@@ -39,6 +39,14 @@ from repro.knn.exact import sqdist
 # re-rank). A single query with more candidates runs as a piece of its own.
 ROW_BUDGET = 16384
 
+# Loss entries per row block of ``AnisotropicPQ._aniso_assign``: at 64
+# centres a block is 1,024 rows, with 512 KB loss and projection buffers.
+# A 6000-row assignment of 8-wide subvectors ran fastest at 32,768–65,536
+# entries (one BLAS thread). Smaller blocks pay numpy's per-call overhead;
+# one block of all 6000 rows, with two 3 MB temporaries, took about twice
+# as long.
+ASSIGN_ENTRIES = 65536
+
 
 class AnisotropicPQ:
     """Product quantizer with the anisotropic (score-aware) loss."""
@@ -77,39 +85,54 @@ class AnisotropicPQ:
     def _aniso_assign(
         self, xs: np.ndarray, cb: np.ndarray, norms: np.ndarray, xhat: np.ndarray
     ) -> np.ndarray:
-        """Assign each subvector to the codeword minimizing ℓ(x, c).
+        """Assign each subvector to the codeword minimizing ℓ(x, c), as uint8
+        codes.
 
         ``norms`` = ‖x‖ + 1e-12 and ``xhat`` = x/``norms`` are fixed for a
-        subspace, so ``fit`` computes them once. The loss is built in the
-        buffers the two products return: ``sqdist``, clamped at 0, for ‖r‖²."""
-        # ℓ = h⊥‖r‖² + (h∥−h⊥)⟨r, x̂⟩², r = x − c, x̂ = x/‖x‖.
-        loss = sqdist(xs, cb)                           # (n, k)
-        np.maximum(loss, 0.0, out=loss)
-        loss *= self.h_perp
-        # r‖ component: ⟨x − c, x̂⟩ = ‖x‖ − ⟨c, x̂⟩
-        proj = xhat @ cb.T
-        np.subtract(norms, proj, out=proj)
-        np.square(proj, out=proj)
-        proj *= self.h_par - self.h_perp
-        loss += proj
-        return loss.argmin(axis=1)
+        subspace, so ``fit`` computes them once. The rows run in blocks of
+        about ``ASSIGN_ENTRIES`` loss entries; the last block takes the rest,
+        and is never one row, whose product numpy would run as a gemv. Each
+        block's loss is built in the buffers its two products return:
+        ``sqdist``, clamped at 0, for ‖r‖²."""
+        n = len(xs)
+        rows = max(2, ASSIGN_ENTRIES // len(cb))
+        codes = np.empty(n, dtype=np.uint8)
+        lo = 0
+        while lo < n:
+            hi = n if n - lo <= rows + 1 else lo + rows
+            # ℓ = h⊥‖r‖² + (h∥−h⊥)⟨r, x̂⟩², r = x − c, x̂ = x/‖x‖.
+            loss = sqdist(xs[lo:hi], cb)                    # (rows, k)
+            np.maximum(loss, 0.0, out=loss)
+            loss *= self.h_perp
+            # r‖ component: ⟨x − c, x̂⟩ = ‖x‖ − ⟨c, x̂⟩
+            proj = xhat[lo:hi] @ cb.T
+            np.subtract(norms[lo:hi], proj, out=proj)
+            np.square(proj, out=proj)
+            proj *= self.h_par - self.h_perp
+            loss += proj
+            codes[lo:hi] = loss.argmin(axis=1)
+            lo = hi
+        return codes
 
-    def _update_centers(self, xs: np.ndarray, assign: np.ndarray, cb: np.ndarray) -> np.ndarray:
-        """Exact minimizer c* = (Σ M_x)⁻¹ Σ M_x x per cluster; an empty
-        cluster keeps its centre.
+    def _update_centers(
+        self, xs: np.ndarray, scaled: np.ndarray, codes: np.ndarray, cb: np.ndarray
+    ) -> np.ndarray:
+        """Exact minimizer c* = (Σ M_x)⁻¹ Σ M_x x per cluster of the uint8
+        ``codes``; an empty cluster keeps its centre. ``scaled`` holds the
+        rows x/‖x‖², fixed for a subspace, so ``fit`` computes them once.
 
-        A stable argsort groups the rows once, so each cluster is a
-        contiguous slice in its original row order and its Σ x xᵀ/‖x‖²
-        product and Σ x are the same operations on the same operands as
-        with a boolean mask per cluster. The nonempty clusters' systems are
+        A stable argsort groups the rows once (a radix sort on uint8 codes),
+        so each cluster is a contiguous slice in its original row order, and
+        ``xs`` and ``scaled`` are gathered by it: each Σ x xᵀ/‖x‖² product
+        and Σ x are the same operations on the same operands as with a
+        boolean mask per cluster. The nonempty clusters' systems are
         solved in one stacked call. Each is positive definite, as h∥, h⊥ > 0:
         for a unit v and t = ⟨v, x̂⟩² ∈ [0, 1], vᵀM_x v = (1−t)h⊥ + t·h∥, so
         vᵀ(Σ M_x)v ≥ n·min(h∥, h⊥) > 0 over a cluster of n rows."""
         d = xs.shape[1]
-        order = np.argsort(assign, kind="stable")
-        pts = xs[order]
-        scaled = pts / ((pts**2).sum(axis=1) + 1e-12)[:, None]   # x/‖x‖²
-        counts = np.bincount(assign, minlength=len(cb))
+        order = np.argsort(codes, kind="stable")
+        pts, scaled = xs[order], scaled[order]
+        counts = np.bincount(codes, minlength=len(cb))
         full = np.flatnonzero(counts)
         ends = np.cumsum(counts)[full]
         outer = np.empty((len(full), d, d))
@@ -141,11 +164,12 @@ class AnisotropicPQ:
             xs = x[:, lo:hi]
             norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
             xhat = xs / norms
+            scaled = xs / ((xs**2).sum(axis=1) + 1e-12)[:, None]   # x/‖x‖²
             k = min(self.n_centers, n)
             cb = xs[rng.choice(n, size=k, replace=False)]
             assign = self._aniso_assign(xs, cb, norms, xhat)
             for _ in range(self.n_iter):
-                cb = self._update_centers(xs, assign, cb)
+                cb = self._update_centers(xs, scaled, assign, cb)
                 new_assign = self._aniso_assign(xs, cb, norms, xhat)
                 if (new_assign == assign).all():
                     assign = new_assign

@@ -7,7 +7,8 @@ from repro.core import hierarchy
 from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
-from repro.knn.exact import knn_matrix_numpy
+from repro.index.search import topk_within
+from repro.knn.exact import knn_matrix_numpy, topk_neighbors
 from repro.synth_data import sift_lite
 
 
@@ -81,6 +82,25 @@ class TestBinaryLogregTree:
         h = HierarchicalPartitioner([4], k_prime=5, min_split=64).fit(data)
         assert h.n_bins == 1
         assert (h.data_bins() == 0).all()
+
+    def test_small_nodes_become_leaves(self):
+        """Below the root, a node of fewer than max(2, m) points is a leaf even
+        when ``min_split`` would split it, so an empty or one-point child does
+        not fail mid-fit. The leaves cover every point once, and probing
+        every bin is exact k-NN."""
+        rng = np.random.default_rng(0)
+        x, queries = rng.normal(size=(60, 4)), rng.normal(size=(12, 4))
+        h = HierarchicalPartitioner([8, 8], min_split=0, seed=0).fit(x)
+        assert any(child.leaf_id is not None for child in h.root.children)
+        assert np.array_equal(np.sort(np.concatenate(h.bin_members())), np.arange(len(x)))
+        truth = topk_neighbors(queries, x, 5)[0]
+        for q, c, want in zip(queries, h.candidate_ids(queries, h.n_bins), truth):
+            assert np.array_equal(topk_within(q, x, c, 5), want)
+
+    def test_root_of_too_few_points_raises(self):
+        x = np.random.default_rng(1).normal(size=(5, 4))
+        with pytest.raises(ValueError, match="cannot train"):
+            HierarchicalPartitioner([8, 8], k_prime=3, min_split=0).fit(x)
 
     def test_hierarchical_ensemble(self):
         """EnsemblePartitioner composes with hierarchical members (Fig. 5c/d

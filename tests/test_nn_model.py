@@ -1,6 +1,6 @@
 """Tests for model containers: architectures, pickle round trips, counts, and
 the eval forward and the train step against references written out layer
-by layer."""
+by layer, and the in-place train step against the out-of-place one."""
 import copy
 import pickle
 import tracemalloc
@@ -8,9 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import train
+from repro.core.loss import usp_loss_and_grad
+from repro.core.train import TrainConfig, train_usp_model
+from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import EVAL_ROWS, MLP, logistic_regression, mlp_partitioner, n_parameters
 from repro.nn.optim import Adam
+from tests.test_nn_optim import OracleAdam
 
 
 def reference_logits(model: MLP, x: np.ndarray) -> np.ndarray:
@@ -177,6 +182,106 @@ class TestTrainStep:
             assert np.array_equal(got.reshape(ref.shape), ref)
         for mean, var, (ref_mean, ref_var) in zip(model.mean, model.var, stats):
             assert np.array_equal(mean[0, 0], ref_mean) and np.array_equal(var[0, 0], ref_var)
+
+
+class OracleMLP(MLP):
+    """The train forward and backward with a new array per operation, as
+    they were written before the in-place step: the oracle they must equal
+    bit for bit."""
+
+    def forward(self, x, train=True):
+        if not train:
+            return super().forward(x, train=False)
+        self._affine, cache = None, []
+        for i, (W, b, gamma, beta) in enumerate(zip(self.W, self.b, self.gamma, self.beta)):
+            z = np.matmul(x, W)
+            z += b
+            mu, var = z.mean(axis=1, keepdims=True), z.var(axis=1, keepdims=True)
+            self.mean[i] = self.momentum * self.mean[i] + (1 - self.momentum) * mu
+            self.var[i] = self.momentum * self.var[i] + (1 - self.momentum) * var
+            std = np.sqrt(var + self.eps)
+            xhat = (z - mu) / std
+            z = gamma * xhat + beta
+            relu, p = z > 0, self.dropout
+            drop = (self.rng.random(z.shape) >= p) / (1.0 - p) if p else 1.0
+            cache.append((x, xhat, std, relu, drop))
+            x = z * relu * drop
+        self._cache = cache + [x]
+        z = np.matmul(x, self.W[-1])
+        z += self.b[-1]
+        return z[0]
+
+    def backward(self, g):
+        *blocks, x = self._cache
+        self._cache = None
+        g = g[None]
+        grads = [np.matmul(x.swapaxes(-1, -2), g), g.sum(axis=1, keepdims=True)]
+        for i in reversed(range(len(blocks))):
+            x, xhat, std, relu, drop = blocks[i]
+            g = np.matmul(g, self.W[i + 1].swapaxes(-1, -2)) * drop * relu
+            grads[:0] = [(g * xhat).sum(axis=1, keepdims=True), g.sum(axis=1, keepdims=True)]
+            g = g * self.gamma[i]
+            g = (g - g.mean(axis=1, keepdims=True)
+                 - xhat * (g * xhat).mean(axis=1, keepdims=True)) / std
+            grads[:0] = [np.matmul(x.swapaxes(-1, -2), g), g.sum(axis=1, keepdims=True)]
+        return grads
+
+
+def oracle_twin(model: MLP) -> OracleMLP:
+    """A deep copy of ``model``, its rng included, that trains as the oracle."""
+    twin = copy.deepcopy(model)
+    twin.__class__ = OracleMLP
+    return twin
+
+
+def assert_same_state(model: MLP, twin: MLP) -> None:
+    for got, want in zip(model.params() + model.mean + model.var,
+                         twin.params() + twin.mean + twin.var, strict=True):
+        assert np.array_equal(got, want)
+
+
+class TestInPlaceTrainStep:
+    """The in-place train forward, backward and Adam step equal the
+    out-of-place oracle bit for bit: logits, every gradient, every parameter
+    and the running stats, step after step."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("n_hidden", [0, 1, 2])
+    def test_steps_equal_oracle(self, n_hidden, dropout, weighted):
+        model = mlp_partitioner(9, 6, hidden=32, n_hidden=n_hidden, dropout=dropout, seed=5)
+        twin = oracle_twin(model)
+        opt, oracle = Adam(model.params(), lr=0.01), OracleAdam(twin.params(), lr=0.01)
+        rng = np.random.default_rng(6)
+        for step in range(24):
+            n = (33, 101, 257)[step % 3]
+            x = rng.normal(1.0, 2.0, size=(n, 9))
+            targets = rng.dirichlet(np.ones(6), size=n)
+            w = rng.uniform(0.2, 3.0, size=n) if weighted else None
+            logits, want = model.forward(x, train=True), twin.forward(x, train=True)
+            assert np.array_equal(logits, want)
+            grad = usp_loss_and_grad(logits, targets, 7.0, w)[2]
+            grads, ref = model.backward(grad), twin.backward(grad)
+            for got, expect in zip(grads, ref, strict=True):
+                assert np.array_equal(got, expect)
+            opt.step(grads)
+            oracle.step(ref)
+            assert_same_state(model, twin)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_training_history_equals_oracle(self, monkeypatch, weighted):
+        """A whole ``train_usp_model`` run, batches of 256 points and an
+        odd tail of 233, gives the oracle's history and model."""
+        x = np.random.default_rng(7).normal(size=(1001, 8))
+        knn = knn_matrix_numpy(x, 5)
+        w = np.random.default_rng(8).uniform(0.5, 2.0, size=len(x)) if weighted else None
+        model = mlp_partitioner(8, 8, hidden=32, seed=9)
+        twin = oracle_twin(model)
+        history = train_usp_model(model, x, knn, TrainConfig(m=8, epochs=3, seed=1), w)
+        monkeypatch.setattr(train, "Adam", OracleAdam)
+        want = train_usp_model(twin, x, knn, TrainConfig(m=8, epochs=3, seed=1), w)
+        assert history == want
+        assert_same_state(model, twin)
 
 
 class TestArchitectures:

@@ -1,9 +1,25 @@
-"""Optimizer tests: Adam minimizes a simple objective and matches its
-reference update on hand-computed steps."""
+"""Optimizer tests: Adam minimizes a simple objective, matches its
+reference update on hand-computed steps, and its in-place step equals the
+step written with a new array per operation."""
 import numpy as np
 import pytest
 
 from repro.nn.optim import Adam
+
+
+class OracleAdam(Adam):
+    """Adam's step with a new array per operation and the moments rebound,
+    as it was written before the in-place step: the oracle it must equal
+    bit for bit."""
+
+    def step(self, grads: list[np.ndarray]) -> None:
+        self.t += 1
+        for i, (p, g) in enumerate(zip(self.params, grads, strict=True)):
+            self.m[i] = self.B1 * self.m[i] + (1 - self.B1) * g
+            self.v[i] = self.B2 * self.v[i] + (1 - self.B2) * g**2
+            mhat = self.m[i] / (1 - self.B1**self.t)
+            vhat = self.v[i] / (1 - self.B2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def quadratic_steps(lr, steps):
@@ -48,3 +64,23 @@ class TestAdam:
         opt = Adam([np.zeros(2), np.zeros(3)])
         with pytest.raises(ValueError):
             opt.step([np.ones(2)])
+
+
+class TestInPlaceStep:
+    @pytest.mark.parametrize("lr", [1e-3, 0.1])
+    def test_equals_oracle(self, lr):
+        """30 steps on parameters and gradients of mixed shapes and scales,
+        zeros and sign changes included: every parameter and moment is
+        equal to the oracle's after every step."""
+        rng = np.random.default_rng(11)
+        shapes = [(1, 7, 5), (1, 1, 5), (3,), (2, 4)]
+        params = [rng.normal(size=s) for s in shapes]
+        twins = [p.copy() for p in params]
+        opt, oracle = Adam(params, lr=lr), OracleAdam(twins, lr=lr)
+        for t in range(30):
+            grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s) for s in shapes]
+            grads[t % len(grads)][..., 0] = 0.0
+            opt.step(grads)
+            oracle.step(grads)
+            for got, want in zip(params + opt.m + opt.v, twins + oracle.m + oracle.v):
+                assert np.array_equal(got, want)

@@ -61,7 +61,7 @@ class TestAnisotropicPQ:
         xs = rng.normal(size=(50, 4))
         pq = AnisotropicPQ(1, 2, h_par=1.0, h_perp=1.0, n_iter=0, seed=0)
         assign = np.r_[np.zeros(25, int), np.ones(25, int)]
-        cb = pq._update_centers(xs, assign, np.zeros((2, 4)))
+        cb = pq._update_centers(xs, inverse_sq(xs), assign, np.zeros((2, 4)))
         np.testing.assert_allclose(cb[0], xs[:25].mean(axis=0), atol=1e-9)
         np.testing.assert_allclose(cb[1], xs[25:].mean(axis=0), atol=1e-9)
 
@@ -71,7 +71,7 @@ class TestAnisotropicPQ:
         rng = np.random.default_rng(1)
         xs = rng.normal(2.0, 1.0, size=(40, 3))
         pq = AnisotropicPQ(1, 1, h_par=4.0, h_perp=1.0, n_iter=0, seed=0)
-        c = pq._update_centers(xs, np.zeros(40, int), np.zeros((1, 3)))[0]
+        c = pq._update_centers(xs, inverse_sq(xs), np.zeros(40, int), np.zeros((1, 3)))[0]
 
         def loss(cc):
             n2 = (xs**2).sum(axis=1)
@@ -223,7 +223,7 @@ class TestGroupedFitBitIdentity:
         a = np.random.default_rng(6).integers(0, 12, len(xs)) * 2   # odd ids empty
         cb = np.random.default_rng(7).normal(size=(24, 4))
         pq = AnisotropicPQ(1, 24, h_par=h_par, h_perp=1.0)
-        got = pq._update_centers(xs, a, cb)
+        got = pq._update_centers(xs, inverse_sq(xs), a, cb)
         want = cb.copy()
         norms2 = (xs**2).sum(axis=1) + 1e-12
         for j in range(0, 24, 2):
@@ -233,6 +233,125 @@ class TestGroupedFitBitIdentity:
             want[j] = np.linalg.solve(m, h_par * pts.sum(axis=0))
         assert np.array_equal(got, want)
         assert np.array_equal(got[1::2], cb[1::2])
+
+
+def inverse_sq(xs: np.ndarray) -> np.ndarray:
+    """The rows x/‖x‖² that ``_update_centers`` takes with the subvectors."""
+    return xs / ((xs**2).sum(axis=1) + 1e-12)[:, None]
+
+
+def whole_assign(pq, xs, cb, norms, xhat):
+    """The assignment as one pass over all rows: the full (n, k) loss, then
+    its argmin as int64."""
+    loss = sqdist(xs, cb)
+    np.maximum(loss, 0.0, out=loss)
+    loss *= pq.h_perp
+    proj = xhat @ cb.T
+    np.subtract(norms, proj, out=proj)
+    np.square(proj, out=proj)
+    proj *= pq.h_par - pq.h_perp
+    loss += proj
+    return loss.argmin(axis=1)
+
+
+def regathered_update(pq, xs, assign, cb):
+    """The centre update that gathers the rows by a stable argsort of int64
+    codes and computes x/‖x‖² from the gathered rows on every call."""
+    d = xs.shape[1]
+    order = np.argsort(assign, kind="stable")
+    pts = xs[order]
+    scaled = pts / ((pts**2).sum(axis=1) + 1e-12)[:, None]
+    counts = np.bincount(assign, minlength=len(cb))
+    full = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[full]
+    outer = np.empty((len(full), d, d))
+    sums = np.empty((len(full), d))
+    for i, (lo, hi) in enumerate(zip((ends - counts[full]).tolist(), ends.tolist())):
+        outer[i] = scaled[lo:hi].T @ pts[lo:hi]
+        sums[i] = pts[lo:hi].sum(axis=0)
+    a = (pq.h_perp * counts[full])[:, None, None] * np.eye(d) + (pq.h_par - pq.h_perp) * outer
+    out = cb.copy()
+    out[full] = np.linalg.solve(a, pq.h_par * sums[:, :, None])[:, :, 0]
+    return out
+
+
+def whole_fit(pq: AnisotropicPQ, x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The Lloyd loop of ``AnisotropicPQ.fit`` on :func:`whole_assign` and
+    :func:`regathered_update`: codebooks and codes."""
+    n, d = x.shape
+    rng = np.random.default_rng(pq.seed)
+    edges = np.linspace(0, d, pq.n_sub + 1).astype(int)
+    codebooks, codes = [], np.empty((n, pq.n_sub), dtype=np.uint8)
+    for s in range(pq.n_sub):
+        xs = x[:, edges[s]:edges[s + 1]]
+        norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
+        xhat = xs / norms
+        cb = xs[rng.choice(n, size=min(pq.n_centers, n), replace=False)]
+        a = whole_assign(pq, xs, cb, norms, xhat)
+        for _ in range(pq.n_iter):
+            cb = regathered_update(pq, xs, a, cb)
+            new = whole_assign(pq, xs, cb, norms, xhat)
+            done = (new == a).all()
+            a = new
+            if done:
+                break
+        codebooks.append(cb)
+        codes[:, s] = a
+    return codebooks, codes
+
+
+class TestRowBlockedFit:
+    """The fit in row blocks of ``ASSIGN_ENTRIES`` loss entries, on uint8
+    codes and x/‖x‖² computed once per subspace, gives exactly the codes and
+    codebooks of the one-pass assignment and the regathering update."""
+
+    @staticmethod
+    def rows(n_centers: int) -> int:
+        return max(2, avq.ASSIGN_ENTRIES // n_centers)
+
+    def check(self, pq, x):
+        codebooks, codes = whole_fit(pq, x)
+        pq.fit(x)
+        assert pq.codes.dtype == np.uint8 and np.array_equal(pq.codes, codes)
+        for got, want in zip(pq.codebooks, codebooks, strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_centers", [1, 64, 256])
+    @pytest.mark.parametrize("where", ["below", "equal", "one over", "not a multiple"])
+    def test_matches_whole_fit(self, n_centers, where):
+        """n below one block, exactly one, one row over (the last block
+        takes it: no one-row gemv) and not a multiple of the block, with
+        unequal subspace widths (d = 15 over 4: 3, 4, 4, 4)."""
+        rows = self.rows(n_centers)
+        n = {"below": rows - 3, "equal": rows, "one over": rows + 1,
+             "not a multiple": 2 * rows + rows // 3}[where]
+        x = sift_lite(n=n, d=15, n_queries=1, n_components=8, seed=n_centers)[0]
+        self.check(AnisotropicPQ(4, n_centers, seed=1), x)
+
+    @pytest.mark.parametrize("n_centers", [16, 256])
+    def test_isotropic_matches_whole_fit(self, n_centers):
+        """h∥ = h⊥: the parallel term is multiplied by zero."""
+        x = sift_lite(n=3 * self.rows(n_centers) + 7, d=15, n_queries=1, n_components=8,
+                      seed=7)[0]
+        self.check(AnisotropicPQ(4, n_centers, h_par=2.0, h_perp=2.0, seed=2), x)
+
+    @pytest.mark.parametrize("n, rows", [(2000, 2), (1999, 2), (1999, 3), (2000, 999),
+                                         (2000, 1999), (2000, 2000), (2000, 4000)])
+    def test_assign_blocks_equal_one_pass(self, data, monkeypatch, n, rows):
+        """Every block size, down to 2 rows, assigns as the one pass does,
+        and no block is one row: a one-row tail joins the block before it."""
+        xs = data[0][:n, 4:8]
+        norms = np.linalg.norm(xs, axis=1, keepdims=True) + 1e-12
+        xhat = xs / norms
+        cb = np.random.default_rng(8).normal(size=(64, 4))
+        pq = AnisotropicPQ(1, 64)
+        want = whole_assign(pq, xs, cb, norms, xhat)
+        blocks = []
+        monkeypatch.setattr(avq, "ASSIGN_ENTRIES", 64 * rows)
+        monkeypatch.setattr(avq, "sqdist", lambda a, b: blocks.append(len(a)) or sqdist(a, b))
+        assert np.array_equal(pq._aniso_assign(xs, cb, norms, xhat), want)
+        assert sum(blocks) == n and min(blocks) >= 2
+        assert max(blocks) in (min(rows, n), rows + 1)
 
 
 class TestHNSW:
