@@ -90,8 +90,6 @@ def parse_seeds(text: str) -> list[int]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="e.g. 5-7 or 5,9")
-    ap.add_argument("--workload", action="append",
-                    help="a workload name; repeat for several (default: every workload)")
     ap.add_argument("--smoke", action="store_true", help="build at test scale")
     args = ap.parse_args(argv)
     # Before numpy starts (this module imports it only inside functions).
@@ -101,7 +99,7 @@ def main(argv=None) -> int:
     import workloads
 
     scale = workloads.SMOKE if args.smoke else workloads.BENCH
-    for name in args.workload or list(workloads.WORKLOADS):
+    for name in workloads.WORKLOADS:
         for seed in parse_seeds(args.seeds):
             for artefact, digest in fingerprints(workloads, name, seed, scale).items():
                 print(f"{name} {seed} {artefact} {digest}", flush=True)

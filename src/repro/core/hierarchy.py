@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.train import TrainConfig, train_usp_model
+from repro.core.train import TrainConfig, train_usp_model, trainable
 from repro.index import tree
 from repro.index.base import check_data, check_k, check_knn, check_weights
 from repro.knn.exact import knn_matrix_numpy
@@ -37,7 +37,7 @@ class HierarchicalPartitioner(tree.TreeIndex):
     """Tree of USP models; leaves are the final bins. A node of fewer than
     ``min_split`` points, or below the last level, is a leaf; so is a node
     below the root of fewer than max(2, m) points, too few to train its m
-    bins (the root raises)."""
+    bins, or whose points all have weight 0 (the root raises)."""
 
     def __init__(
         self,
@@ -83,14 +83,15 @@ class HierarchicalPartitioner(tree.TreeIndex):
             if level >= len(self.levels) or len(idx) < self.min_split:
                 return None
             m = self.levels[level]
-            if level and len(idx) < max(2, m):
-                return None  # too few points to train m bins; the root raises instead
+            w = None if weights is None else weights[idx]
+            if level and not (trainable(len(idx), m) and (w is None or w.sum() > 0)):
+                return None  # too few points, or all of weight 0; the root raises instead
             sub = x[idx]
             knn = (knn_idx if level == 0 and knn_idx is not None
                    else knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1)))
             cfg = self._node_cfg(level, m, len(idx))
             model = build_model(self.arch, x.shape[1], m, seed=cfg.seed)
-            train_usp_model(model, sub, knn, cfg, None if weights is None else weights[idx])
+            train_usp_model(model, sub, knn, cfg, w)
             assign = model.predict_bin(sub)
             return model, [assign == b for b in range(m)]
 

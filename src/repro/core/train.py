@@ -108,6 +108,12 @@ class TrainConfig:
     history: list = field(default_factory=list)
 
 
+def trainable(n: int, m: int) -> bool:
+    """Whether ``n`` points (a set or a batch) can train ``m`` bins: the
+    balance term needs at least max(2, m) of them."""
+    return n >= max(2, m)
+
+
 def neighbor_targets(model: MLP, x: np.ndarray, neigh: np.ndarray, m: int) -> np.ndarray:
     """Constant targets ``B_{k'}`` (Eq. 9) for a batch whose (b, k') neighbor
     indices are ``neigh``: the neighbors' eval-mode bins, each distinct
@@ -139,7 +145,7 @@ def train_usp_model(
     :func:`~repro.index.base.check_weights`.
     """
     n = len(x)
-    if n < max(2, cfg.m):
+    if not trainable(n, cfg.m):
         raise ValueError(f"{n} points cannot train a partition into m={cfg.m} bins")
     if weights is not None:
         weights = check_weights(weights, n)
@@ -152,7 +158,7 @@ def train_usp_model(
         us, ss, nb = 0.0, 0.0, 0
         for lo in range(0, n, batch):
             idx = order[lo : lo + batch]
-            if len(idx) < max(2, cfg.m):
+            if not trainable(len(idx), cfg.m):
                 continue  # balance term is meaningless on a tiny tail batch
             xb = x[idx]
             targets = neighbor_targets(model, x, knn_idx[idx], cfg.m)

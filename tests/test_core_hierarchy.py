@@ -97,6 +97,24 @@ class TestBinaryLogregTree:
         for q, c, want in zip(queries, h.candidate_ids(queries, h.n_bins), truth):
             assert np.array_equal(topk_within(q, x, c, 5), want)
 
+    def test_zero_weight_nodes_become_leaves(self):
+        """Below the root, a node whose points all have weight 0 (Algorithm 3's
+        ``update_weights`` makes zeros) is a leaf instead of failing mid-fit;
+        the leaves still cover every point, and probing every bin is exact."""
+        rng = np.random.default_rng(0)
+        x, queries = rng.normal(size=(60, 4)), rng.normal(size=(12, 4))
+        w = np.zeros(len(x))
+        w[:10] = 1.0
+        h = HierarchicalPartitioner([8, 2], min_split=0, seed=0).fit(x, weights=w)
+        assign = h.root.model.predict_bin(x)
+        assert any(child.leaf_id is not None and (assign == b).sum() >= 2
+                   and w[assign == b].sum() == 0
+                   for b, child in enumerate(h.root.children))
+        assert np.array_equal(np.sort(np.concatenate(h.bin_members())), np.arange(len(x)))
+        truth = topk_neighbors(queries, x, 5)[0]
+        for q, c, want in zip(queries, h.candidate_ids(queries, h.n_bins), truth):
+            assert np.array_equal(topk_within(q, x, c, 5), want)
+
     def test_root_of_too_few_points_raises(self):
         x = np.random.default_rng(1).normal(size=(5, 4))
         with pytest.raises(ValueError, match="cannot train"):
