@@ -19,7 +19,16 @@ artefact, ``<workload> <seed> <artefact> <sha256>``:
   (hier64 only);
 - ``answers``: every served answer, request by request.
 
-Run from the repository root; ``--smoke`` builds at test scale.
+Then one line per tree index of Figs. 5–6 at each seed,
+``trees <seed> <index> <sha256>``: Neural LSH, Regression LSH, the
+logistic-regression USP tree, Boosted Search Forest and the four hyperplane
+trees, each fitted with that seed on ``sift_lite`` data of that seed at the
+experiments' test scale (3,000×16, 200 queries; ``--smoke`` does not change
+it). The digest covers the trees' routers node by node depth-first, each
+tree's data bins, the leaf probabilities and ``probe_joins`` of every
+query.
+
+Run from the repository root; ``--smoke`` builds the workloads at test scale.
 """
 from __future__ import annotations
 
@@ -45,13 +54,20 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
+# The arrays of each router type, by type name.
+ROUTER_ARRAYS = {"MLP": ("W", "b", "gamma", "beta", "mean", "var"),
+                 "Hyperplane": ("w", "t", "scale")}
+TREE_EPOCHS = 3  # few, to keep the tree lines fast; any count checks bit identity
+
+
 def _models(node):
-    """The MLP arrays of a tree's internal nodes, depth-first."""
+    """The router arrays of a tree's internal nodes, depth-first: an MLP's
+    parameters and BatchNorm running stats, a hyperplane's w, t and scale."""
     if node.leaf_id is not None:
         return
-    mlp = node.model
-    for name in ("W", "b", "gamma", "beta", "mean", "var"):
-        yield from getattr(mlp, name)
+    for name in ROUTER_ARRAYS[type(node.model).__name__]:
+        a = getattr(node.model, name)
+        yield from a if isinstance(a, list) else [a]
     for child in node.children:
         yield from _models(child)
 
@@ -75,6 +91,42 @@ def fingerprints(workloads, name: str, seed: int, scale) -> dict[str, str]:
         out["pq_codes"] = _digest([wl.pipe.pq.codes])
         out["pq_codebooks"] = _digest(wl.pipe.pq.codebooks)
     out["answers"] = _digest(wl.serve(r) for r in range(len(wl.queries)))
+    return out
+
+
+def tree_fingerprints(seed: int) -> dict[str, str]:
+    """``{index: sha256}`` of each tree index of Figs. 5–6 fitted at ``seed``."""
+    import numpy as np
+
+    from repro.baselines.boosted_forest import BoostedSearchForest
+    from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
+    from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
+    from repro.core.hierarchy import HierarchicalPartitioner
+    from repro.core.train import TrainConfig
+    from repro.experiments.common import _SCALES, ground_truth
+    from repro.index import tree
+    from repro.synth_data import sift_lite
+
+    data, queries = sift_lite(**_SCALES["sift"]["test"], seed=seed)
+    truth = ground_truth(data, queries, 10)
+    indexes = {
+        "neural-lsh": lambda: NeuralLSHPartitioner(16, epochs=TREE_EPOCHS, seed=seed),
+        "regression-lsh": lambda: RegressionLSHTree(8, epochs=TREE_EPOCHS, seed=seed),
+        "usp-lr-tree": lambda: HierarchicalPartitioner(
+            [2] * 8, arch="logreg", min_split=32, seed=seed,
+            cfg_factory=lambda level, m: TrainConfig(m=m, epochs=TREE_EPOCHS)),
+        "bsf": lambda: BoostedSearchForest(8, n_trees=3, seed=seed),
+        **{f"tree-{r}": (lambda r=r: BinaryPartitionTree(r, 8, seed=seed))
+           for r in sorted(SPLIT_RULES)},
+    }
+    out = {}
+    for name, make in indexes.items():
+        index = make().fit(data)
+        roots = getattr(index, "trees", None) or [index.root]
+        bins = getattr(index, "tree_bins", None) or [index.data_bins()]
+        leaf_probs = tree.leaf_probs(tree.compile_plan(roots), queries)
+        out[name] = _digest([*(a for root in roots for a in _models(root)), *bins,
+                             leaf_probs, *index.probe_joins(queries, truth)])
     return out
 
 
@@ -103,6 +155,9 @@ def main(argv=None) -> int:
         for seed in parse_seeds(args.seeds):
             for artefact, digest in fingerprints(workloads, name, seed, scale).items():
                 print(f"{name} {seed} {artefact} {digest}", flush=True)
+    for seed in parse_seeds(args.seeds):
+        for index, digest in tree_fingerprints(seed).items():
+            print(f"trees {seed} {index} {digest}", flush=True)
     return 0
 
 

@@ -93,17 +93,15 @@ class BoostedSearchForest(PartitionIndex):
 
         # Reads ``weights`` when called, so each tree sees the boosted weights.
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.MIN_SPLIT:
-                return None
+            sub_knn = tree.node_knn(x, idx, level, self.k_prime, knn_idx)
             sub = x[idx]
-            sub_knn = knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1))
             return tree.hyperplane_split(
                 sub, *similarity_preserving_hyperplane(sub, sub_knn, weights[idx], rng)
             )
 
         self.trees, self.tree_bins, self.tree_n_bins = [], [], []
         for _ in range(self.n_trees):
-            root, bins, n_leaves = tree.grow(x.shape, split)
+            root, bins, n_leaves = tree.grow(x.shape, split, self.depth, self.MIN_SPLIT)
             self.trees.append(root)
             self.tree_bins.append(bins)
             self.tree_n_bins.append(n_leaves)

@@ -68,9 +68,12 @@ def balanced_graph_partition(
     """Balanced m-way partition labels of the k-NN graph.
 
     Greedy growing then boundary refinement; block sizes stay within
-    ⌈n/m⌉·(1+eps).
+    ⌈n/m⌉·(1+eps). ValueError when m is outside [1, n], so every block gets
+    its own seed vertex (only seeds are at BFS distance 0).
     """
     n = len(knn_idx)
+    if not 1 <= m <= n:
+        raise ValueError(f"m={m} blocks outside [1, n={n}]")
     adj = knn_graph_adjacency(knn_idx)
     rng = np.random.default_rng(seed)
     cap = int(np.ceil(n / m) * (1 + eps))
@@ -101,8 +104,6 @@ def balanced_graph_partition(
     bfs_from(seeds[0])
     while len(seeds) < m:
         far = int(dist.argmax())
-        if dist[far] == 0:  # graph fully covered and tiny — fall back random
-            far = int(rng.integers(n))
         seeds.append(far)
         bfs_from(far)
     frontiers: list[list[int]] = []

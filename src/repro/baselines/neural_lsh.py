@@ -3,10 +3,11 @@
 The supervised pipeline the paper improves upon: (1) build the k'-NN graph,
 (2) run a balanced combinatorial graph partitioner (KaHIP in the original;
 our substitute lives in :mod:`repro.baselines.graph_partition`) to obtain
-ground-truth bin labels, (3) train a classifier (MLP with a 512-unit hidden
-layer for Neural LSH, logistic regression per node of a binary tree for
-Regression LSH) to route out-of-sample queries to bins. Data points keep
-their graph-partition bins; only queries go through the model.
+ground-truth bin labels, (3) train a classifier on those labels to route
+out-of-sample queries to bins. Regression LSH runs it at every node of a
+binary tree with logistic regression; Neural LSH is the one-level tree of m
+bins with an MLP of a 512-unit hidden layer. Data points keep their
+graph-partition bins; only queries go through the model.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import numpy as np
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
 from repro.index.base import check_data, check_k, check_knn
-from repro.knn.exact import knn_matrix_numpy
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 from repro.nn.optim import Adam
@@ -57,79 +57,65 @@ def train_supervised(
     return history
 
 
-class NeuralLSHPartitioner(tree.TreeIndex):
-    """Neural LSH: graph-partition labels + supervised MLP query router.
-
-    ``hidden`` defaults to 512 as in the original paper (Table 2 contrasts
-    its 729k parameters against USP's 183k). ``root`` is the MLP's stump.
-    """
-
-    def __init__(
-        self,
-        m: int,
-        *,
-        hidden: int = 512,
-        k_prime: int = 10,
-        epochs: int = 40,
-        seed: int = 0,
-    ):
-        self.n_bins = m
-        self.hidden = hidden
-        self.k_prime = k_prime
-        self.epochs = epochs
-        self.seed = seed
-        self.model: MLP | None = None
-
-    def fit(
-        self, x: np.ndarray, *, knn_idx: np.ndarray | None = None
-    ) -> "NeuralLSHPartitioner":
-        x = check_data(x)
-        knn_idx = (knn_matrix_numpy(x, self.k_prime) if knn_idx is None
-                   else check_knn(knn_idx, len(x)))
-        labels = balanced_graph_partition(knn_idx, self.n_bins, seed=self.seed)
-        self.model = mlp_partitioner(
-            x.shape[1], self.n_bins, hidden=self.hidden, seed=self.seed
-        )
-        train_supervised(self.model, x, labels, epochs=self.epochs, seed=self.seed)
-        self.root = tree.stump(self.model, self.n_bins, x.shape[1])
-        self._data_bins = labels  # data points keep their graph-partition bins
-        return self
-
-
 class RegressionLSHTree(tree.TreeIndex):
-    """Regression LSH: binary tree; each node 2-way graph-partitions its
-    subset and trains logistic regression on those labels (§5.2)."""
+    """Regression LSH: a tree over ``levels = [2] * depth``; each node
+    partitions its subset's k'-NN graph into its level's fan-out of balanced
+    blocks and trains a router on those labels (§5.2). A node's graph
+    partition and router init take the seed ``seed + level``, its training
+    ``seed``."""
 
     MIN_SPLIT = 32  # a node of fewer points is a leaf
 
-    def __init__(
-        self,
-        depth: int,
-        *,
-        k_prime: int = 10,
-        epochs: int = 30,
-        seed: int = 0,
-    ):
-        self.depth = depth
+    def __init__(self, depth: int, *, k_prime: int = 10, epochs: int = 30, seed: int = 0):
+        self.levels = [2] * depth
         self.k_prime = k_prime
         self.epochs = epochs
         self.seed = seed
         self.n_bins = 0
 
-    def fit(self, x: np.ndarray) -> "RegressionLSHTree":
+    def _router(self, d: int, m: int, seed: int) -> MLP:
+        return logistic_regression(d, m, seed=seed)
+
+    def fit(self, x: np.ndarray, *, knn_idx: np.ndarray | None = None) -> "RegressionLSHTree":
+        """Grow the tree over ``x``, the root over ``knn_idx`` when given;
+        ValueError when the root's fan-out is outside [1, n]."""
         x = check_data(x)
-        check_k(self.k_prime, len(x))
+        if self.levels and not 1 <= self.levels[0] <= len(x):
+            raise ValueError(f"m={self.levels[0]} bins outside [1, n={len(x)}]")
+        if knn_idx is None:
+            check_k(self.k_prime, len(x))
+        else:
+            knn_idx = check_knn(knn_idx, len(x))
 
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.MIN_SPLIT:
-                return None
-            sub = x[idx]
-            kp = min(self.k_prime, len(sub) - 1)
-            knn_idx = knn_matrix_numpy(sub, kp)
-            labels = balanced_graph_partition(knn_idx, 2, seed=self.seed + level)
-            model = logistic_regression(x.shape[1], 2, seed=self.seed + level)
-            train_supervised(model, sub, labels, epochs=self.epochs, seed=self.seed)
-            return model, [labels == b for b in range(2)]
+            m, knn = self.levels[level], tree.node_knn(x, idx, level, self.k_prime, knn_idx)
+            labels = balanced_graph_partition(knn, m, seed=self.seed + level)
+            model = self._router(x.shape[1], m, self.seed + level)
+            train_supervised(model, x[idx], labels, epochs=self.epochs, seed=self.seed)
+            return model, [labels == b for b in range(m)]
 
-        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
+        self.root, self._data_bins, self.n_bins = tree.grow(
+            x.shape, split, len(self.levels), self.MIN_SPLIT)
         return self
+
+
+class NeuralLSHPartitioner(RegressionLSHTree):
+    """Neural LSH: the one-level Regression LSH tree of ``m`` bins, routed by
+    an MLP. ``hidden`` defaults to 512 as in the original paper (Table 2
+    contrasts its 729k parameters against USP's 183k). ``model`` is the
+    trained MLP."""
+
+    MIN_SPLIT = 0
+
+    def __init__(self, m: int, *, hidden: int = 512, k_prime: int = 10, epochs: int = 40,
+                 seed: int = 0):
+        super().__init__(1, k_prime=k_prime, epochs=epochs, seed=seed)
+        self.levels = [m]
+        self.hidden = hidden
+
+    def _router(self, d: int, m: int, seed: int) -> MLP:
+        return mlp_partitioner(d, m, hidden=self.hidden, seed=seed)
+
+    @property
+    def model(self) -> MLP | None:
+        return None if self.root is None else self.root.model

@@ -15,7 +15,6 @@ import numpy as np
 from repro.baselines.kmeans import KMeans
 from repro.index import tree
 from repro.index.base import check_data, check_k
-from repro.knn.exact import knn_matrix_numpy
 
 
 # --- split rules: subset (and optional global-kNN context) → (w, t) --------
@@ -124,15 +123,11 @@ class BinaryPartitionTree(tree.TreeIndex):
         rule = SPLIT_RULES[self.rule]
 
         def split(idx: np.ndarray, level: int):
-            if level >= self.depth or len(idx) < self.MIN_SPLIT:
-                return None
+            sub_knn = (tree.node_knn(x, idx, level, self.k_prime)
+                       if self.rule == "learned_kd" else None)
             sub = x[idx]
-            sub_knn = (
-                knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1))
-                if self.rule == "learned_kd"
-                else None
-            )
             return tree.hyperplane_split(sub, *rule(sub, rng, sub_knn=sub_knn))
 
-        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
+        self.root, self._data_bins, self.n_bins = tree.grow(
+            x.shape, split, self.depth, self.MIN_SPLIT)
         return self

@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.train import TrainConfig, train_usp_model, trainable
 from repro.index import tree
 from repro.index.base import check_data, check_k, check_knn, check_weights
-from repro.knn.exact import knn_matrix_numpy
+from repro.knn.exact import knn_matrix_numpy  # noqa: F401, perfbench's tracer test reads this alias
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
 
@@ -80,22 +80,20 @@ class HierarchicalPartitioner(tree.TreeIndex):
             knn_idx = check_knn(knn_idx, len(x))
 
         def split(idx: np.ndarray, level: int):
-            if level >= len(self.levels) or len(idx) < self.min_split:
-                return None
             m = self.levels[level]
             w = None if weights is None else weights[idx]
             if level and not (trainable(len(idx), m) and (w is None or w.sum() > 0)):
                 return None  # too few points, or all of weight 0; the root raises instead
+            knn = tree.node_knn(x, idx, level, self.k_prime, knn_idx)
             sub = x[idx]
-            knn = (knn_idx if level == 0 and knn_idx is not None
-                   else knn_matrix_numpy(sub, min(self.k_prime, len(sub) - 1)))
             cfg = self._node_cfg(level, m, len(idx))
             model = build_model(self.arch, x.shape[1], m, seed=cfg.seed)
             train_usp_model(model, sub, knn, cfg, w)
             assign = model.predict_bin(sub)
             return model, [assign == b for b in range(m)]
 
-        self.root, self._data_bins, self.n_bins = tree.grow(x.shape, split)
+        self.root, self._data_bins, self.n_bins = tree.grow(
+            x.shape, split, len(self.levels), self.min_split)
         return self
 
     # -- online ------------------------------------------------------------

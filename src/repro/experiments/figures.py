@@ -64,7 +64,7 @@ def fig5(
                 [side, side],
                 cfg_factory=lambda level, m: TrainConfig(m=m, eta=eta, epochs=epochs),
                 seed=seed + 1000 * j,
-            ).fit(data)
+            ).fit(data, knn_idx=knn_idx)
             for j in range(e)
         ]
         indexes["Ours"] = members[0] if e == 1 else EnsemblePartitioner(members)
@@ -89,13 +89,15 @@ def fig6(
     """Tree-based (hyperplane) comparison with logistic-regression models."""
     data, queries = load_dataset(dataset, scale)
     gt = ground_truth(data, queries, 10)
+    knn_idx = knn_matrix_numpy(data, 10)
     indexes = {
         "Ours (LR tree)": HierarchicalPartitioner(
             [2] * depth, arch="logreg",
             cfg_factory=lambda level, m: TrainConfig(m=m, eta=eta, epochs=epochs),
             min_split=32, seed=seed,
-        ).fit(data),
-        "Regression LSH": RegressionLSHTree(depth, epochs=epochs, seed=seed).fit(data),
+        ).fit(data, knn_idx=knn_idx),
+        "Regression LSH": RegressionLSHTree(depth, epochs=epochs, seed=seed).fit(
+            data, knn_idx=knn_idx),
         "2-means tree": BinaryPartitionTree("two_means", depth, seed=seed).fit(data),
         "PCA tree": BinaryPartitionTree("pca", depth, seed=seed).fit(data),
         "RP tree": BinaryPartitionTree("rp", depth, seed=seed).fit(data),

@@ -38,19 +38,19 @@ def _train_config(dataset: str, bins: int, scale: str, eta: float, epochs: int) 
     """Offline-phase wall-clock seconds for one Table 3 configuration."""
     data, _ = load_dataset(dataset.lower(), scale)
     t0 = time.perf_counter()
+    knn_idx = knn_matrix_numpy(data, 10)
     if bins <= 16:
-        knn_idx = knn_matrix_numpy(data, 10)
         cfg = TrainConfig(m=bins, eta=eta, epochs=epochs)
         train_ensemble(data, m=bins, e=3, cfg=cfg, knn_idx=knn_idx)
     else:
-        # 256 bins via hierarchical 16×16 (§5.4.1); ensemble of 3 trees.
+        # 256 bins via hierarchical 16×16 (§5.4.1); 3 trees on one k'-NN matrix.
         side = int(round(np.sqrt(bins)))
         for j in range(3):
             HierarchicalPartitioner(
                 [side, side],
                 cfg_factory=lambda level, m: TrainConfig(m=m, eta=eta, epochs=epochs),
                 seed=j,
-            ).fit(data)
+            ).fit(data, knn_idx=knn_idx)
     return time.perf_counter() - t0
 
 

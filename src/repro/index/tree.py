@@ -4,12 +4,14 @@ The paper's hierarchical partition (§4.4.2) and every tree baseline of
 §5.4.2 share one mechanism: each internal node routes a point to one of its
 children, the leaves are the bins, and a query's probability of landing in a
 leaf is the product of the routing probabilities along its root path. A flat
-model (Algorithm 2) is a one-depth :func:`stump`; an ensemble (Algorithm 4)
-and Boosted Search Forest are forests, lists of roots. :func:`grow` grows a
-tree from an index's ``split(idx, level)`` rule, :func:`compile_plan` compiles
-a forest per depth, and :func:`leaf_probs`, the one scorer of every learned
-index, scores all its trees a depth at a time: one stacked router call per
-(router type, fan-out) group of a depth, path products by index arrays.
+model (Algorithm 2, Neural LSH) is a one-level tree; an ensemble
+(Algorithm 4) and Boosted Search Forest are forests, lists of roots.
+:func:`grow` grows a tree from an index's ``split(idx, level)`` rule under the
+one leaf rule (depth, min-split), :func:`node_knn` gives each node its k'-NN
+matrix, :func:`compile_plan` compiles a forest per depth, and
+:func:`leaf_probs`, the one scorer of every learned index, scores all its
+trees a depth at a time: one stacked router call per (router type, fan-out)
+group of a depth, path products by index arrays.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.index.base import PartitionIndex, check_queries, fitted
+from repro.knn.exact import knn_matrix_numpy
 
 
 class Node:
@@ -153,18 +156,21 @@ def compile_plan(roots: list[Node]) -> Plan:
     return Plan(roots, d, n_leaves, _index(root_leaves) if root_leaves else None, depths)
 
 
-def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int]:
+def grow(shape: tuple[int, int], split: Callable, depth: int,
+         min_split: int) -> tuple[Node, np.ndarray, int]:
     """Grow a tree over ``n`` points of dimension ``d``, ``shape = (n, d)``;
     returns ``(root, bins, n_leaves)`` with leaves numbered depth-first,
     ``bins`` each point's leaf id, and the root's ``plan`` compiled and ``d``
     recorded, so queries are checked against ``d`` even when the root is a
     leaf.
 
-    ``split(idx, level)`` gets the point ids routed to a node and returns None
-    to make it a leaf, or ``(router, masks)``: one boolean mask over ``idx``
-    per child, in the order of the router's probability columns. A router's
-    type has a ``stack(routers)`` whose ``stacked_proba(q)`` is (nodes, n_q,
-    children); the routers of one type and fan-out at a depth share a shape.
+    A node at level ``depth`` or of fewer than ``min_split`` points is a leaf
+    without a ``split`` call. ``split(idx, level)`` gets the point ids routed
+    to any other node and returns None to make it a leaf, or ``(router,
+    masks)``: one boolean mask over ``idx`` per child, in the order of the
+    router's probability columns. A router's type has a ``stack(routers)``
+    whose ``stacked_proba(q)`` is (nodes, n_q, children); the routers of one
+    type and fan-out at a depth share a shape.
     """
     n, d = shape
     bins = np.zeros(n, dtype=np.int64)
@@ -172,7 +178,7 @@ def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int
 
     def node(idx: np.ndarray, level: int) -> Node:
         nonlocal n_leaves
-        s = split(idx, level)
+        s = None if level >= depth or len(idx) < min_split else split(idx, level)
         if s is None:
             bins[idx] = n_leaves
             n_leaves += 1
@@ -186,10 +192,13 @@ def grow(shape: tuple[int, int], split: Callable) -> tuple[Node, np.ndarray, int
     return root, bins, n_leaves
 
 
-def stump(model, m: int, d: int) -> Node:
-    """The one-depth tree of a flat model: ``model`` routes points of
-    dimension ``d`` straight to leaves ``0 .. m-1``, one per grown point."""
-    return grow((m, d), lambda idx, level: None if level else (model, [idx == b for b in idx]))[0]
+def node_knn(x: np.ndarray, idx: np.ndarray, level: int, k_prime: int,
+             root_knn: np.ndarray | None = None) -> np.ndarray:
+    """The k'-NN matrix of a node's points ``x[idx]``: ``root_knn`` at the
+    root when given, else the subset's own with k' = min(k', |idx| − 1)."""
+    if level == 0 and root_knn is not None:
+        return root_knn
+    return knn_matrix_numpy(x[idx], min(k_prime, len(idx) - 1))
 
 
 def leaf_probs(plan: Plan, q: np.ndarray) -> np.ndarray:
@@ -222,7 +231,7 @@ def leaf_probs(plan: Plan, q: np.ndarray) -> np.ndarray:
 
 class TreeIndex(PartitionIndex):
     """A partition index whose bins are the leaves of the tree under
-    ``root`` (a :func:`stump` for a flat model)."""
+    ``root`` (one level deep for a flat model)."""
 
     root: Node | None = None
 

@@ -6,6 +6,8 @@ few thousand points, d<=16.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.core.ensemble import EnsemblePartitioner, train_ensemble
 from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
+from repro.knn import exact
 from repro.knn.exact import knn_matrix_numpy, topk_neighbors
 from repro.nn.model import MLP
 from repro.synth_data import sift_lite
@@ -63,6 +66,21 @@ def candidate_ranks(index, queries: np.ndarray) -> np.ndarray:
         for row, cand in zip(ranks, index.candidate_ids(queries, p)):
             row[cand] = p - 1
     return ranks
+
+
+def record_knn_builds(monkeypatch) -> list[int]:
+    """Wrap ``knn_matrix_numpy`` under every module name it is imported as;
+    the returned list gets each later build's row count."""
+    rows, orig = [], exact.knn_matrix_numpy
+
+    def counted(data, k, **kw):
+        rows.append(len(data))
+        return orig(data, k, **kw)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and vars(mod).get("knn_matrix_numpy") is orig:
+            monkeypatch.setattr(mod, "knn_matrix_numpy", counted)
+    return rows
 
 
 @pytest.fixture(scope="session")

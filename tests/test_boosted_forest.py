@@ -13,7 +13,7 @@ from repro.index import tree
 from repro.index.base import bin_ranks, members_by_bin, probe_order
 from repro.knn.exact import knn_matrix_numpy
 from repro.synth_data import sift_lite
-from tests.conftest import candidate_ranks
+from tests.conftest import candidate_ranks, record_knn_builds
 
 
 def per_tree_probe_ranks(forest, q):
@@ -67,6 +67,15 @@ class TestForest:
         """(forest, data, queries) on clustered and duplicate-heavy data."""
         dup_forest = BoostedSearchForest(3, n_trees=2, seed=0).fit(duplicates[0])
         return [(forest, *data), (dup_forest, *duplicates)]
+
+    def test_one_full_data_knn_build(self, data, monkeypatch):
+        """The boosting's k'-NN matrix is every tree's root matrix: one fit
+        of three trees builds the full-data matrix once."""
+        d, _ = data
+        rows = record_knn_builds(monkeypatch)
+        BoostedSearchForest(3, n_trees=3, seed=0).fit(d)
+        assert rows.count(len(d)) == 1
+        assert len(rows) > 1  # the nodes below the roots build their own
 
     def test_tree_count(self, forest):
         assert len(forest.trees) == 2

@@ -190,7 +190,7 @@ class TestOneFit:
         x, queries = data
         built = _tree().fit(x)
         rows = []
-        monkeypatch.setattr(hierarchy, "knn_matrix_numpy",
+        monkeypatch.setattr("repro.index.tree.knn_matrix_numpy",
                             lambda sub, k: rows.append(len(sub)) or knn_matrix_numpy(sub, k))
         given = _tree().fit(x, knn_idx=knn_matrix_numpy(x, 10))
         assert rows and len(x) not in rows

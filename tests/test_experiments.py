@@ -9,6 +9,7 @@ import pytest
 from repro.experiments import figures, table2, table3, table4, table5
 from repro.experiments.common import ground_truth, load_dataset, markdown_table
 from repro.index.search import candidate_size_at_accuracy
+from tests.conftest import record_knn_builds
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -60,6 +61,14 @@ class TestTable3:
         t = df.set_index(["dataset", "bins"])["measured_seconds"]
         assert t[("MNIST", 256)] > t[("MNIST", 16)]
         assert t[("SIFT", 256)] > t[("SIFT", 16)]
+
+    def test_256_bins_build_one_full_knn_matrix(self, monkeypatch):
+        """The three 16×16 hierarchies train their roots on the one k'-NN
+        matrix the row times, as the 16-bin ensemble does."""
+        n = len(load_dataset("sift", "test")[0])
+        rows = record_knn_builds(monkeypatch)
+        table3._train_config("SIFT", 256, "test", 10.0, 2)
+        assert rows.count(n) == 1
 
     def test_eta_values_match_paper(self):
         df = table3.run.__module__  # cheap: check the constants

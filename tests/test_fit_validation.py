@@ -2,11 +2,11 @@
 (n, d), holds NaN or infinite values or squared norms that overflow, a given
 k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
 [0, n), a k' outside (0, n) for the matrix the fit builds, and a K-means
-k outside [1, n]. A bad architecture fails before any k'-NN work. A query
-on an index that was never fitted fails with one RuntimeError, "index not
-fitted". Per-point weights that are not n finite, non-negative values
-with a positive sum fail before any k'-NN build, as does an ensemble of
-fewer than one model."""
+k or a Neural LSH bin count outside [1, n]. A bad architecture fails
+before any k'-NN work. A query on an index that was never fitted fails
+with one RuntimeError, "index not fitted". Per-point weights that are not
+n finite, non-negative values with a positive sum fail before any k'-NN
+build, as does an ensemble of fewer than one model."""
 import numpy as np
 import pytest
 
@@ -36,11 +36,11 @@ FITS = {
         [2, 2], cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x, **kw),
     "kmeans": lambda x: KMeansPartitioner(4).fit(x),
     "cp-lsh": lambda x: CrossPolytopeLSH(4).fit(x),
-    "regression-lsh": lambda x: RegressionLSHTree(2, epochs=1).fit(x),
+    "regression-lsh": lambda x, **kw: RegressionLSHTree(2, epochs=1).fit(x, **kw),
     "bsf": lambda x: BoostedSearchForest(2, n_trees=2).fit(x),
     **{f"tree-{r}": (lambda x, r=r: BinaryPartitionTree(r, 2).fit(x)) for r in sorted(SPLIT_RULES)},
 }
-KNN_FITS = ["usp", "ensemble", "neural-lsh", "hierarchy"]
+KNN_FITS = ["usp", "ensemble", "neural-lsh", "hierarchy", "regression-lsh"]
 
 # name -> a new, unfitted index, for every index type that fits itself
 UNFITTED = {
@@ -106,7 +106,7 @@ def bad_weights(n):
 def test_fit_rejects_bad_weights(bad, data, monkeypatch):
     """Bad weights fail in the flat and the hierarchical fit before any
     k'-NN build."""
-    monkeypatch.setattr("repro.core.hierarchy.knn_matrix_numpy", _no_knn_build)
+    monkeypatch.setattr("repro.index.tree.knn_matrix_numpy", _no_knn_build)
     for name in ("usp", "hierarchy"):
         with pytest.raises(ValueError, match="weights must be"):
             FITS[name](data, weights=bad_weights(len(data))[bad])
@@ -143,13 +143,14 @@ def test_fit_accepts_zero_weights(data):
         [2, 2], k_prime=k, cfg_factory=lambda level, m: TrainConfig(m=m, epochs=1)).fit(x),
     lambda x, k: BoostedSearchForest(2, n_trees=2, k_prime=k).fit(x),
     lambda x, k: RegressionLSHTree(2, k_prime=k, epochs=1).fit(x),
+    lambda x, k: NeuralLSHPartitioner(4, k_prime=k, hidden=8, epochs=1).fit(x),
     lambda x, k: BinaryPartitionTree("learned_kd", 2, k_prime=k).fit(x),
-], ids=["usp", "ensemble", "hierarchy", "bsf", "regression-lsh", "tree-learned_kd"])
+], ids=["usp", "ensemble", "hierarchy", "bsf", "regression-lsh", "neural-lsh",
+        "tree-learned_kd"])
 def test_fit_rejects_k_prime_outside_0_n(fit, data, monkeypatch):
     """A k' the root's k'-NN matrix cannot have fails, before any k'-NN
     build, instead of being clamped to n - 1."""
-    for module in ("repro.core.hierarchy", "repro.baselines.boosted_forest",
-                   "repro.baselines.neural_lsh", "repro.baselines.trees"):
+    for module in ("repro.index.tree", "repro.baselines.boosted_forest"):
         monkeypatch.setattr(f"{module}.knn_matrix_numpy", _no_knn_build)
     for k in (0, len(data), len(data) + 5):
         with pytest.raises(ValueError, match="0 < k' < n"):
@@ -178,9 +179,15 @@ def test_fit_rejects_bad_dropout(dropout, data):
 
 @pytest.mark.parametrize("fit,match", [
     (lambda x: HierarchicalPartitioner([2, 2], arch="cnn").fit(x), "unknown arch"),
-], ids=["hierarchy-arch"])
+    (lambda x: NeuralLSHPartitioner(len(x) + 1, hidden=8, epochs=1).fit(x),
+     "m=201 bins outside \\[1, n=200\\]"),
+    (lambda x: NeuralLSHPartitioner(0, hidden=8, epochs=1).fit(x),
+     "m=0 bins outside \\[1, n=200\\]"),
+], ids=["hierarchy-arch", "neural-lsh-m-above-n", "neural-lsh-m-0"])
 def test_bad_arguments_fail_before_the_knn_build(fit, match, data, monkeypatch):
-    monkeypatch.setattr("repro.core.hierarchy.knn_matrix_numpy", _no_knn_build)
+    """Bad arguments fail before any k'-NN build: an unknown architecture,
+    and more Neural LSH bins than points, which would leave bins empty."""
+    monkeypatch.setattr("repro.index.tree.knn_matrix_numpy", _no_knn_build)
     with pytest.raises(ValueError, match=match):
         fit(data)
 

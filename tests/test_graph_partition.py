@@ -70,6 +70,18 @@ class TestBalancedPartition:
         l2 = balanced_graph_partition(knn, 4, seed=3)
         np.testing.assert_array_equal(l1, l2)
 
+    @pytest.mark.parametrize("m", [0, -1, 11])
+    def test_rejects_m_outside_1_n(self, m):
+        """More blocks than vertices would seed one vertex twice and leave
+        blocks empty; they fail instead."""
+        knn = knn_matrix_numpy(np.random.default_rng(0).normal(size=(10, 3)), 3)
+        with pytest.raises(ValueError, match=f"m={m} blocks outside \\[1, n=10\\]"):
+            balanced_graph_partition(knn, m)
+
+    def test_one_vertex_per_block_at_m_n(self):
+        knn = knn_matrix_numpy(np.random.default_rng(0).normal(size=(10, 3)), 3)
+        assert sorted(balanced_graph_partition(knn, 10)) == list(range(10))
+
     def test_respects_components(self):
         """On circles (two disconnected rings, equal sizes) the 2-way
         balanced partition should align with the rings (near-zero cut)."""

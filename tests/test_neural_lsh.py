@@ -3,6 +3,7 @@ partition fidelity (data points keep graph-partition bins)."""
 import numpy as np
 import pytest
 
+from repro.baselines.graph_partition import balanced_graph_partition
 from repro.baselines.neural_lsh import (
     NeuralLSHPartitioner,
     RegressionLSHTree,
@@ -46,8 +47,10 @@ class TestNeuralLSH:
 
     def test_data_bins_are_graph_partition(self, fitted, data):
         """Indexed points keep the combinatorial partition's bins, balanced."""
-        sizes = fitted.bin_sizes()
-        assert sizes.max() <= np.ceil(700 / 4) * 1.05 + 1
+        d, _ = data
+        labels = balanced_graph_partition(knn_matrix_numpy(d, 8), 4, seed=0)
+        np.testing.assert_array_equal(fitted.data_bins(), labels)
+        assert fitted.bin_sizes().max() <= np.ceil(700 / 4) * 1.05 + 1
 
     def test_model_routes_data_points_consistently(self, fitted, data):
         d, _ = data

@@ -7,8 +7,10 @@ probe order on every tree index, and a forest's plan exactly each tree's
 walk (padded with -1) on every ensemble and forest, for one query, a
 16-query block and every query. Also: routers of one depth that share a type
 and fan-out but cannot be stacked fail at grow time, routers of different
-types or fan-outs at one depth are scored as separate groups, and bad queries
-fail on every tree index, a tree whose root is a leaf included."""
+types or fan-outs at one depth are scored as separate groups, the grower
+makes a node at the depth or under the min-split a leaf without asking the
+split rule, and bad queries fail on every tree index, a tree whose root is a
+leaf included."""
 import numpy as np
 import pytest
 
@@ -174,11 +176,9 @@ def _grow_with(first, second, fanouts, d=4):
     def split(idx, level):
         if level == 0:
             return logistic_regression(d, 2, seed=0), [idx < 2, idx >= 2]
-        if level == 1:
-            i = int(idx[0] >= 2)
-            return (first, second)[i], [idx == idx[0]] + [idx < 0] * (fanouts[i] - 1)
-        return None
-    return tree.grow((4, d), split)
+        i = int(idx[0] >= 2)
+        return (first, second)[i], [idx == idx[0]] + [idx < 0] * (fanouts[i] - 1)
+    return tree.grow((4, d), split, 2, 0)
 
 
 @pytest.mark.parametrize("first, second, fanouts", [
@@ -214,6 +214,30 @@ def test_one_router_kind_per_depth_grows():
                                    logistic_regression(4, 2, seed=2), (2, 2))
     q = np.random.default_rng(0).normal(size=(5, 4))
     assert np.array_equal(tree.leaf_probs(root.plan, q)[0], walk_leaf_probs(root, n_leaves, q))
+
+
+@pytest.mark.parametrize("depth, min_split, calls", [
+    (0, 0, []),
+    (2, 0, [(0, 8), (1, 4), (1, 4)]),
+    (3, 0, [(0, 8), (1, 4), (2, 2), (2, 2), (1, 4), (2, 2), (2, 2)]),
+    (5, 3, [(0, 8), (1, 4), (1, 4)]),
+    (5, 5, [(0, 8)]),
+    (5, 9, []),
+])
+def test_grow_owns_the_leaf_rule(depth, min_split, calls):
+    """``split`` is never called for a node at ``depth`` or of fewer than
+    ``min_split`` points; those are leaves, numbered depth-first."""
+    seen = []
+
+    def split(idx, level):
+        seen.append((level, len(idx)))
+        half = np.arange(len(idx)) < len(idx) // 2
+        return tree.Hyperplane(np.ones(2), 0.0, 1.0), [half, ~half]
+
+    _, bins, n_leaves = tree.grow((8, 2), split, depth, min_split)
+    assert seen == calls
+    assert n_leaves == len(calls) + 1
+    np.testing.assert_array_equal(bins, np.repeat(np.arange(n_leaves), 8 // n_leaves))
 
 
 def _assert_rejected(index, queries):
