@@ -60,6 +60,19 @@ def test_fig5_sift256_hierarchical(benchmark, results_dir):
         assert ours < nlsh * 1.5  # allow noise; shape check is ours ≤ nlsh
 
 
+def test_fig5_mnist256_hierarchical(benchmark, results_dir):
+    df = benchmark.pedantic(
+        lambda: figures.fig5("mnist", 256, scale="bench", epochs=20), rounds=1, iterations=1
+    )
+    (results_dir / "fig5_mnist256.md").write_text(markdown_table(df))
+    by = _curves_by_method(df)
+    ours = candidate_size_at_accuracy(by["Ours"], 0.9)
+    nlsh = candidate_size_at_accuracy(by["Neural LSH"], 0.9)
+    assert ours is not None
+    if nlsh is not None:
+        assert ours < nlsh * 1.5
+
+
 def test_fig6_trees(benchmark, results_dir):
     df = benchmark.pedantic(
         lambda: figures.fig6("sift", depth=8, scale="bench", epochs=15), rounds=1, iterations=1

@@ -21,12 +21,13 @@ artefact, ``<workload> <seed> <artefact> <sha256>``:
 
 Then one line per tree index of Figs. 5–6 at each seed,
 ``trees <seed> <index> <sha256>``: Neural LSH, Regression LSH, the
-logistic-regression USP tree, Boosted Search Forest and the four hyperplane
-trees, each fitted with that seed on ``sift_lite`` data of that seed at the
-experiments' test scale (3,000×16, 200 queries; ``--smoke`` does not change
-it). The digest covers the trees' routers node by node depth-first, each
-tree's data bins, the leaf probabilities and ``probe_joins`` of every
-query.
+logistic-regression USP tree, Boosted Search Forest, the four hyperplane
+trees and a two-member Algorithm-3 ensemble of 4×4 USP hierarchies
+(``train_ensemble(m=[4, 4], e=2)``), each fitted with that seed on
+``sift_lite`` data of that seed at the experiments' test scale (3,000×16,
+200 queries; ``--smoke`` does not change it). The digest covers the trees'
+routers node by node depth-first, each tree's data bins, the leaf
+probabilities and ``probe_joins`` of every query.
 
 Run from the repository root; ``--smoke`` builds the workloads at test scale.
 """
@@ -95,12 +96,14 @@ def fingerprints(workloads, name: str, seed: int, scale) -> dict[str, str]:
 
 
 def tree_fingerprints(seed: int) -> dict[str, str]:
-    """``{index: sha256}`` of each tree index of Figs. 5–6 fitted at ``seed``."""
+    """``{index: sha256}`` of each tree index of Figs. 5–6 fitted at ``seed``;
+    an ensemble's trees are its members'."""
     import numpy as np
 
     from repro.baselines.boosted_forest import BoostedSearchForest
     from repro.baselines.neural_lsh import NeuralLSHPartitioner, RegressionLSHTree
     from repro.baselines.trees import SPLIT_RULES, BinaryPartitionTree
+    from repro.core.ensemble import train_ensemble
     from repro.core.hierarchy import HierarchicalPartitioner
     from repro.core.train import TrainConfig
     from repro.experiments.common import _SCALES, ground_truth
@@ -109,21 +112,24 @@ def tree_fingerprints(seed: int) -> dict[str, str]:
 
     data, queries = sift_lite(**_SCALES["sift"]["test"], seed=seed)
     truth = ground_truth(data, queries, 10)
-    indexes = {
-        "neural-lsh": lambda: NeuralLSHPartitioner(16, epochs=TREE_EPOCHS, seed=seed),
-        "regression-lsh": lambda: RegressionLSHTree(8, epochs=TREE_EPOCHS, seed=seed),
+    fits = {
+        "neural-lsh": lambda: NeuralLSHPartitioner(16, epochs=TREE_EPOCHS, seed=seed).fit(data),
+        "regression-lsh": lambda: RegressionLSHTree(8, epochs=TREE_EPOCHS, seed=seed).fit(data),
         "usp-lr-tree": lambda: HierarchicalPartitioner(
             [2] * 8, arch="logreg", min_split=32, seed=seed,
-            cfg_factory=lambda level, m: TrainConfig(m=m, epochs=TREE_EPOCHS)),
-        "bsf": lambda: BoostedSearchForest(8, n_trees=3, seed=seed),
-        **{f"tree-{r}": (lambda r=r: BinaryPartitionTree(r, 8, seed=seed))
+            cfg_factory=lambda level, m: TrainConfig(m=m, epochs=TREE_EPOCHS)).fit(data),
+        "bsf": lambda: BoostedSearchForest(8, n_trees=3, seed=seed).fit(data),
+        **{f"tree-{r}": (lambda r=r: BinaryPartitionTree(r, 8, seed=seed).fit(data))
            for r in sorted(SPLIT_RULES)},
+        "usp-hierarchy-ensemble": lambda: train_ensemble(
+            data, m=[4, 4], e=2, cfg=TrainConfig(epochs=TREE_EPOCHS), seed=seed),
     }
     out = {}
-    for name, make in indexes.items():
-        index = make().fit(data)
-        roots = getattr(index, "trees", None) or [index.root]
-        bins = getattr(index, "tree_bins", None) or [index.data_bins()]
+    for name, fit in fits.items():
+        index = fit()
+        members = getattr(index, "models", [index])
+        roots = getattr(index, "trees", None) or [m.root for m in members]
+        bins = getattr(index, "tree_bins", None) or [m.data_bins() for m in members]
         leaf_probs = tree.leaf_probs(tree.compile_plan(roots), queries)
         out[name] = _digest([*(a for root in roots for a in _models(root)), *bins,
                              leaf_probs, *index.probe_joins(queries, truth)])

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.baselines.graph_partition import balanced_graph_partition
 from repro.index import tree
-from repro.index.base import check_data, check_k, check_knn
+from repro.index.base import check_data, check_k, check_knn, check_levels
 from repro.nn.layers import softmax
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 from repro.nn.optim import Adam
@@ -78,10 +78,9 @@ class RegressionLSHTree(tree.TreeIndex):
 
     def fit(self, x: np.ndarray, *, knn_idx: np.ndarray | None = None) -> "RegressionLSHTree":
         """Grow the tree over ``x``, the root over ``knn_idx`` when given;
-        ValueError when the root's fan-out is outside [1, n]."""
+        ValueError when a fan-out is below 1 or the root's above n."""
         x = check_data(x)
-        if self.levels and not 1 <= self.levels[0] <= len(x):
-            raise ValueError(f"m={self.levels[0]} bins outside [1, n={len(x)}]")
+        check_levels(self.levels, len(x))
         if knn_idx is None:
             check_k(self.k_prime, len(x))
         else:

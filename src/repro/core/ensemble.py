@@ -3,6 +3,8 @@
 Models are trained sequentially; after model j, each point's weight is
 multiplied by the number of its k' neighbors that model j separated from it
 (Eq. 14's weight update), so later models specialize on "difficult" points.
+:func:`train_ensemble` builds flat members or hierarchies (§4.4.2), whose
+nodes train on their points' weights and whose leaf bins update them.
 At query time every model scores the query; the candidate set of the model
 with the highest confidence (max bin probability) is used (Algorithm 4).
 Each member is a tree (a flat USP model is a one-depth tree), so the
@@ -14,12 +16,16 @@ member serves it.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.partitioner import UnsupervisedSpacePartitioner
 from repro.core.train import TrainConfig
 from repro.index import tree
-from repro.index.base import PartitionIndex, bin_ranks, check_data, check_knn, probe_order
+from repro.index.base import (PartitionIndex, bin_ranks, check_data, check_knn, check_levels,
+                              probe_order)
 from repro.knn.exact import knn_matrix_numpy
 
 
@@ -143,7 +149,7 @@ class EnsemblePartitioner(PartitionIndex):
 def train_ensemble(
     x: np.ndarray,
     *,
-    m: int,
+    m: int | list[int],
     e: int = 3,
     k_prime: int = 10,
     cfg: TrainConfig | None = None,
@@ -152,16 +158,26 @@ def train_ensemble(
 ) -> EnsemblePartitioner:
     """Algorithm 3: sequentially train ``e`` USP models with boosted weights,
     on ``knn_idx`` when given (e.g. the Spark build's) and on
-    ``knn_matrix_numpy(x, k_prime)`` otherwise. Member ``j`` trains with
-    seed ``seed + 1000·j``. ValueError when ``e < 1``."""
+    ``knn_matrix_numpy(x, k_prime)`` otherwise. A bin count ``m`` gives flat
+    members; a list of per-level fan-outs gives hierarchies (§4.4.2), each
+    node trained on its points' weights and the weights updated from the
+    leaf bins. Member ``j`` trains with ``cfg`` and seed ``seed + 1000·j``.
+    ValueError when ``e < 1`` or a fan-out fails
+    :func:`~repro.index.base.check_levels`, before the k'-NN build."""
     if e < 1:
         raise ValueError(f"e={e}: an ensemble needs at least one model")
     x = check_data(x)
+    check_levels(m if isinstance(m, list) else [m], len(x))
     knn_idx = knn_matrix_numpy(x, k_prime) if knn_idx is None else check_knn(knn_idx, len(x))
     weights = np.ones(len(x))
     models = []
     for j in range(e):
-        p = UnsupervisedSpacePartitioner(m, k_prime=k_prime, cfg=cfg, seed=seed + 1000 * j)
+        if isinstance(m, list):
+            p = HierarchicalPartitioner(
+                m, k_prime=k_prime, seed=seed + 1000 * j,
+                cfg_factory=lambda level, mm: replace(cfg or TrainConfig(), m=mm))
+        else:
+            p = UnsupervisedSpacePartitioner(m, k_prime=k_prime, cfg=cfg, seed=seed + 1000 * j)
         p.fit(x, knn_idx=knn_idx, weights=weights)
         models.append(p)
         if j + 1 < e:

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.train import TrainConfig, train_usp_model, trainable
 from repro.index import tree
-from repro.index.base import check_data, check_k, check_knn, check_weights
+from repro.index.base import check_data, check_k, check_knn, check_levels, check_weights
 from repro.knn.exact import knn_matrix_numpy  # noqa: F401, perfbench's tracer test reads this alias
 from repro.nn.model import MLP, logistic_regression, mlp_partitioner
 
@@ -57,20 +57,15 @@ class HierarchicalPartitioner(tree.TreeIndex):
         self.cfg_factory = cfg_factory or (lambda level, m: TrainConfig(m=m))
         self.n_bins = 0
 
-    def _node_cfg(self, level: int, m: int, n: int) -> TrainConfig:
-        """The factory's config for a node at ``level`` over ``n`` points, set to
-        ``m`` bins and the node's seed (its model's init and training RNG)."""
-        cfg = self.cfg_factory(level, m)
-        cfg.m, cfg.seed = m, self.seed + 7919 * level + 31 * n % 104729
-        return cfg
-
     # -- offline -----------------------------------------------------------
     def fit(self, x: np.ndarray, *, knn_idx: np.ndarray | None = None,
             weights: np.ndarray | None = None) -> "HierarchicalPartitioner":
         """Grow the tree over ``x``: the root trains on ``knn_idx`` when given
         (e.g. the Spark build's), every other node on its subset's k'-NN
-        matrix, and each node on its points' ``weights`` (Algorithm 3)."""
+        matrix, and each node on its points' ``weights`` (Algorithm 3).
+        ValueError when a fan-out is below 1 or the root's above n."""
         x = check_data(x)
+        check_levels(self.levels, len(x))
         if weights is not None:
             weights = check_weights(weights, len(x))
         check_arch(self.arch)
@@ -86,7 +81,10 @@ class HierarchicalPartitioner(tree.TreeIndex):
                 return None  # too few points, or all of weight 0; the root raises instead
             knn = tree.node_knn(x, idx, level, self.k_prime, knn_idx)
             sub = x[idx]
-            cfg = self._node_cfg(level, m, len(idx))
+            # The root trains with ``seed``; a level's nodes hold disjoint points,
+            # so (level, smallest point id) gives no two nodes one seed.
+            cfg = self.cfg_factory(level, m)
+            cfg.m, cfg.seed = m, self.seed + level * len(x) + int(idx[0])
             model = build_model(self.arch, x.shape[1], m, seed=cfg.seed)
             train_usp_model(model, sub, knn, cfg, w)
             assign = model.predict_bin(sub)

@@ -25,10 +25,9 @@ class UnsupervisedSpacePartitioner(HierarchicalPartitioner):
         seed: int = 0,
     ):
         self.cfg = replace(cfg, m=m) if cfg else TrainConfig(m=m)
-        super().__init__([m], k_prime=k_prime, min_split=0, seed=seed)
+        super().__init__([m], k_prime=k_prime, cfg_factory=self._cfg, min_split=0, seed=seed)
 
-    def _node_cfg(self, level: int, m: int, n: int) -> TrainConfig:
-        self.cfg.seed = self.seed
+    def _cfg(self, level: int, m: int) -> TrainConfig:
         return self.cfg
 
     @property

@@ -46,29 +46,14 @@ def fig5(
     data, queries = load_dataset(dataset, scale)
     gt = ground_truth(data, queries, 10)
     knn_idx = knn_matrix_numpy(data, 10)
-    indexes: dict = {}
-    if bins <= 16:
-        indexes["Ours"] = train_ensemble(
-            data, m=bins, e=e, cfg=TrainConfig(m=bins, eta=eta, epochs=epochs),
-            knn_idx=knn_idx, seed=seed,
-        )
-        probe_counts = list(range(1, bins + 1))
-    else:
-        # 256 bins via hierarchical 16×16 (§5.4.1); "Ours" is an ensemble of
-        # e hierarchical models with confidence routing, as in Fig. 5c/5d.
-        from repro.core.ensemble import EnsemblePartitioner
-
-        side = int(round(np.sqrt(bins)))
-        members = [
-            HierarchicalPartitioner(
-                [side, side],
-                cfg_factory=lambda level, m: TrainConfig(m=m, eta=eta, epochs=epochs),
-                seed=seed + 1000 * j,
-            ).fit(data, knn_idx=knn_idx)
-            for j in range(e)
-        ]
-        indexes["Ours"] = members[0] if e == 1 else EnsemblePartitioner(members)
-        probe_counts = [1, 2, 4, 8, 16, 32, 64, 128, 256]
+    # 256 bins via hierarchical 16×16 (§5.4.1): an Algorithm-3 ensemble of
+    # e hierarchies with confidence routing, as in Fig. 5c/5d.
+    side = int(round(np.sqrt(bins)))
+    indexes: dict = {"Ours": train_ensemble(
+        data, m=bins if bins <= 16 else [side, side], e=e,
+        cfg=TrainConfig(eta=eta, epochs=epochs), knn_idx=knn_idx, seed=seed)}
+    probe_counts = (list(range(1, bins + 1)) if bins <= 16
+                    else [1, 2, 4, 8, 16, 32, 64, 128, 256])
     indexes["Neural LSH"] = NeuralLSHPartitioner(
         bins, hidden=512, epochs=epochs, seed=seed
     ).fit(data, knn_idx=knn_idx)

@@ -20,7 +20,6 @@ import numpy as np
 import pandas as pd
 
 from repro.core.ensemble import train_ensemble
-from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.train import TrainConfig
 from repro.experiments.common import load_dataset
 from repro.knn.exact import knn_matrix_numpy
@@ -39,18 +38,10 @@ def _train_config(dataset: str, bins: int, scale: str, eta: float, epochs: int) 
     data, _ = load_dataset(dataset.lower(), scale)
     t0 = time.perf_counter()
     knn_idx = knn_matrix_numpy(data, 10)
-    if bins <= 16:
-        cfg = TrainConfig(m=bins, eta=eta, epochs=epochs)
-        train_ensemble(data, m=bins, e=3, cfg=cfg, knn_idx=knn_idx)
-    else:
-        # 256 bins via hierarchical 16×16 (§5.4.1); 3 trees on one k'-NN matrix.
-        side = int(round(np.sqrt(bins)))
-        for j in range(3):
-            HierarchicalPartitioner(
-                [side, side],
-                cfg_factory=lambda level, m: TrainConfig(m=m, eta=eta, epochs=epochs),
-                seed=j,
-            ).fit(data, knn_idx=knn_idx)
+    # 256 bins via hierarchical 16×16 (§5.4.1); every member on one k'-NN matrix.
+    side = int(round(np.sqrt(bins)))
+    train_ensemble(data, m=bins if bins <= 16 else [side, side], e=3,
+                   cfg=TrainConfig(eta=eta, epochs=epochs), knn_idx=knn_idx)
     return time.perf_counter() - t0
 
 

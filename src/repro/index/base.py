@@ -65,6 +65,14 @@ def check_k(k: int, n: int) -> None:
         raise ValueError(f"k'={k} for {n} points; expected 0 < k' < n")
 
 
+def check_levels(levels: list[int], n: int) -> None:
+    """ValueError unless every fan-out of a tree over ``n`` points is at
+    least 1, and the root's at most ``n``, the bins its points can fill."""
+    for level, m in enumerate(levels):
+        if m < 1 or (level == 0 and m > n):
+            raise ValueError(f"m={m} bins outside [1, n={n}]")
+
+
 def check_knn(knn: np.ndarray, n: int) -> np.ndarray:
     """A given k'-NN matrix of ``n`` points; ValueError unless it is (n, k')
     with 0 < k' < n and holds integer ids in [0, n)."""

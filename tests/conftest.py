@@ -181,11 +181,9 @@ def small_indexes(small_data, small_knn, trained_usp):
         "ensemble": train_ensemble(data, m=8, e=3, cfg=TrainConfig(m=8, eta=7.0, epochs=8),
                                    knn_idx=small_knn, seed=3),
         "hierarchy": _hierarchy([4, 4], min_split=40, seed=0).fit(data),
-        # Members pruned to different leaf counts.
-        "ensemble-of-hierarchies": EnsemblePartitioner([
-            _hierarchy([4, 4], min_split=40, seed=1).fit(data),
-            _hierarchy([4, 4], min_split=300, seed=2).fit(data),
-        ]),
+        # Algorithm 3 over hierarchies; ``unequal_ensemble`` has unequal leaf counts.
+        "ensemble-of-hierarchies": train_ensemble(
+            data, m=[4, 4], e=2, cfg=TrainConfig(eta=5.0, epochs=5), knn_idx=small_knn, seed=1),
         "kmeans": KMeansPartitioner(8, seed=0).fit(data),
         "cp-lsh": CrossPolytopeLSH(8, seed=0).fit(data),
         "neural-lsh": NeuralLSHPartitioner(8, hidden=32, epochs=5, seed=0).fit(

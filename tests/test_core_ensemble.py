@@ -17,6 +17,7 @@ from repro.core.ensemble import (
     train_ensemble,
     update_weights,
 )
+from repro.core.hierarchy import HierarchicalPartitioner
 from repro.core.train import TrainConfig
 from repro.index.base import bin_ranks, gather, probe_order
 from repro.index.search import sweep_accuracy
@@ -215,7 +216,7 @@ class TestRoutingOracle:
         monkeypatch.setattr(MLP, "stacked_proba",
                             lambda self, x: calls.append(len(self.W[0])) or forward(self, x))
         for name, want in (("ensemble", [3]), ("flat-unequal", [1, 1]), ("mixed", [1, 1, 4]),
-                           ("ensemble-of-hierarchies", [2, 6])):
+                           ("ensemble-of-hierarchies", [2, 8])):
             calls.clear()
             ensembles[name].candidate_ids(small_data[1][:1], 2)
             assert calls == want, name
@@ -283,6 +284,25 @@ class TestTrainEnsemble:
             assert len(member.cfg.history) == 1
         assert (cfg.m, cfg.seed, cfg.history) == (8, 5, [])
 
+    def test_hierarchy_members_train_on_boosted_weights(self, small_indexes, small_data,
+                                                        small_knn):
+        """Algorithm 3 over hierarchies: member 0 is the unweighted hierarchy
+        of seed 1, and member 1 the hierarchy of seed 1001 fitted on the
+        weights that member 0's leaf bins update, not an independent one."""
+        data, queries = small_data
+        first, second = small_indexes["ensemble-of-hierarchies"].models
+
+        def fit(seed, weights):
+            return HierarchicalPartitioner(
+                [4, 4], cfg_factory=lambda level, m: TrainConfig(m=m, eta=5.0, epochs=5),
+                seed=seed).fit(data, knn_idx=small_knn, weights=weights)
+
+        w = update_weights(np.ones(len(data)), first.data_bins(), small_knn)
+        for member, refit in ((first, fit(1, None)), (second, fit(1001, w))):
+            assert np.array_equal(member.data_bins(), refit.data_bins())
+            assert np.array_equal(member.leaf_probs(queries), refit.leaf_probs(queries))
+        assert not np.array_equal(second.data_bins(), fit(1001, None).data_bins())
+
     def test_spark_knn_path(self, spark):
         """Training on the Spark k'-NN matrix gives the members the numpy
         build gives them: the two matrices are equal."""
@@ -297,5 +317,5 @@ class TestTrainEnsemble:
 
     def test_fewer_points_than_bins_rejected(self):
         data = np.random.default_rng(0).normal(size=(12, 4))
-        with pytest.raises(ValueError, match="12 points cannot train .* m=16"):
+        with pytest.raises(ValueError, match=r"m=16 bins outside \[1, n=12\]"):
             train_ensemble(data, m=16, e=2)

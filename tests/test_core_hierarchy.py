@@ -30,9 +30,24 @@ class TestStructure:
         assert 4 <= h.n_bins <= 16  # pruning may merge small nodes
 
     def test_data_bins_cover_all_leaves(self, hier):
+        """The leaves, depth-first, are bins 0 … n_bins − 1, and each point's
+        bin is the leaf its nodes' models route it to; a leaf no point
+        reaches is an empty bin, as trained models may leave one."""
         h, data, _ = hier
-        bins = h.data_bins()
-        assert set(np.unique(bins)) == set(range(h.n_bins))
+        leaves, bins = [], np.full(len(data), -1)
+
+        def walk(node, idx):
+            if node.leaf_id is not None:
+                leaves.append(node.leaf_id)
+                bins[idx] = node.leaf_id
+                return
+            assign = node.model.predict_bin(data[idx])
+            for b, child in enumerate(node.children):
+                walk(child, idx[assign == b])
+
+        walk(h.root, np.arange(len(data)))
+        assert leaves == list(range(h.n_bins))
+        assert np.array_equal(bins, h.data_bins())
 
     def test_every_point_assigned(self, hier):
         h, data, _ = hier
@@ -74,8 +89,9 @@ class TestBinaryLogregTree:
             min_split=20, seed=1,
         ).fit(data)
         assert 2 <= h.n_bins <= 8
-        sizes = np.bincount(h.data_bins(), minlength=h.n_bins)
-        assert (sizes > 0).all()
+        assert len(h.root.plan.depths) == 3  # routers at every level
+        # A node's model may route all its points to one side, leaving an empty leaf.
+        assert np.bincount(h.data_bins(), minlength=h.n_bins).sum() == len(data)
 
     def test_small_dataset_prunes_to_single_leaf(self):
         data = np.random.default_rng(0).normal(size=(10, 4))
@@ -117,7 +133,7 @@ class TestBinaryLogregTree:
 
     def test_root_of_too_few_points_raises(self):
         x = np.random.default_rng(1).normal(size=(5, 4))
-        with pytest.raises(ValueError, match="cannot train"):
+        with pytest.raises(ValueError, match=r"m=8 bins outside \[1, n=5\]"):
             HierarchicalPartitioner([8, 8], k_prime=3, min_split=0).fit(x)
 
     def test_hierarchical_ensemble(self):
@@ -179,11 +195,23 @@ class TestOneFit:
         x, queries = data
         cfg = TrainConfig(m=4, eta=5.0, epochs=3)
         flat = UnsupervisedSpacePartitioner(4, cfg=cfg, seed=3).fit(x)
-        # A hierarchy seeds its root with seed + 31·n mod 104729.
         tree = HierarchicalPartitioner([4], cfg_factory=lambda level, m: TrainConfig(
-            m=m, eta=5.0, epochs=3), min_split=0, seed=3 - 31 * len(x) % 104729).fit(x)
+            m=m, eta=5.0, epochs=3), min_split=0, seed=3).fit(x)
         assert flat.n_bins == tree.n_bins == 4
         _assert_same_index(flat, tree, queries)
+
+    def test_node_seeds_are_distinct(self, data):
+        """The root trains with ``seed``, and no two nodes share a seed."""
+        x, _ = data
+        cfgs = []
+
+        def factory(level, m):
+            cfgs.append(TrainConfig(m=m, eta=5.0, epochs=1))
+            return cfgs[-1]
+
+        HierarchicalPartitioner([4, 4], cfg_factory=factory, min_split=40, seed=3).fit(x)
+        seeds = [c.seed for c in cfgs]
+        assert seeds[0] == 3 and len(set(seeds)) == len(seeds) > 2
 
     def test_given_knn_is_the_roots(self, data, monkeypatch):
         """A given k'-NN matrix replaces the root's build, and nothing else."""

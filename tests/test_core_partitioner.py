@@ -90,7 +90,7 @@ class TestConfig:
 
     def test_fewer_points_than_bins_rejected(self):
         data = np.random.default_rng(0).normal(size=(12, 4))
-        with pytest.raises(ValueError, match="12 points cannot train .* m=16"):
+        with pytest.raises(ValueError, match=r"m=16 bins outside \[1, n=12\]"):
             UnsupervisedSpacePartitioner(16).fit(data)
 
 

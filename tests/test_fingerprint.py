@@ -13,7 +13,7 @@ ARTEFACTS = {
                            "pq_codebooks", "answers"],
 }
 TREES = ["neural-lsh", "regression-lsh", "usp-lr-tree", "bsf", "tree-learned_kd", "tree-pca",
-         "tree-rp", "tree-two_means"]
+         "tree-rp", "tree-two_means", "usp-hierarchy-ensemble"]
 
 
 def fingerprint(seeds: str) -> list[list[str]]:

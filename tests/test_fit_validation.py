@@ -1,8 +1,8 @@
 """Bad training data fails loudly in every index's fit: data that is not
 (n, d), holds NaN or infinite values or squared norms that overflow, a given
 k'-NN matrix of the wrong shape, with k' outside (0, n), or with ids outside
-[0, n), a k' outside (0, n) for the matrix the fit builds, and a K-means
-k or a Neural LSH bin count outside [1, n]. A bad architecture fails
+[0, n), a k' outside (0, n) for the matrix the fit builds, a K-means k
+outside [1, n], and a tree's fan-out below 1 or, at the root, above n. A bad architecture fails
 before any k'-NN work. A query on an index that was never fitted fails
 with one RuntimeError, "index not fitted". Per-point weights that are not
 n finite, non-negative values with a positive sum fail before any k'-NN
@@ -183,11 +183,22 @@ def test_fit_rejects_bad_dropout(dropout, data):
      "m=201 bins outside \\[1, n=200\\]"),
     (lambda x: NeuralLSHPartitioner(0, hidden=8, epochs=1).fit(x),
      "m=0 bins outside \\[1, n=200\\]"),
-], ids=["hierarchy-arch", "neural-lsh-m-above-n", "neural-lsh-m-0"])
+    (lambda x: UnsupervisedSpacePartitioner(0, cfg=CFG).fit(x),
+     "m=0 bins outside \\[1, n=200\\]"),
+    (lambda x: UnsupervisedSpacePartitioner(len(x) + 1, cfg=CFG).fit(x),
+     "m=201 bins outside \\[1, n=200\\]"),
+    (lambda x: HierarchicalPartitioner([4, 0]).fit(x), "m=0 bins outside \\[1, n=200\\]"),
+    (lambda x: HierarchicalPartitioner([-2]).fit(x), "m=-2 bins outside \\[1, n=200\\]"),
+    (lambda x: train_ensemble(x, m=[len(x) + 1, 2], e=2, cfg=CFG),
+     "m=201 bins outside \\[1, n=200\\]"),
+], ids=["hierarchy-arch", "neural-lsh-m-above-n", "neural-lsh-m-0", "usp-m-0",
+        "usp-m-above-n", "hierarchy-level-0", "hierarchy-m-negative", "ensemble-m-above-n"])
 def test_bad_arguments_fail_before_the_knn_build(fit, match, data, monkeypatch):
     """Bad arguments fail before any k'-NN build: an unknown architecture,
-    and more Neural LSH bins than points, which would leave bins empty."""
-    monkeypatch.setattr("repro.index.tree.knn_matrix_numpy", _no_knn_build)
+    and a fan-out below 1 at any level or above n at the root, which would
+    leave bins empty, in the flat, hierarchical and ensemble fits."""
+    for module in ("repro.index.tree", "repro.core.ensemble"):
+        monkeypatch.setattr(f"{module}.knn_matrix_numpy", _no_knn_build)
     with pytest.raises(ValueError, match=match):
         fit(data)
 
